@@ -77,8 +77,8 @@ class SumConstraintViolation(IfsgError):
 class BetaOutOfRange(IfsgError):
     """Scaling factor outside its admissible interval."""
 
-    def __init__(self, beta: Fraction, lowest: Fraction):
-        super().__init__(f"beta = {beta} outside [{lowest}, 1]")
+    def __init__(self, beta: Fraction, interval: str):
+        super().__init__(f"beta = {beta} outside {interval}")
         self.beta = beta
 
 

@@ -12,7 +12,9 @@ The suite runner shares work aggressively but never changes semantics:
 subject profiles evaluate through the same scan code as the public
 predicates, on order-isomorphic integer views of the exact grades, and
 magnified variants are built once per subject and reused across every
-semigroup of that carrier size.
+semigroup of that carrier size. Every predicate compares mu only with mu
+and nu only with nu, so a view's verdicts depend only on the weak order
+of each grade map: each semigroup decides each such pattern once.
 """
 
 from __future__ import annotations
@@ -524,7 +526,8 @@ def _converse_witness(
 ) -> tuple[Certificate | None, Certificate | None]:
     """(witness, counterexample): the characteristic pair of the principal
     ideal of m*m must be a relevant ideal whose magnified translation
-    violates a semiprime inequality at the gap element m."""
+    violates a semiprime inequality at the gap element m. A returned
+    witness has been replayed."""
     tid = f"char_{kind}"
     relevant = _CHAR_RELEVANT[kind]
     m = _regularity_gap(kind, S)
@@ -541,7 +544,14 @@ def _converse_witness(
     witness: Certificate | None = None
     for beta in spec.beta_grid:
         # nu of the witness vanishes on the ideal, forcing a zero shift
-        assert max_alpha(W, beta) == 0
+        shift = max_alpha(W, beta)
+        if shift != 0:
+            cert = Certificate(
+                tid, name, S.table, W.mu, W.nu, beta=beta, alpha=shift,
+                kind=relevant.value, points=(m,),
+                detail=f"witness admits the non-zero shift {shift}",
+            )
+            return None, cert
         W2 = magnify(W, TransformParams(beta, ZERO))
         if not (W2.mu[m] < W2.mu[m2] or W2.nu[m] > W2.nu[m2]):
             cert = Certificate(
@@ -560,6 +570,8 @@ def _converse_witness(
                     f"semiprimeness at {m}"
                 ),
             )
+    if not replay_certificate(witness):
+        raise AssertionError(f"converse witness for {tid} does not replay")
     return witness, None
 
 
@@ -589,8 +601,6 @@ def check_characterization(
         witness, bad = _converse_witness(kind, S, spec, name)
         if bad is not None:
             return VerificationReport(tid, name, 1, 1, 0, "counterexample", bad)
-        if not replay_certificate(witness):
-            raise AssertionError("converse witness does not replay")
         return _verified(tid, name, 1, witnesses=(witness,))
 
     if subjects is None:
@@ -859,6 +869,10 @@ class _TaskState:
     relevant_counts: dict = field(default_factory=lambda: {
         "intra_regular": 0, "left_regular": 0, "right_regular": 0,
     })
+    # pattern id -> verdict on this semigroup (None until first needed)
+    verdicts: list = field(default_factory=list)
+    # signature id -> 1 once a subject with that signature walked its variants
+    walked: bytearray = field(default_factory=bytearray)
 
 
 def _normalize_theorems(theorems) -> tuple[str, ...]:
@@ -873,7 +887,11 @@ def _normalize_theorems(theorems) -> tuple[str, ...]:
     return tuple(t for t in THEOREM_IDS if t in requested)
 
 
-_KIND_POS = {kind: i for i, kind in enumerate(KIND_ORDER)}
+# positions of the profile flags the sweep reads, in KIND_ORDER
+_BI, _ONE_TWO, _LEFT, _RIGHT, _SEMIPRIME = (
+    KIND_ORDER.index(kind)
+    for kind in (K.BI_IDEAL, K.ONE_TWO_IDEAL, K.LEFT_IDEAL, K.RIGHT_IDEAL, K.SEMIPRIME)
+)
 
 
 def _suite_tasks(orders, include_library) -> list[tuple[str, Semigroup]]:
@@ -889,18 +907,91 @@ def _suite_tasks(orders, include_library) -> list[tuple[str, Semigroup]]:
     return tasks
 
 
-def _variants_for(A: IFSubset, spec: SampleSpec):
+def _weak_order(values) -> tuple[int, ...]:
+    """Each value's rank among the distinct values."""
+    rank = {v: i for i, v in enumerate(sorted(set(values)))}
+    return tuple([rank[v] for v in values])
+
+
+def _verdict(idx: predicates._ScanIndex, mu, nu) -> tuple:
+    """Everything the sweep asks of one grade view on one semigroup:
+    (profile flags, first x whose grades differ from those of x*x, whether
+    both maps are constant, first x breaking a semiprime square inequality),
+    with None where there is no such x."""
+    squares = idx.squares
+    fixed = next(
+        (x for x, x2 in enumerate(squares) if mu[x] != mu[x2] or nu[x] != nu[x2]), None
+    )
+    hit = predicates._scan_semiprime(squares, mu, nu)
+    return (
+        predicates._profile_from(idx, mu, nu),
+        fixed,
+        len(set(mu)) <= 1 and len(set(nu)) <= 1,
+        None if hit is None else hit[0][0],
+    )
+
+
+class _Patterns:
+    """Dense ids for the weak-order patterns of one carrier order's views.
+
+    A view's pattern is the weak order of its mu and of its nu. The scans
+    compare mu only with mu and nu only with nu, so views sharing a pattern
+    share their verdict on every semigroup; each pattern keeps the first
+    view seen with it to compute that verdict from. A subject's signature
+    is its pattern id and the ids of its variants, in order: subjects that
+    share one get identical verdicts throughout. Verdicts are interned here
+    so that the semigroups of one order share the few distinct ones.
+    """
+
+    def __init__(self):
+        self._ids: dict = {}
+        self.views: list = []
+        self.signatures: dict = {}
+        self._verdicts: dict = {}
+
+    def pattern(self, mu, nu) -> int:
+        key = (_weak_order(mu), _weak_order(nu))
+        pid = self._ids.get(key)
+        if pid is None:
+            pid = self._ids[key] = len(self.views)
+            self.views.append((mu, nu))
+        return pid
+
+    def signature(self, pid: int, vids: tuple[int, ...]) -> int:
+        return self.signatures.setdefault((pid, vids), len(self.signatures))
+
+    def verdict(self, idx: predicates._ScanIndex, pid: int) -> tuple:
+        v = _verdict(idx, *self.views[pid])
+        return self._verdicts.setdefault(v, v)
+
+
+def _variants_for(A: IFSubset, spec: SampleSpec, patterns: _Patterns):
+    """(beta, alpha, pattern id) of each magnified variant, in sampling order."""
     out = []
     for beta in spec.beta_grid:
         for alpha in alpha_samples(A, beta, spec.alpha_strategy):
             A2 = magnify(A, TransformParams(beta, alpha))
-            muI, nuI = predicates._scaled(A2)
-            out.append((beta, alpha, A2, muI, nuI))
+            out.append((beta, alpha, patterns.pattern(*predicates._scaled(A2))))
     return tuple(out)
 
 
-def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec) -> None:
-    """Process a block of prepared subjects against one semigroup."""
+def _prepare(A: IFSubset, spec: SampleSpec, patterns: _Patterns, need_variants: bool):
+    """(subject, pattern id, signature id, variants), shared by every semigroup
+    of the subject's carrier order."""
+    pid = patterns.pattern(*predicates._scaled(A))
+    variants = _variants_for(A, spec, patterns) if need_variants else ()
+    return A, pid, patterns.signature(pid, tuple(v[2] for v in variants)), variants
+
+
+def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
+                 patterns: _Patterns) -> None:
+    """Process a block of prepared subjects against one semigroup.
+
+    Every subject counts towards the hypothesis tallies and pair passers.
+    Only the first subject with a given signature walks its variants: a
+    later one meets the same verdicts in the same order, so it cannot
+    record a certificate the first one did not.
+    """
     S, cls = state.S, state.cls
     idx = predicates._scan_index(S)
     squares = idx.squares
@@ -910,44 +1001,57 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec) -> None:
     want_fixed = "fixedpoint" in tids
     want_arch = "archimedean_constant" in tids and cls.archimedean
     char_kinds = [
-        k for k in ("intra_regular", "left_regular", "right_regular")
+        (k, f"char_{k}", KIND_ORDER.index(_CHAR_RELEVANT[k]), _CHAR_RELEVANT[k].value)
+        for k in ("intra_regular", "left_regular", "right_regular")
         if f"char_{k}" in tids and getattr(cls, k)
     ]
+    verdicts, walked, certs = state.verdicts, state.walked, state.certs
+    verdicts.extend([None] * (len(patterns.views) - len(verdicts)))
+    walked.extend(bytes(len(patterns.signatures) - len(walked)))
 
-    for A, muI, nuI, variants in chunk:
+    for A, pid, sid, variants in chunk:
         state.subjects += 1
-        base = predicates._profile_from(idx, muI, nuI)
-        if base[_KIND_POS[K.SEMIPRIME]]:
+        v = verdicts[pid]
+        if v is None:
+            v = verdicts[pid] = patterns.verdict(idx, pid)
+        base = v[0]
+        if base[_SEMIPRIME]:
             state.semiprime_total += 1
             if len(state.semiprime_passers) < cap:
                 state.semiprime_passers.append(A)
-        if base[_KIND_POS[K.BI_IDEAL]]:
+        if base[_BI]:
             state.bi_total += 1
             if len(state.bi_passers) < cap:
                 state.bi_passers.append(A)
-        if base[_KIND_POS[K.ONE_TWO_IDEAL]]:
+        if base[_ONE_TWO]:
             state.one_two_total += 1
             if len(state.one_two_passers) < cap:
                 state.one_two_passers.append(A)
-        r_flag = base[_KIND_POS[K.RIGHT_IDEAL]]
-        l_flag = base[_KIND_POS[K.LEFT_IDEAL]]
+        r_flag = base[_RIGHT]
+        l_flag = base[_LEFT]
         if r_flag and len(state.right_passers) < cap:
             state.right_passers.append(A)
         if l_flag and len(state.left_passers) < cap:
             state.left_passers.append(A)
         if not (r_flag or l_flag):
             state.one_sided_misses += 1
-        for k in char_kinds:
-            if base[_KIND_POS[_CHAR_RELEVANT[k]]]:
+        for k, _, pos, _ in char_kinds:
+            if base[pos]:
                 state.relevant_counts[k] += 1
 
-        for beta, alpha, A2, muI2, nuI2 in variants:
-            after = predicates._profile_from(idx, muI2, nuI2)
+        if walked[sid]:
+            continue
+        walked[sid] = 1
+        for beta, alpha, vid in variants:
+            w = verdicts[vid]
+            if w is None:
+                w = verdicts[vid] = patterns.verdict(idx, vid)
+            after, fixed_x, const, char_x = w
             if want_equiv and after != base:
-                for kind, pos in _KIND_POS.items():
+                for pos, kind in enumerate(KIND_ORDER):
                     tid = f"equiv_{kind.value}"
-                    if base[pos] != after[pos] and tid in tids and tid not in state.certs:
-                        state.certs[tid] = Certificate(
+                    if base[pos] != after[pos] and tid in tids and tid not in certs:
+                        certs[tid] = Certificate(
                             tid, state.label, S.table, A.mu, A.nu,
                             beta=beta, alpha=alpha, kind=kind.value,
                             detail=(
@@ -955,47 +1059,37 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec) -> None:
                                 f"transformed={after[pos]}"
                             ),
                         )
-            if want_group and "group_constant" not in state.certs:
-                const = len(set(muI2)) <= 1 and len(set(nuI2)) <= 1
-                if base[_KIND_POS[K.BI_IDEAL]] != const:
-                    state.certs["group_constant"] = Certificate(
-                        "group_constant", state.label, S.table, A.mu, A.nu,
+            if want_group and "group_constant" not in certs and base[_BI] != const:
+                certs["group_constant"] = Certificate(
+                    "group_constant", state.label, S.table, A.mu, A.nu,
+                    beta=beta, alpha=alpha,
+                    detail=f"bi_ideal={base[_BI]} but constant={const}",
+                )
+            if base[_SEMIPRIME]:
+                if want_fixed and "fixedpoint" not in certs and fixed_x is not None:
+                    certs["fixedpoint"] = Certificate(
+                        "fixedpoint", state.label, S.table, A.mu, A.nu,
+                        beta=beta, alpha=alpha, points=(fixed_x,),
+                        detail=(
+                            f"transformed grades differ between {fixed_x} "
+                            f"and {squares[fixed_x]}"
+                        ),
+                    )
+                if want_arch and "archimedean_constant" not in certs and not const:
+                    certs["archimedean_constant"] = Certificate(
+                        "archimedean_constant", state.label, S.table, A.mu, A.nu,
                         beta=beta, alpha=alpha,
-                        detail=f"bi_ideal={base[_KIND_POS[K.BI_IDEAL]]} but constant={const}",
+                        detail="magnified semiprime ideal is not constant",
                     )
-            if base[_KIND_POS[K.SEMIPRIME]]:
-                if want_fixed and "fixedpoint" not in state.certs:
-                    for x, x2 in enumerate(squares):
-                        if muI2[x] != muI2[x2] or nuI2[x] != nuI2[x2]:
-                            state.certs["fixedpoint"] = Certificate(
-                                "fixedpoint", state.label, S.table, A.mu, A.nu,
-                                beta=beta, alpha=alpha, points=(x,),
-                                detail=f"transformed grades differ between {x} and {x2}",
-                            )
-                            break
-                if want_arch and "archimedean_constant" not in state.certs:
-                    if len(set(muI2)) > 1 or len(set(nuI2)) > 1:
-                        state.certs["archimedean_constant"] = Certificate(
-                            "archimedean_constant", state.label, S.table, A.mu, A.nu,
-                            beta=beta, alpha=alpha,
-                            detail="magnified semiprime ideal is not constant",
+            if char_x is not None:
+                for _, tid, pos, relevant in char_kinds:
+                    if base[pos] and tid not in certs:
+                        certs[tid] = Certificate(
+                            tid, state.label, S.table, A.mu, A.nu,
+                            beta=beta, alpha=alpha, kind=relevant,
+                            points=(char_x,),
+                            detail="magnified relevant ideal breaks a semiprime inequality",
                         )
-            for k in char_kinds:
-                tid = f"char_{k}"
-                if tid in state.certs or not base[_KIND_POS[_CHAR_RELEVANT[k]]]:
-                    continue
-                bad = None
-                for x, x2 in enumerate(squares):
-                    if muI2[x] < muI2[x2] or nuI2[x] > nuI2[x2]:
-                        bad = (x, x2)
-                        break
-                if bad is not None:
-                    state.certs[tid] = Certificate(
-                        tid, state.label, S.table, A.mu, A.nu,
-                        beta=beta, alpha=alpha, kind=_CHAR_RELEVANT[k].value,
-                        points=(bad[0],),
-                        detail="magnified relevant ideal breaks a semiprime inequality",
-                    )
 
 
 def _finish_task(state: _TaskState, tids, spec: SampleSpec) -> list[VerificationReport]:
@@ -1143,21 +1237,15 @@ def run_suite(
 
     need_variants = any(t in _VARIANT_THEOREMS for t in tids)
     for n, group in sorted(by_order.items()):
+        patterns = _Patterns()
         stream = sample_ifs(n, spec)
         while True:
             block = list(itertools.islice(stream, _SUBJECT_CHUNK))
             if not block:
                 break
-            chunk = [
-                (
-                    A,
-                    *predicates._scaled(A),
-                    _variants_for(A, spec) if need_variants else (),
-                )
-                for A in block
-            ]
+            chunk = [_prepare(A, spec, patterns, need_variants) for A in block]
             for st in group:
-                _sweep_chunk(st, chunk, tids, spec)
+                _sweep_chunk(st, chunk, tids, spec, patterns)
 
     reports: list[VerificationReport] = []
     for st in states:

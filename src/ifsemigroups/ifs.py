@@ -165,6 +165,8 @@ def parse_ifs(text: str) -> IFSubset:
             idx = int(parts[0])
         except ValueError:
             raise ParseError(f"bad element index in {stripped!r}") from None
+        if idx < 0:
+            raise ParseError(f"negative element index in {stripped!r}")
         if idx in rows:
             raise ParseError(f"element {idx} appears twice")
         rows[idx] = (as_grade(parts[1], idx), as_grade(parts[2], idx))

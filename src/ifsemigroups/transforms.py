@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlphaOutOfRange, BetaOutOfRange
-from .ifs import IFSubset, ONE, ZERO
+from .ifs import IFSubset, ONE
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class TransformParams:
 
     def __post_init__(self):
         if not 0 < self.beta <= 1:
-            raise BetaOutOfRange(self.beta, ZERO)
+            raise BetaOutOfRange(self.beta, "(0, 1]")
         if not 0 <= self.alpha <= 1:
             raise AlphaOutOfRange(self.alpha, ONE)
 
@@ -45,7 +45,7 @@ class TransformParams:
 def max_alpha(A: IFSubset, beta: Fraction) -> Fraction:
     """Inclusive upper bound for the shift: min over the carrier of beta * nu."""
     if not 0 <= beta <= 1:
-        raise BetaOutOfRange(beta, ZERO)
+        raise BetaOutOfRange(beta, "[0, 1]")
     return beta * min(A.nu)
 
 
@@ -64,7 +64,7 @@ def translate(A: IFSubset, alpha: Fraction) -> IFSubset:
 def multiply(A: IFSubset, beta: Fraction) -> IFSubset:
     """Scale both grade maps by beta."""
     if not 0 <= beta <= 1:
-        raise BetaOutOfRange(beta, ZERO)
+        raise BetaOutOfRange(beta, "[0, 1]")
     return IFSubset(
         A.carrier_order,
         tuple(beta * m for m in A.mu),

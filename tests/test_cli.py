@@ -71,6 +71,13 @@ class TestTransform:
                      "--cayley", null2_file])
         assert code == 2
 
+    def test_negative_index_is_a_one_line_error(self, tmp_path, capsys):
+        p = tmp_path / "negative.ifs"
+        p.write_text("-1 0.2 0.3\n0 0.5 0.1\n")
+        assert main(["transform", str(p), "--beta", "1", "--alpha", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: negative element index in '-1 0.2 0.3'\n"
+
 
 class TestProduct:
     def test_characteristic_product(self, tmp_path, capsys):

@@ -208,6 +208,23 @@ class TestCharacterization:
         with pytest.raises(ValueError):
             check_characterization("totally_regular", null2)
 
+    def test_nonzero_witness_shift_is_a_counterexample(self, null2, monkeypatch):
+        import ifsemigroups.harness as harness
+
+        monkeypatch.setattr(harness, "max_alpha", lambda A, beta: F(1, 8))
+        rep = check_characterization("intra_regular", null2)
+        assert rep.outcome == "counterexample"
+        assert rep.certificate.alpha == F(1, 8)
+        assert "non-zero shift" in rep.certificate.detail
+
+    def test_suite_replays_the_converse_witness(self, monkeypatch):
+        import ifsemigroups.harness as harness
+
+        monkeypatch.setattr(harness, "replay_certificate", lambda cert: False)
+        with pytest.raises(AssertionError, match="converse witness"):
+            run_suite([2], SampleSpec(grade_grid_step=F(1, 2)),
+                      theorems="char_left_regular", include_library=False)
+
 
 class TestArchimedeanConstant:
     def test_null_semigroup(self, null2):

@@ -88,6 +88,10 @@ class TestMagnify:
         with pytest.raises(BetaOutOfRange):
             TransformParams(F(0), F(0))
 
+    def test_beta_zero_message_states_the_open_interval(self):
+        with pytest.raises(BetaOutOfRange, match=r"^beta = 0 outside \(0, 1\]$"):
+            TransformParams(F(0), F(0))
+
     def test_params_alpha_sanity(self):
         with pytest.raises(AlphaOutOfRange):
             TransformParams(F(1, 2), F(3, 2))
