@@ -8,6 +8,11 @@ the public predicate and transform APIs. Expected-failure exhibits (the
 converse witnesses of the characterization theorems, the non-regular
 product witnesses) are attached to verified reports as witnesses.
 
+Each single-subject theorem is one ``_THEOREMS`` entry, run by both the
+suite sweep and the public check (its gates, then the entry's test). Each
+pair theorem is its gates (``_PAIR_GATES``) plus one core test, which the
+suite runs on the subjects its sweep already gated.
+
 The suite runner shares work aggressively but never changes semantics:
 subject profiles evaluate through the same scan code as the public
 predicates, on order-isomorphic integer views of the exact grades, and
@@ -19,11 +24,12 @@ of each grade map: each semigroup decides each such pattern once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import predicates
 from .composition import if_product
@@ -39,12 +45,7 @@ from .ifs import (
     is_constant,
     is_nonempty,
 )
-from .predicates import (
-    KIND_ORDER,
-    FuzzyStructureKind,
-    check,
-    find_semiprime_inequality_violation,
-)
+from .predicates import KIND_ORDER, FuzzyStructureKind, check
 from .semigroups import (
     Classification,
     ElementSubset,
@@ -57,6 +58,7 @@ from .semigroups import (
     principal_left_ideal,
     principal_right_ideal,
     principal_two_sided_ideal,
+    regularity_gap,
 )
 from .transforms import TransformParams, magnify, max_alpha
 
@@ -79,22 +81,19 @@ THEOREM_IDS = tuple(EQUIV_THEOREMS) + (
 
 ALPHA_STRATEGIES = ("zero", "max", "midpoint", "grid")
 
-# theorems whose suite sweep consumes the per-subject magnified variants;
-# the pair-based theorems sample their own parameters instead
-_VARIANT_THEOREMS = frozenset(EQUIV_THEOREMS) | {
-    "group_constant",
-    "fixedpoint",
-    "char_intra_regular",
-    "char_left_regular",
-    "char_right_regular",
-    "archimedean_constant",
+# regularity flag -> (the ideals its characterization samples, the principal
+# ideal its converse witness is built from)
+_CHAR_RELEVANT = {
+    "intra_regular": (K.IDEAL, principal_two_sided_ideal),
+    "left_regular": (K.LEFT_IDEAL, principal_left_ideal),
+    "right_regular": (K.RIGHT_IDEAL, principal_right_ideal),
 }
 
-_CHAR_RELEVANT = {
-    "intra_regular": K.IDEAL,
-    "left_regular": K.LEFT_IDEAL,
-    "right_regular": K.RIGHT_IDEAL,
-}
+# positions of the profile flags the theorems read, in KIND_ORDER
+_BI, _ONE_TWO, _LEFT, _RIGHT, _SEMIPRIME = (
+    KIND_ORDER.index(kind)
+    for kind in (K.BI_IDEAL, K.ONE_TWO_IDEAL, K.LEFT_IDEAL, K.RIGHT_IDEAL, K.SEMIPRIME)
+)
 
 _SUBJECT_CHUNK = 512
 
@@ -121,6 +120,8 @@ class SampleSpec:
         step = self.grade_grid_step
         if not 0 < step <= 1 or (1 / step).denominator != 1:
             raise ValueError(f"grid step {step} must divide 1 exactly")
+        if not self.beta_grid:
+            raise ValueError("beta grid is empty: no magnified variant would be built")
         for b in self.beta_grid:
             if not 0 < b <= 1:
                 raise ValueError(f"beta {b} outside (0, 1]")
@@ -172,30 +173,31 @@ def sample_ifs(carrier_order: int, spec: SampleSpec) -> Iterator[IFSubset]:
         yield _random_subject(carrier_order, rng)
 
 
-def alpha_samples(A: IFSubset, beta: Fraction, strategy: str = "grid") -> tuple[Fraction, ...]:
-    """Shifts sampled for a subject at a given scaling: zero, boundary, midpoint."""
-    m = max_alpha(A, beta)
+def _shifts(bound: Fraction, strategy: str) -> tuple[Fraction, ...]:
+    """The sampled shifts in [0, bound]: zero, boundary, midpoint."""
     if strategy == "zero":
         return (ZERO,)
     if strategy == "max":
-        return (m,)
+        return (bound,)
     if strategy == "midpoint":
-        return (m / 2,)
+        return (bound / 2,)
     if strategy == "grid":
-        return (ZERO,) if m == 0 else (ZERO, m / 2, m)
+        return (ZERO,) if bound == 0 else (ZERO, bound / 2, bound)
     raise ValueError(f"alpha strategy {strategy!r} not in {ALPHA_STRATEGIES}")
 
 
-def _pair_alphas(A: IFSubset, B: IFSubset, beta: Fraction, strategy: str) -> tuple[Fraction, ...]:
-    """Shifts admissible for both subjects of a pair at once."""
-    m = min(max_alpha(A, beta), max_alpha(B, beta))
-    if strategy == "zero":
-        return (ZERO,)
-    if strategy == "max":
-        return (m,)
-    if strategy == "midpoint":
-        return (m / 2,)
-    return (ZERO,) if m == 0 else (ZERO, m / 2, m)
+def alpha_samples(A: IFSubset, beta: Fraction, strategy: str = "grid") -> tuple[Fraction, ...]:
+    """Shifts sampled for a subject at a given scaling: zero, boundary, midpoint."""
+    return _shifts(max_alpha(A, beta), strategy)
+
+
+def _pair_params(A: IFSubset, B: IFSubset, spec: SampleSpec) -> list[TransformParams]:
+    """Each sampled (beta, alpha) admissible for both subjects of a pair."""
+    return [
+        TransformParams(beta, alpha)
+        for beta in spec.beta_grid
+        for alpha in _shifts(min(max_alpha(A, beta), max_alpha(B, beta)), spec.alpha_strategy)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +326,11 @@ def _verified(tid: str, label: str, subjects: int, skipped: int = 0,
     return VerificationReport(tid, label, 1, subjects, skipped, "verified", None, witnesses)
 
 
-def _refuted(tid: str, label: str, subjects: int, skipped: int,
-             cert: Certificate) -> VerificationReport:
+def _report(tid: str, label: str, subjects: int, skipped: int,
+            cert: Certificate | None) -> VerificationReport:
+    """Verified without a certificate; refuted by one only once it replays."""
+    if cert is None:
+        return _verified(tid, label, subjects, skipped)
     if not replay_certificate(cert):
         raise AssertionError(f"unsound certificate for {tid}: does not replay")
     return VerificationReport(tid, label, 1, subjects, skipped, "counterexample", cert)
@@ -336,7 +341,96 @@ def _label(S: Semigroup, label: str | None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# single-case theorem checks (the public per-theorem operations)
+# the single-subject theorems: one table, run by the suite and the public checks
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    """One single-subject theorem. ``test(table, v, w)`` maps the verdicts
+    (see ``_verdict``) of a subject and of one magnified variant to the
+    certificate fields of a failure, or None. Without the hypothesis, the
+    suite tallies a skip (or exhibits the converse witness of a regularity
+    flag) and the public check raises ``refusal``."""
+
+    tid: str
+    test: Callable
+    hypothesis: str | None = None  # Classification flag the semigroup needs
+    refusal: tuple = ()  # (error type, message)
+    precondition: int | None = None  # profile position the subject must pass
+
+    def failure(self, label, T, A, beta, alpha, v, w) -> Certificate | None:
+        fields = self.test(T, v, w)
+        if fields is None:
+            return None
+        return Certificate(self.tid, label, T, A.mu, A.nu, beta=beta, alpha=alpha, **fields)
+
+
+def _equiv_test(pos: int, kind: str) -> Callable:
+    def test(T, v, w):
+        before, after = v[0][pos], w[0][pos]
+        if before == after:
+            return None
+        return {"kind": kind, "detail": f"{kind}: original={before}, transformed={after}"}
+    return test
+
+
+def _group_constant_test(T, v, w):
+    bi, const = v[0][_BI], w[2]
+    return None if bi == const else {"detail": f"bi_ideal={bi} but constant={const}"}
+
+
+def _fixedpoint_test(T, v, w):
+    x = w[1]
+    if x is None:
+        return None
+    return {"points": (x,), "detail": f"transformed grades differ between {x} and {T[x][x]}"}
+
+
+def _archimedean_constant_test(T, v, w):
+    return None if w[2] else {"detail": "magnified semiprime ideal is not constant"}
+
+
+def _char_test(relevant: str) -> Callable:
+    def test(T, v, w):
+        x = w[3]
+        if x is None:
+            return None
+        return {"kind": relevant, "points": (x,),
+                "detail": "magnified relevant ideal breaks a semiprime inequality"}
+    return test
+
+
+_THEOREMS = {th.tid: th for th in (
+    *(_Theorem(tid, _equiv_test(pos, kind.value))
+      for pos, (tid, kind) in enumerate(EQUIV_THEOREMS.items())),
+    _Theorem("group_constant", _group_constant_test, "is_group",
+             (NotAGroup, "the constant-function equivalence requires a group")),
+    _Theorem("fixedpoint", _fixedpoint_test, precondition=_SEMIPRIME),
+    *(_Theorem(f"char_{kind}", _char_test(relevant.value), kind,
+               precondition=KIND_ORDER.index(relevant))
+      for kind, (relevant, _) in _CHAR_RELEVANT.items()),
+    _Theorem("archimedean_constant", _archimedean_constant_test, "archimedean",
+             (PreconditionNotMet, "semigroup is not archimedean"), _SEMIPRIME),
+)}
+
+
+def _check_single(tid: str, S: Semigroup, A: IFSubset, params: TransformParams,
+                  label: str | None) -> VerificationReport:
+    """Gate, then test: the suite's step on one subject and one variant, with
+    gates that raise where the suite would tally a skip."""
+    th = _THEOREMS[tid]
+    if th.hypothesis is not None and not getattr(classify(S), th.hypothesis):
+        raise th.refusal[0](th.refusal[1])
+    predicates._require_subject(S, A)
+    idx = predicates._scan_index(S)
+    v = _verdict(idx, *predicates._scaled(A))
+    if th.precondition is not None and not v[0][th.precondition]:
+        raise PreconditionNotMet(
+            f"subject is not a {KIND_ORDER[th.precondition].value} ideal"
+        )
+    w = _verdict(idx, *predicates._scaled(magnify(A, params)))
+    name = _label(S, label)
+    return _report(tid, name, 1, 0, th.failure(name, S.table, A, params.beta, params.alpha, v, w))
 
 
 def check_transform_equivalence(
@@ -347,58 +441,142 @@ def check_transform_equivalence(
     label: str | None = None,
 ) -> VerificationReport:
     """Property holds on A iff it holds on the magnified A."""
-    tid = f"equiv_{kind.value}"
-    name = _label(S, label)
-    before = check(kind, S, A)
-    after = check(kind, S, magnify(A, params))
-    if before == after:
-        return _verified(tid, name, 1)
-    cert = Certificate(
-        tid, name, S.table, A.mu, A.nu, beta=params.beta, alpha=params.alpha,
-        kind=kind.value,
-        detail=f"{kind.value}: original={before}, transformed={after}",
-    )
-    return _refuted(tid, name, 1, 0, cert)
+    return _check_single(f"equiv_{kind.value}", S, A, params, label)
 
 
 def check_group_constant(
     S: Semigroup, A: IFSubset, params: TransformParams, label: str | None = None
 ) -> VerificationReport:
     """On a group: A is a bi-ideal iff its magnified translation is constant."""
-    name = _label(S, label)
-    if not classify(S).is_group:
-        raise NotAGroup("the constant-function equivalence requires a group")
-    bi = check(K.BI_IDEAL, S, A)
-    const = is_constant(magnify(A, params))
-    if bi == const:
-        return _verified("group_constant", name, 1)
-    cert = Certificate(
-        "group_constant", name, S.table, A.mu, A.nu,
-        beta=params.beta, alpha=params.alpha,
-        detail=f"bi_ideal={bi} but constant={const}",
-    )
-    return _refuted("group_constant", name, 1, 0, cert)
+    return _check_single("group_constant", S, A, params, label)
 
 
 def check_semiprime_fixedpoint(
     S: Semigroup, A: IFSubset, params: TransformParams, label: str | None = None
 ) -> VerificationReport:
     """Magnified semiprime ideals take equal values at x and x*x."""
-    name = _label(S, label)
-    if not check(K.SEMIPRIME, S, A):
-        raise PreconditionNotMet("subject is not a semiprime ideal")
-    A2 = magnify(A, params)
-    T = S.table
-    for x in S.elements():
-        x2 = T[x][x]
-        if A2.mu[x] != A2.mu[x2] or A2.nu[x] != A2.nu[x2]:
-            cert = Certificate(
-                "fixedpoint", name, S.table, A.mu, A.nu,
-                beta=params.beta, alpha=params.alpha, points=(x,),
-                detail=f"transformed grades differ between {x} and {x2}",
+    return _check_single("fixedpoint", S, A, params, label)
+
+
+def check_archimedean_constant(
+    S: Semigroup, A: IFSubset, params: TransformParams, label: str | None = None
+) -> VerificationReport:
+    """On archimedean semigroups, magnified semiprime ideals are constant."""
+    return _check_single("archimedean_constant", S, A, params, label)
+
+
+def _converse_witness(
+    kind: str, S: Semigroup, spec: SampleSpec, name: str
+) -> tuple[Certificate | None, Certificate | None]:
+    """(witness, counterexample): the characteristic pair of the principal
+    ideal of m*m must be a relevant ideal whose magnified translation
+    violates a semiprime inequality at the gap element m. A returned
+    witness has been replayed."""
+    tid = f"char_{kind}"
+    relevant, principal = _CHAR_RELEVANT[kind]
+    m = regularity_gap(S, kind)
+    if m is None:
+        raise HypothesisNotMet("no regularity gap: the flag holds")
+    m2 = S.table[m][m]
+    W = characteristic_pair(S.order, principal(S, m2))
+    cert = functools.partial(
+        Certificate, tid, name, S.table, W.mu, W.nu, kind=relevant.value, points=(m,)
+    )
+    if not check(relevant, S, W):
+        return None, cert(detail="principal-ideal witness fails the relevant ideal predicate")
+    witness: Certificate | None = None
+    for beta in spec.beta_grid:
+        # nu of the witness vanishes on the ideal, forcing a zero shift
+        shift = max_alpha(W, beta)
+        if shift != 0:
+            return None, cert(beta=beta, alpha=shift,
+                              detail=f"witness admits the non-zero shift {shift}")
+        W2 = magnify(W, TransformParams(beta, ZERO))
+        if not (W2.mu[m] < W2.mu[m2] or W2.nu[m] > W2.nu[m2]):
+            return None, cert(beta=beta, alpha=ZERO,
+                              detail="witness fails to violate the semiprime inequalities")
+        if witness is None:
+            witness = cert(beta=beta, alpha=ZERO, detail=(
+                f"characteristic pair of the principal ideal of {m2} is a "
+                f"{relevant.value} whose magnified translation breaks "
+                f"semiprimeness at {m}"
+            ))
+    if not replay_certificate(witness):
+        raise AssertionError(f"converse witness for {tid} does not replay")
+    return witness, None
+
+
+def check_characterization(
+    kind: str,
+    S: Semigroup,
+    spec: SampleSpec | None = None,
+    subjects: Sequence[IFSubset] | None = None,
+    label: str | None = None,
+) -> VerificationReport:
+    """Two-sided regularity characterization via magnified ideals.
+
+    Forward: when the classify flag holds, the magnified translation of
+    every sampled relevant ideal satisfies the semiprime inequalities; this
+    is the suite's sweep over the subject stream for this one semigroup.
+    Converse: when it fails, the characteristic pair of the principal
+    ideal of m*m (m the gap element) is exhibited breaking them.
+    """
+    if kind not in _CHAR_RELEVANT:
+        raise ValueError(f"unknown characterization kind {kind!r}")
+    spec = spec or SampleSpec()
+    th = _THEOREMS[f"char_{kind}"]
+    state = _TaskState(_label(S, label), S, classify(S))
+    if getattr(state.cls, kind):
+        _sweep([state], _subject_stream(S, spec, subjects), (th.tid,), spec)
+    return _theorem_report(th, state, spec)
+
+
+def _subject_stream(S: Semigroup, spec: SampleSpec, subjects: Sequence[IFSubset] | None):
+    """The sampled subjects, or the given ones once each is checked against S."""
+    if subjects is None:
+        return sample_ifs(S.order, spec)
+    subjects = list(subjects)
+    for A in subjects:
+        predicates._require_subject(S, A)
+    return subjects
+
+
+# ---------------------------------------------------------------------------
+# the pair theorems: public gates, one shared core test each
+
+# pair theorem -> (Classification flags under which it pairs sampled
+# subjects, profile positions those subjects must pass)
+_PAIR_GATES = {
+    "semiprime_intersection": ((), (_SEMIPRIME,)),
+    "product_bi_ideal": (("regular", "intra_regular"), (_BI,)),
+    "product_one_two_ideal": (("regular", "intra_regular", "left_regular"), (_ONE_TWO,)),
+    "regular_product": (("regular",), (_RIGHT, _LEFT)),
+}
+
+_PAIR_KINDS = {"bi_ideal_pair": "product_bi_ideal", "one_two_pair": "product_one_two_ideal"}
+
+
+def _pairs_wanted(tid: str, cls: Classification) -> bool:
+    return all(getattr(cls, flag) for flag in _PAIR_GATES[tid][0])
+
+
+def _intersection_failure(S: Semigroup, A: IFSubset, B: IFSubset, spec: SampleSpec,
+                          name: str) -> Certificate | None:
+    """Core test of two semiprime ideals with a non-empty intersection."""
+    tid = "semiprime_intersection"
+    if not check(K.SEMIPRIME, S, intersect(A, B)):
+        return Certificate(
+            tid, name, S.table, A.mu, A.nu, B.mu, B.nu,
+            detail="plain intersection is not semiprime",
+        )
+    for params in _pair_params(A, B, spec):
+        if not check(K.SEMIPRIME, S, intersect(magnify(A, params), magnify(B, params))):
+            return Certificate(
+                tid, name, S.table, A.mu, A.nu, B.mu, B.nu,
+                beta=params.beta, alpha=params.alpha,
+                detail="magnified intersection is not semiprime",
             )
-            return _refuted("fixedpoint", name, 1, 0, cert)
-    return _verified("fixedpoint", name, 1)
+    return None
 
 
 def check_semiprime_intersection(
@@ -410,50 +588,28 @@ def check_semiprime_intersection(
 ) -> VerificationReport:
     """Intersections of semiprime ideals are semiprime, before and after magnifying."""
     name = _label(S, label)
-    spec = spec or SampleSpec()
     if not (check(K.SEMIPRIME, S, A) and check(K.SEMIPRIME, S, B)):
         raise PreconditionNotMet("both subjects must be semiprime ideals")
-    C = intersect(A, B)
-    if not is_nonempty(C):
+    if not is_nonempty(intersect(A, B)):
         raise PreconditionNotMet("intersection is empty")
-    if not check(K.SEMIPRIME, S, C):
-        cert = Certificate(
-            "semiprime_intersection", name, S.table, A.mu, A.nu, B.mu, B.nu,
-            detail="plain intersection is not semiprime",
-        )
-        return _refuted("semiprime_intersection", name, 1, 0, cert)
-    for beta in spec.beta_grid:
-        for alpha in _pair_alphas(A, B, beta, spec.alpha_strategy):
-            params = TransformParams(beta, alpha)
-            C2 = intersect(magnify(A, params), magnify(B, params))
-            if not check(K.SEMIPRIME, S, C2):
-                cert = Certificate(
-                    "semiprime_intersection", name, S.table, A.mu, A.nu, B.mu, B.nu,
-                    beta=beta, alpha=alpha,
-                    detail="magnified intersection is not semiprime",
-                )
-                return _refuted("semiprime_intersection", name, 1, 0, cert)
-    return _verified("semiprime_intersection", name, 1)
+    cert = _intersection_failure(S, A, B, spec or SampleSpec(), name)
+    return _report("semiprime_intersection", name, 1, 0, cert)
 
 
-def check_archimedean_constant(
-    S: Semigroup, A: IFSubset, params: TransformParams, label: str | None = None
-) -> VerificationReport:
-    """On archimedean semigroups, magnified semiprime ideals are constant."""
-    name = _label(S, label)
-    if not classify(S).archimedean:
-        raise PreconditionNotMet("semigroup is not archimedean")
-    if not check(K.SEMIPRIME, S, A):
-        raise PreconditionNotMet("subject is not a semiprime ideal")
-    A2 = magnify(A, params)
-    if is_constant(A2):
-        return _verified("archimedean_constant", name, 1)
-    cert = Certificate(
-        "archimedean_constant", name, S.table, A.mu, A.nu,
-        beta=params.beta, alpha=params.alpha,
-        detail="magnified semiprime ideal is not constant",
-    )
-    return _refuted("archimedean_constant", name, 1, 0, cert)
+def _inclusion_failure(S: Semigroup, A: IFSubset, B: IFSubset, params_list,
+                       tid: str, name: str) -> Certificate | None:
+    """Core test of a gated pair: under each given (beta, alpha), the
+    magnified intersection sits inside both magnified products."""
+    for params in params_list:
+        A2, B2 = magnify(A, params), magnify(B, params)
+        I = intersect(A2, B2)
+        if not (ifs_leq(I, if_product(S, A2, B2)) and ifs_leq(I, if_product(S, B2, A2))):
+            return Certificate(
+                tid, name, S.table, A.mu, A.nu, B.mu, B.nu,
+                beta=params.beta, alpha=params.alpha,
+                detail="magnified intersection escapes a magnified product",
+            )
+    return None
 
 
 def check_product_inclusions(
@@ -470,160 +626,16 @@ def check_product_inclusions(
     bi-ideal subjects; 'one_two_pair' additionally requires left regularity
     and (1,2)-ideal subjects. Containment is non-strict.
     """
-    name = _label(S, label)
-    cls = classify(S)
-    if kind == "bi_ideal_pair":
-        tid, pk = "product_bi_ideal", K.BI_IDEAL
-        hyp = cls.regular and cls.intra_regular
-    elif kind == "one_two_pair":
-        tid, pk = "product_one_two_ideal", K.ONE_TWO_IDEAL
-        hyp = cls.regular and cls.intra_regular and cls.left_regular
-    else:
+    if kind not in _PAIR_KINDS:
         raise ValueError(f"unknown pair kind {kind!r}")
-    if not hyp:
+    tid = _PAIR_KINDS[kind]
+    if not _pairs_wanted(tid, classify(S)):
         raise HypothesisNotMet(f"semigroup lacks the flags required for {kind}")
+    (pk,) = (KIND_ORDER[pos] for pos in _PAIR_GATES[tid][1])
     if not (check(pk, S, A) and check(pk, S, B)):
         raise HypothesisNotMet(f"subjects are not both {pk.value}s")
-    A2, B2 = magnify(A, params), magnify(B, params)
-    I = intersect(A2, B2)
-    if ifs_leq(I, if_product(S, A2, B2)) and ifs_leq(I, if_product(S, B2, A2)):
-        return _verified(tid, name, 1)
-    cert = Certificate(
-        tid, name, S.table, A.mu, A.nu, B.mu, B.nu,
-        beta=params.beta, alpha=params.alpha,
-        detail="magnified intersection escapes a magnified product",
-    )
-    return _refuted(tid, name, 1, 0, cert)
-
-
-def _regularity_gap(kind: str, S: Semigroup) -> int | None:
-    """First element with no witness for the regularity equation, if any."""
-    T = S.table
-    els = range(S.order)
-    for m in els:
-        m2 = T[m][m]
-        if kind == "intra_regular":
-            ok = any(T[T[x][m2]][y] == m for x in els for y in els)
-        elif kind == "left_regular":
-            ok = any(T[x][m2] == m for x in els)
-        else:
-            ok = any(T[m2][x] == m for x in els)
-        if not ok:
-            return m
-    return None
-
-
-def _principal_for(kind: str, S: Semigroup, g: int) -> ElementSubset:
-    if kind == "intra_regular":
-        return principal_two_sided_ideal(S, g)
-    if kind == "left_regular":
-        return principal_left_ideal(S, g)
-    return principal_right_ideal(S, g)
-
-
-def _converse_witness(
-    kind: str, S: Semigroup, spec: SampleSpec, name: str
-) -> tuple[Certificate | None, Certificate | None]:
-    """(witness, counterexample): the characteristic pair of the principal
-    ideal of m*m must be a relevant ideal whose magnified translation
-    violates a semiprime inequality at the gap element m. A returned
-    witness has been replayed."""
-    tid = f"char_{kind}"
-    relevant = _CHAR_RELEVANT[kind]
-    m = _regularity_gap(kind, S)
-    if m is None:
-        raise HypothesisNotMet("no regularity gap: the flag holds")
-    m2 = S.table[m][m]
-    W = characteristic_pair(S.order, _principal_for(kind, S, m2))
-    if not check(relevant, S, W):
-        cert = Certificate(
-            tid, name, S.table, W.mu, W.nu, kind=relevant.value, points=(m,),
-            detail="principal-ideal witness fails the relevant ideal predicate",
-        )
-        return None, cert
-    witness: Certificate | None = None
-    for beta in spec.beta_grid:
-        # nu of the witness vanishes on the ideal, forcing a zero shift
-        shift = max_alpha(W, beta)
-        if shift != 0:
-            cert = Certificate(
-                tid, name, S.table, W.mu, W.nu, beta=beta, alpha=shift,
-                kind=relevant.value, points=(m,),
-                detail=f"witness admits the non-zero shift {shift}",
-            )
-            return None, cert
-        W2 = magnify(W, TransformParams(beta, ZERO))
-        if not (W2.mu[m] < W2.mu[m2] or W2.nu[m] > W2.nu[m2]):
-            cert = Certificate(
-                tid, name, S.table, W.mu, W.nu, beta=beta, alpha=ZERO,
-                kind=relevant.value, points=(m,),
-                detail="witness fails to violate the semiprime inequalities",
-            )
-            return None, cert
-        if witness is None:
-            witness = Certificate(
-                tid, name, S.table, W.mu, W.nu, beta=beta, alpha=ZERO,
-                kind=relevant.value, points=(m,),
-                detail=(
-                    f"characteristic pair of the principal ideal of {m2} is a "
-                    f"{relevant.value} whose magnified translation breaks "
-                    f"semiprimeness at {m}"
-                ),
-            )
-    if not replay_certificate(witness):
-        raise AssertionError(f"converse witness for {tid} does not replay")
-    return witness, None
-
-
-def check_characterization(
-    kind: str,
-    S: Semigroup,
-    spec: SampleSpec | None = None,
-    subjects: Sequence[IFSubset] | None = None,
-    label: str | None = None,
-) -> VerificationReport:
-    """Two-sided regularity characterization via magnified ideals.
-
-    Forward: when the classify flag holds, the magnified translation of
-    every sampled relevant ideal satisfies the semiprime inequalities.
-    Converse: when it fails, the characteristic pair of the principal
-    ideal of m*m (m the gap element) is exhibited breaking them.
-    """
-    if kind not in _CHAR_RELEVANT:
-        raise ValueError(f"unknown characterization kind {kind!r}")
-    tid = f"char_{kind}"
     name = _label(S, label)
-    spec = spec or SampleSpec()
-    relevant = _CHAR_RELEVANT[kind]
-    flag = getattr(classify(S), kind)
-
-    if not flag:
-        witness, bad = _converse_witness(kind, S, spec, name)
-        if bad is not None:
-            return VerificationReport(tid, name, 1, 1, 0, "counterexample", bad)
-        return _verified(tid, name, 1, witnesses=(witness,))
-
-    if subjects is None:
-        subjects = sample_ifs(S.order, spec)
-    checked = 0
-    skipped = 0
-    for A in subjects:
-        if not check(relevant, S, A):
-            skipped += 1
-            continue
-        checked += 1
-        for beta in spec.beta_grid:
-            for alpha in alpha_samples(A, beta, spec.alpha_strategy):
-                A2 = magnify(A, TransformParams(beta, alpha))
-                v = find_semiprime_inequality_violation(S, A2)
-                if v is not None:
-                    cert = Certificate(
-                        tid, name, S.table, A.mu, A.nu, beta=beta, alpha=alpha,
-                        kind=relevant.value, points=v.points,
-                        detail=v.describe(),
-                    )
-                    return _refuted(tid, name, checked, skipped, cert)
-    return _verified(tid, name, checked, skipped)
+    return _report(tid, name, 1, 0, _inclusion_failure(S, A, B, (params,), tid, name))
 
 
 def _crisp_one_sided_ideals(S: Semigroup) -> tuple[list[ElementSubset], list[ElementSubset]]:
@@ -644,7 +656,6 @@ def check_regular_iff_product(
     magnified: bool = True,
     subjects: Sequence[IFSubset] | None = None,
     label: str | None = None,
-    _prefiltered: tuple[list[IFSubset], list[IFSubset], int] | None = None,
 ) -> VerificationReport:
     """Regularity against the product laws, at three levels.
 
@@ -655,29 +666,37 @@ def check_regular_iff_product(
     breaks the equality. Level 3 repeats level 2 on magnified subjects
     (the witness pins alpha to zero because its nu vanishes on the ideal).
     """
-    tid = "regular_product"
-    name = _label(S, label)
     spec = spec or SampleSpec()
-    regular = classify(S).regular
+    state = _TaskState(_label(S, label), S, classify(S))
+    if state.cls.regular:
+        _sweep([state], _subject_stream(S, spec, subjects), ("regular_product",), spec, False)
+    return _regular_product(state, spec, magnified)
 
-    rights, lefts = _crisp_one_sided_ideals(S)
+
+def _regular_product(state: _TaskState, spec: SampleSpec, magnified: bool) -> VerificationReport:
+    """Core of the regularity/product-law theorem, on the right and left
+    ideals a sweep gated."""
+    S, name, regular = state.S, state.label, state.cls.regular
+    tid = "regular_product"
+
+    crisp_rights, crisp_lefts = _crisp_one_sided_ideals(S)
     crisp_pairs = 0
     crisp_gap: tuple[ElementSubset, ElementSubset] | None = None
-    for R in rights:
-        for L in lefts:
+    for R in crisp_rights:
+        for L in crisp_lefts:
             crisp_pairs += 1
             if multiply_subsets(S, R, L).members != R.members & L.members:
                 if crisp_gap is None:
                     crisp_gap = (R, L)
+    if crisp_gap is not None:
+        chi_r, chi_l = (characteristic_pair(S.order, X) for X in crisp_gap)
+        chi_cert = functools.partial(
+            Certificate, tid, name, S.table, chi_r.mu, chi_r.nu, chi_l.mu, chi_l.nu
+        )
     if (crisp_gap is None) != regular:
         if crisp_gap is not None:
             # flagged regular, yet a concrete pair breaks the law
-            chi_r = characteristic_pair(S.order, crisp_gap[0])
-            chi_l = characteristic_pair(S.order, crisp_gap[1])
-            cert = Certificate(
-                tid, name, S.table, chi_r.mu, chi_r.nu, chi_l.mu, chi_l.nu,
-                kind="crisp", detail="regular semigroup with RL != R n L",
-            )
+            cert = chi_cert(kind="crisp", detail="regular semigroup with RL != R n L")
         else:
             # flagged non-regular, yet the law holds on every crisp pair
             cert = Certificate(
@@ -685,71 +704,42 @@ def check_regular_iff_product(
                 kind="crisp_agreement",
                 detail="crisp product law disagrees with the regularity flag",
             )
-        return _refuted(tid, name, crisp_pairs, 0, cert)
+        return _report(tid, name, crisp_pairs, 0, cert)
 
     checked = crisp_pairs
-    witnesses: tuple[Certificate, ...] = ()
-
     if regular:
-        cap = spec.max_pair_subjects
-        if _prefiltered is not None:
-            right_f, left_f, skipped = _prefiltered
-            right_f, left_f = right_f[:cap], left_f[:cap]
-        else:
-            if subjects is None:
-                subjects = sample_ifs(S.order, spec)
-            right_f = []
-            left_f = []
-            skipped = 0
-            for A in subjects:
-                r = check(K.RIGHT_IDEAL, S, A)
-                l = check(K.LEFT_IDEAL, S, A)
-                if r and len(right_f) < cap:
-                    right_f.append(A)
-                if l and len(left_f) < cap:
-                    left_f.append(A)
-                if not (r or l):
-                    skipped += 1
-        for A in right_f:
-            for B in left_f:
+        skipped = state.subjects - state.held(_RIGHT, _LEFT)
+        for A in state.passers[_RIGHT]:
+            for B in state.passers[_LEFT]:
                 checked += 1
                 if not ifs_eq(if_product(S, A, B), intersect(A, B)):
                     cert = Certificate(
                         tid, name, S.table, A.mu, A.nu, B.mu, B.nu, kind="fuzzy",
                         detail="product differs from intersection on a regular semigroup",
                     )
-                    return _refuted(tid, name, checked, skipped, cert)
-                if magnified:
-                    for beta in spec.beta_grid:
-                        for alpha in _pair_alphas(A, B, beta, spec.alpha_strategy):
-                            params = TransformParams(beta, alpha)
-                            A2, B2 = magnify(A, params), magnify(B, params)
-                            if not ifs_eq(if_product(S, A2, B2), intersect(A2, B2)):
-                                cert = Certificate(
-                                    tid, name, S.table, A.mu, A.nu, B.mu, B.nu,
-                                    beta=beta, alpha=alpha, kind="magnified",
-                                    detail="magnified product differs from magnified intersection",
-                                )
-                                return _refuted(tid, name, checked, skipped, cert)
+                    return _report(tid, name, checked, skipped, cert)
+                for params in _pair_params(A, B, spec) if magnified else ():
+                    A2, B2 = magnify(A, params), magnify(B, params)
+                    if not ifs_eq(if_product(S, A2, B2), intersect(A2, B2)):
+                        cert = Certificate(
+                            tid, name, S.table, A.mu, A.nu, B.mu, B.nu,
+                            beta=params.beta, alpha=params.alpha, kind="magnified",
+                            detail="magnified product differs from magnified intersection",
+                        )
+                        return _report(tid, name, checked, skipped, cert)
         return _verified(tid, name, checked, skipped)
 
     # non-regular: the failing crisp pair yields a characteristic-pair witness
-    R, L = crisp_gap
-    chi_r = characteristic_pair(S.order, R)
-    chi_l = characteristic_pair(S.order, L)
     if ifs_eq(if_product(S, chi_r, chi_l), intersect(chi_r, chi_l)):
-        cert = Certificate(
-            tid, name, S.table, chi_r.mu, chi_r.nu, chi_l.mu, chi_l.nu, kind="fuzzy",
-            detail="characteristic witness unexpectedly satisfies the product law",
+        cert = chi_cert(
+            kind="fuzzy", detail="characteristic witness unexpectedly satisfies the product law"
         )
         return VerificationReport(tid, name, 1, checked, 0, "counterexample", cert)
-    wit = Certificate(
-        tid, name, S.table, chi_r.mu, chi_r.nu, chi_l.mu, chi_l.nu, kind="fuzzy",
-        detail="characteristic pair of a failing crisp pair breaks the product law",
+    wit = chi_cert(
+        kind="fuzzy", detail="characteristic pair of a failing crisp pair breaks the product law"
     )
     if not replay_certificate(wit):
         raise AssertionError("non-regular product witness does not replay")
-    witnesses = (wit,)
     checked += 1
     if magnified:
         for beta in spec.beta_grid:
@@ -758,19 +748,19 @@ def check_regular_iff_product(
             A2, B2 = magnify(chi_r, params), magnify(chi_l, params)
             checked += 1
             if ifs_eq(if_product(S, A2, B2), intersect(A2, B2)):
-                cert = Certificate(
-                    tid, name, S.table, chi_r.mu, chi_r.nu, chi_l.mu, chi_l.nu,
+                cert = chi_cert(
                     beta=beta, alpha=ZERO, kind="magnified",
                     detail="magnified witness unexpectedly satisfies the product law",
                 )
                 return VerificationReport(tid, name, 1, checked, 0, "counterexample", cert)
-    return _verified(tid, name, checked, 0, witnesses=witnesses)
+    return _verified(tid, name, checked, 0, witnesses=(wit,))
 
 
 # ---------------------------------------------------------------------------
 # mutation probes (guard against vacuously-true equivalence runs)
 
 
+# the stage whose mu inequality each property's mutation breaks
 _BREAK_STAGES = {
     K.SUBSEMIGROUP: "subsemigroup",
     K.BI_IDEAL: "bi_ideal",
@@ -790,57 +780,16 @@ def break_property(S: Semigroup, A: IFSubset, kind: FuzzyStructureKind) -> IFSub
     positive, then halves the membership there. Returns None when no such
     tuple exists for this subject.
     """
-    T = S.table
-    mu = A.mu
     stage = _BREAK_STAGES[kind]
-    els = range(S.order)
-
-    def mutate(point: int, required: Fraction) -> IFSubset:
-        new_mu = list(mu)
-        new_mu[point] = required / 2
-        return IFSubset(A.carrier_order, tuple(new_mu), A.nu)
-
-    if stage == "subsemigroup":
-        for x in els:
-            for y in els:
-                p = T[x][y]
-                req = min(mu[x], mu[y])
-                if p not in (x, y) and req > 0:
-                    return mutate(p, req)
-    elif stage == "bi_ideal":
-        for x in els:
-            for y in els:
-                for z in els:
-                    p = T[T[x][y]][z]
-                    req = min(mu[x], mu[z])
-                    if p not in (x, z) and req > 0:
-                        return mutate(p, req)
-    elif stage == "one_two_ideal":
-        for x in els:
-            for w in els:
-                for y in els:
-                    for z in els:
-                        p = T[T[x][w]][T[y][z]]
-                        req = min(mu[x], mu[y], mu[z])
-                        if p not in (x, y, z) and req > 0:
-                            return mutate(p, req)
-    elif stage == "left_ideal":
-        for x in els:
-            for y in els:
-                p = T[x][y]
-                if p != y and mu[y] > 0:
-                    return mutate(p, mu[y])
-    elif stage == "right_ideal":
-        for x in els:
-            for y in els:
-                p = T[x][y]
-                if p != x and mu[x] > 0:
-                    return mutate(p, mu[x])
-    else:  # semiprime: lower mu at x below mu at x*x
-        for x in els:
-            x2 = T[x][x]
-            if x2 != x and mu[x2] > 0:
-                return mutate(x, mu[x2])
+    args = predicates._STAGES[stage][2]
+    mu = A.mu
+    for t in predicates._stage_tuples(predicates._scan_index(S), stage):
+        p = t[0]
+        required = min(mu[t[i]] for i in args)
+        if required > 0 and all(t[i] != p for i in args):
+            new_mu = list(mu)
+            new_mu[p] = required / 2
+            return IFSubset(A.carrier_order, tuple(new_mu), A.nu)
     return None
 
 
@@ -855,24 +804,26 @@ class _TaskState:
     label: str
     S: Semigroup
     cls: Classification
-    subjects: int = 0
-    certs: dict = field(default_factory=dict)  # tid -> Certificate
-    semiprime_passers: list[IFSubset] = field(default_factory=list)
-    semiprime_total: int = 0
-    bi_passers: list[IFSubset] = field(default_factory=list)
-    bi_total: int = 0
-    one_two_passers: list[IFSubset] = field(default_factory=list)
-    one_two_total: int = 0
-    right_passers: list[IFSubset] = field(default_factory=list)
-    left_passers: list[IFSubset] = field(default_factory=list)
-    one_sided_misses: int = 0
-    relevant_counts: dict = field(default_factory=lambda: {
-        "intra_regular": 0, "left_regular": 0, "right_regular": 0,
-    })
-    # pattern id -> verdict on this semigroup (None until first needed)
+    certs: dict = field(default_factory=dict)  # tid -> first Certificate
+    # pattern id -> verdict on this semigroup (None until first needed), and
+    # the number of swept subjects with that pattern
     verdicts: list = field(default_factory=list)
+    counts: list = field(default_factory=list)
+    # profile position -> the first subjects passing it, capped, for the pair theorems
+    passers: list = field(default_factory=lambda: [[] for _ in KIND_ORDER])
     # signature id -> 1 once a subject with that signature walked its variants
     walked: bytearray = field(default_factory=bytearray)
+
+    @property
+    def subjects(self) -> int:
+        return sum(self.counts)
+
+    def held(self, *positions: int) -> int:
+        """Swept subjects passing any of the given profile positions."""
+        return sum(
+            c for c, v in zip(self.counts, self.verdicts)
+            if c and any(v[0][pos] for pos in positions)
+        )
 
 
 def _normalize_theorems(theorems) -> tuple[str, ...]:
@@ -885,13 +836,6 @@ def _normalize_theorems(theorems) -> tuple[str, ...]:
             f"unknown theorem id(s) {bad}; valid ids: {', '.join(THEOREM_IDS)}"
         )
     return tuple(t for t in THEOREM_IDS if t in requested)
-
-
-# positions of the profile flags the sweep reads, in KIND_ORDER
-_BI, _ONE_TWO, _LEFT, _RIGHT, _SEMIPRIME = (
-    KIND_ORDER.index(kind)
-    for kind in (K.BI_IDEAL, K.ONE_TWO_IDEAL, K.LEFT_IDEAL, K.RIGHT_IDEAL, K.SEMIPRIME)
-)
 
 
 def _suite_tasks(orders, include_library) -> list[tuple[str, Semigroup]]:
@@ -941,12 +885,20 @@ class _Patterns:
     is its pattern id and the ids of its variants, in order: subjects that
     share one get identical verdicts throughout. Verdicts are interned here
     so that the semigroups of one order share the few distinct ones.
+
+    Every semigroup of the order meets the subjects in the same order, so
+    the walks are the same for all of them: only the first subject with a
+    signature walks its variants, and only to the variants whose (pattern,
+    variant pattern) pair no earlier walk reached.
     """
 
     def __init__(self):
         self._ids: dict = {}
         self.views: list = []
         self.signatures: dict = {}
+        # signature id -> indices of the variants its walk tests
+        self.walks: list = []
+        self._reached: set = set()
         self._verdicts: dict = {}
 
     def pattern(self, mu, nu) -> int:
@@ -958,7 +910,16 @@ class _Patterns:
         return pid
 
     def signature(self, pid: int, vids: tuple[int, ...]) -> int:
-        return self.signatures.setdefault((pid, vids), len(self.signatures))
+        sid = self.signatures.get((pid, vids))
+        if sid is None:
+            sid = self.signatures[(pid, vids)] = len(self.walks)
+            fresh = []
+            for i, vid in enumerate(vids):
+                if (pid, vid) not in self._reached:
+                    self._reached.add((pid, vid))
+                    fresh.append(i)
+            self.walks.append(tuple(fresh))
+        return sid
 
     def verdict(self, idx: predicates._ScanIndex, pid: int) -> tuple:
         v = _verdict(idx, *self.views[pid])
@@ -987,230 +948,120 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
                  patterns: _Patterns) -> None:
     """Process a block of prepared subjects against one semigroup.
 
-    Every subject counts towards the hypothesis tallies and pair passers.
-    Only the first subject with a given signature walks its variants: a
-    later one meets the same verdicts in the same order, so it cannot
-    record a certificate the first one did not.
+    Every subject is tallied under its pattern, and, while the pair
+    theorems need them, kept as a passer of the positions it passes. Only
+    the walks laid out by ``patterns`` run: a later subject with the same
+    signature, or a pair an earlier walk reached, meets the same verdicts,
+    so it cannot record a certificate the earlier one did not. Each step
+    tests the theorems whose hypothesis the semigroup has and whose
+    precondition the subject passes.
     """
-    S, cls = state.S, state.cls
+    S, cls, T = state.S, state.cls, state.S.table
     idx = predicates._scan_index(S)
-    squares = idx.squares
     cap = spec.max_pair_subjects
-    want_equiv = any(t in EQUIV_THEOREMS for t in tids)
-    want_group = "group_constant" in tids and cls.is_group
-    want_fixed = "fixedpoint" in tids
-    want_arch = "archimedean_constant" in tids and cls.archimedean
-    char_kinds = [
-        (k, f"char_{k}", KIND_ORDER.index(_CHAR_RELEVANT[k]), _CHAR_RELEVANT[k].value)
-        for k in ("intra_regular", "left_regular", "right_regular")
-        if f"char_{k}" in tids and getattr(cls, k)
+    active = [
+        th for tid in tids
+        if (th := _THEOREMS.get(tid)) is not None
+        and (th.hypothesis is None or getattr(cls, th.hypothesis))
     ]
-    verdicts, walked, certs = state.verdicts, state.walked, state.certs
-    verdicts.extend([None] * (len(patterns.views) - len(verdicts)))
-    walked.extend(bytes(len(patterns.signatures) - len(walked)))
+    passers = state.passers
+    filling = {
+        pos for tid in tids if tid in _PAIR_GATES and _pairs_wanted(tid, cls)
+        for pos in _PAIR_GATES[tid][1] if len(passers[pos]) < cap
+    }
+    verdicts, counts, walked, certs = state.verdicts, state.counts, state.walked, state.certs
+    grow = len(patterns.views) - len(verdicts)
+    verdicts.extend([None] * grow)
+    counts.extend([0] * grow)
+    walked.extend(bytes(len(patterns.walks) - len(walked)))
 
     for A, pid, sid, variants in chunk:
-        state.subjects += 1
         v = verdicts[pid]
         if v is None:
             v = verdicts[pid] = patterns.verdict(idx, pid)
-        base = v[0]
-        if base[_SEMIPRIME]:
-            state.semiprime_total += 1
-            if len(state.semiprime_passers) < cap:
-                state.semiprime_passers.append(A)
-        if base[_BI]:
-            state.bi_total += 1
-            if len(state.bi_passers) < cap:
-                state.bi_passers.append(A)
-        if base[_ONE_TWO]:
-            state.one_two_total += 1
-            if len(state.one_two_passers) < cap:
-                state.one_two_passers.append(A)
-        r_flag = base[_RIGHT]
-        l_flag = base[_LEFT]
-        if r_flag and len(state.right_passers) < cap:
-            state.right_passers.append(A)
-        if l_flag and len(state.left_passers) < cap:
-            state.left_passers.append(A)
-        if not (r_flag or l_flag):
-            state.one_sided_misses += 1
-        for k, _, pos, _ in char_kinds:
-            if base[pos]:
-                state.relevant_counts[k] += 1
+        counts[pid] += 1
+        for pos in filling:
+            if v[0][pos] and len(passers[pos]) < cap:
+                passers[pos].append(A)
 
         if walked[sid]:
             continue
         walked[sid] = 1
-        for beta, alpha, vid in variants:
+        for i in patterns.walks[sid]:
+            beta, alpha, vid = variants[i]
             w = verdicts[vid]
             if w is None:
                 w = verdicts[vid] = patterns.verdict(idx, vid)
-            after, fixed_x, const, char_x = w
-            if want_equiv and after != base:
-                for pos, kind in enumerate(KIND_ORDER):
-                    tid = f"equiv_{kind.value}"
-                    if base[pos] != after[pos] and tid in tids and tid not in certs:
-                        certs[tid] = Certificate(
-                            tid, state.label, S.table, A.mu, A.nu,
-                            beta=beta, alpha=alpha, kind=kind.value,
-                            detail=(
-                                f"{kind.value}: original={base[pos]}, "
-                                f"transformed={after[pos]}"
-                            ),
-                        )
-            if want_group and "group_constant" not in certs and base[_BI] != const:
-                certs["group_constant"] = Certificate(
-                    "group_constant", state.label, S.table, A.mu, A.nu,
-                    beta=beta, alpha=alpha,
-                    detail=f"bi_ideal={base[_BI]} but constant={const}",
-                )
-            if base[_SEMIPRIME]:
-                if want_fixed and "fixedpoint" not in certs and fixed_x is not None:
-                    certs["fixedpoint"] = Certificate(
-                        "fixedpoint", state.label, S.table, A.mu, A.nu,
-                        beta=beta, alpha=alpha, points=(fixed_x,),
-                        detail=(
-                            f"transformed grades differ between {fixed_x} "
-                            f"and {squares[fixed_x]}"
-                        ),
-                    )
-                if want_arch and "archimedean_constant" not in certs and not const:
-                    certs["archimedean_constant"] = Certificate(
-                        "archimedean_constant", state.label, S.table, A.mu, A.nu,
-                        beta=beta, alpha=alpha,
-                        detail="magnified semiprime ideal is not constant",
-                    )
-            if char_x is not None:
-                for _, tid, pos, relevant in char_kinds:
-                    if base[pos] and tid not in certs:
-                        certs[tid] = Certificate(
-                            tid, state.label, S.table, A.mu, A.nu,
-                            beta=beta, alpha=alpha, kind=relevant,
-                            points=(char_x,),
-                            detail="magnified relevant ideal breaks a semiprime inequality",
-                        )
+            for th in active:
+                if th.tid in certs or (
+                    th.precondition is not None and not v[0][th.precondition]
+                ):
+                    continue
+                cert = th.failure(state.label, T, A, beta, alpha, v, w)
+                if cert is not None:
+                    certs[th.tid] = cert
+
+
+def _sweep(group: list[_TaskState], subjects, tids, spec: SampleSpec,
+           need_variants: bool = True) -> None:
+    """Sweep a stream of subjects of one carrier order past its semigroups."""
+    patterns = _Patterns()
+    subjects = iter(subjects)
+    while block := list(itertools.islice(subjects, _SUBJECT_CHUNK)):
+        chunk = [_prepare(A, spec, patterns, need_variants) for A in block]
+        for st in group:
+            _sweep_chunk(st, chunk, tids, spec, patterns)
+
+
+def _theorem_report(th: _Theorem, state: _TaskState, spec: SampleSpec) -> VerificationReport:
+    """A single-subject theorem's report from one semigroup's sweep."""
+    label, n = state.label, state.subjects
+    if th.hypothesis is not None and not getattr(state.cls, th.hypothesis):
+        if th.hypothesis not in _CHAR_RELEVANT:
+            return _verified(th.tid, label, 0, n)
+        witness, bad = _converse_witness(th.hypothesis, state.S, spec, label)
+        if bad is not None:
+            return VerificationReport(th.tid, label, 1, 1, 0, "counterexample", bad)
+        return _verified(th.tid, label, 1, witnesses=(witness,))
+    held = n if th.precondition is None else state.held(th.precondition)
+    return _report(th.tid, label, held, n - held, state.certs.get(th.tid))
 
 
 def _finish_task(state: _TaskState, tids, spec: SampleSpec) -> list[VerificationReport]:
-    """Pair-based theorems, converse witnesses, and report assembly."""
-    S, cls, label = state.S, state.cls, state.label
+    """Report assembly: the swept theorems, then the pair theorems on the passers."""
     reports: list[VerificationReport] = []
-    n_subjects = state.subjects
-
-    def refute(tid, subjects, skipped):
-        return _refuted(tid, label, subjects, skipped, state.certs[tid])
-
     for tid in tids:
-        if tid in EQUIV_THEOREMS:
-            reports.append(
-                refute(tid, n_subjects, 0) if tid in state.certs
-                else _verified(tid, label, n_subjects)
-            )
-        elif tid == "group_constant":
-            if not cls.is_group:
-                reports.append(_verified(tid, label, 0, n_subjects))
-            elif tid in state.certs:
-                reports.append(refute(tid, n_subjects, 0))
-            else:
-                reports.append(_verified(tid, label, n_subjects))
-        elif tid == "fixedpoint":
-            skipped = n_subjects - state.semiprime_total
-            if tid in state.certs:
-                reports.append(refute(tid, state.semiprime_total, skipped))
-            else:
-                reports.append(_verified(tid, label, state.semiprime_total, skipped))
-        elif tid == "archimedean_constant":
-            if not cls.archimedean:
-                reports.append(_verified(tid, label, 0, n_subjects))
-            elif tid in state.certs:
-                skipped = n_subjects - state.semiprime_total
-                reports.append(refute(tid, state.semiprime_total, skipped))
-            else:
-                skipped = n_subjects - state.semiprime_total
-                reports.append(_verified(tid, label, state.semiprime_total, skipped))
-        elif tid.startswith("char_"):
-            kind = tid[len("char_"):]
-            if getattr(cls, kind):
-                checked = state.relevant_counts[kind]
-                skipped = n_subjects - checked
-                if tid in state.certs:
-                    reports.append(refute(tid, checked, skipped))
-                else:
-                    reports.append(_verified(tid, label, checked, skipped))
-            else:
-                witness, bad = _converse_witness(kind, S, spec, label)
-                if bad is not None:
-                    reports.append(
-                        VerificationReport(tid, label, 1, 1, 0, "counterexample", bad)
-                    )
-                else:
-                    reports.append(_verified(tid, label, 1, 0, witnesses=(witness,)))
-        elif tid == "semiprime_intersection":
-            reports.append(_pairwise_intersection_report(state, spec))
-        elif tid in ("product_bi_ideal", "product_one_two_ideal"):
-            reports.append(_product_pairs_report(state, spec, tid))
+        if tid in _THEOREMS:
+            reports.append(_theorem_report(_THEOREMS[tid], state, spec))
         elif tid == "regular_product":
-            reports.append(
-                check_regular_iff_product(
-                    S, spec, magnified=True, label=label,
-                    _prefiltered=(
-                        state.right_passers, state.left_passers,
-                        state.one_sided_misses,
-                    ),
-                )
-            )
+            reports.append(_regular_product(state, spec, True))
+        else:
+            reports.append(_pairs_report(state, spec, tid))
     return reports
 
 
-def _pairwise_intersection_report(state: _TaskState, spec: SampleSpec) -> VerificationReport:
-    tid = "semiprime_intersection"
+def _pairs_report(state: _TaskState, spec: SampleSpec, tid: str) -> VerificationReport:
+    """A pair theorem's core test over the unordered pairs of the capped
+    passers the sweep gated for it."""
     S, label = state.S, state.label
-    passers = state.semiprime_passers
-    skipped = state.subjects - state.semiprime_total
-    pairs = 0
-    for i, A in enumerate(passers):
-        for B in passers[i:]:
-            C = intersect(A, B)
-            if not is_nonempty(C):
-                skipped += 1
-                continue
-            pairs += 1
-            rep = check_semiprime_intersection(S, A, B, spec, label)
-            if rep.outcome == "counterexample":
-                return VerificationReport(
-                    tid, label, 1, pairs, skipped, "counterexample", rep.certificate
-                )
-    return _verified(tid, label, pairs, skipped)
-
-
-def _product_pairs_report(state: _TaskState, spec: SampleSpec, tid: str) -> VerificationReport:
-    S, cls, label = state.S, state.cls, state.label
-    if tid == "product_bi_ideal":
-        hyp = cls.regular and cls.intra_regular
-        passers, total = state.bi_passers, state.bi_total
-        pair_kind = "bi_ideal_pair"
-    else:
-        hyp = cls.regular and cls.intra_regular and cls.left_regular
-        passers, total = state.one_two_passers, state.one_two_total
-        pair_kind = "one_two_pair"
-    if not hyp:
+    if not _pairs_wanted(tid, state.cls):
         return _verified(tid, label, 0, state.subjects)
-    skipped = state.subjects - total
+    (pos,) = _PAIR_GATES[tid][1]
+    passers = state.passers[pos]
+    skipped = state.subjects - state.held(pos)
     pairs = 0
     for i, A in enumerate(passers):
         for B in passers[i:]:
+            if tid == "semiprime_intersection":
+                if not is_nonempty(intersect(A, B)):
+                    skipped += 1
+                    continue
+                cert = _intersection_failure(S, A, B, spec, label)
+            else:
+                cert = _inclusion_failure(S, A, B, _pair_params(A, B, spec), tid, label)
             pairs += 1
-            for beta in spec.beta_grid:
-                for alpha in _pair_alphas(A, B, beta, spec.alpha_strategy):
-                    rep = check_product_inclusions(
-                        S, A, B, TransformParams(beta, alpha), pair_kind, label
-                    )
-                    if rep.outcome == "counterexample":
-                        return VerificationReport(
-                            tid, label, 1, pairs, skipped, "counterexample",
-                            rep.certificate,
-                        )
+            if cert is not None:
+                return _report(tid, label, pairs, skipped, cert)
     return _verified(tid, label, pairs, skipped)
 
 
@@ -1235,17 +1086,9 @@ def run_suite(
     for st in states:
         by_order.setdefault(st.S.order, []).append(st)
 
-    need_variants = any(t in _VARIANT_THEOREMS for t in tids)
+    need_variants = any(t in _THEOREMS for t in tids)
     for n, group in sorted(by_order.items()):
-        patterns = _Patterns()
-        stream = sample_ifs(n, spec)
-        while True:
-            block = list(itertools.islice(stream, _SUBJECT_CHUNK))
-            if not block:
-                break
-            chunk = [_prepare(A, spec, patterns, need_variants) for A in block]
-            for st in group:
-                _sweep_chunk(st, chunk, tids, spec, patterns)
+        _sweep(group, sample_ifs(n, spec), tids, spec, need_variants)
 
     reports: list[VerificationReport] = []
     for st in states:

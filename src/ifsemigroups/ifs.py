@@ -9,6 +9,7 @@ would manufacture false counterexamples.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -173,9 +174,14 @@ def parse_ifs(text: str) -> IFSubset:
     if not rows:
         raise ParseError("no data lines in grade-map input")
     n = max(rows) + 1
-    if set(rows) != set(range(n)):
-        missing = sorted(set(range(n)) - set(rows))
-        raise ParseError(f"carrier elements missing from input: {missing}")
+    if len(rows) != n:
+        # the first few gaps lie below len(rows) + 3, however large n is
+        missing = list(itertools.islice((x for x in range(n) if x not in rows), 3))
+        more = n - len(rows) - len(missing)
+        raise ParseError(
+            f"carrier elements missing from input: {missing}"
+            + (f" and {more} more" if more else "")
+        )
     mu = tuple(rows[x][0] for x in range(n))
     nu = tuple(rows[x][1] for x in range(n))
     return IFSubset(n, mu, nu)

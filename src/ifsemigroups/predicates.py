@@ -235,28 +235,44 @@ def _require_subject(S: Semigroup, A: IFSubset) -> None:
         raise EmptyFuzzySubset("subject has identically zero membership")
 
 
+# stage -> (scan helper, scan-index field it reads, positions of the argument
+# points in each tuple); a tuple's first entry is the site of its left side,
+# and a semiprime tuple is (x, x*x)
+_STAGES = {
+    "subsemigroup": (_scan_sub, "pairs", (1, 2)),
+    "bi_ideal": (_scan_bi, "triples", (1, 3)),
+    "one_two_ideal": (_scan_one_two, "quads", (1, 3, 4)),
+    "left_ideal": (_scan_left, "pairs", (2,)),
+    "right_ideal": (_scan_right, "pairs", (1,)),
+    "semiprime": (_scan_semiprime, "squares", (1,)),
+}
+
+# kind -> its stages, in the order they are scanned
+_KIND_STAGES = {
+    FuzzyStructureKind.SUBSEMIGROUP: ("subsemigroup",),
+    FuzzyStructureKind.BI_IDEAL: ("subsemigroup", "bi_ideal"),
+    FuzzyStructureKind.ONE_TWO_IDEAL: ("subsemigroup", "one_two_ideal"),
+    FuzzyStructureKind.LEFT_IDEAL: ("left_ideal",),
+    FuzzyStructureKind.RIGHT_IDEAL: ("right_ideal",),
+    FuzzyStructureKind.IDEAL: ("left_ideal", "right_ideal"),
+    FuzzyStructureKind.SEMIPRIME: ("left_ideal", "right_ideal", "semiprime"),
+}
+
+
+def _stage_tuples(idx: _ScanIndex, stage: str):
+    """The tuples a stage quantifies over, in scan order."""
+    field = _STAGES[stage][1]
+    return tuple(enumerate(idx.squares)) if field == "squares" else getattr(idx, field)
+
+
 def _violation_of(kind, stage, hit, A: IFSubset) -> Violation:
     """Build a Violation with exact Fraction sides from a scan hit."""
     t, component = hit
     vals = A.mu if component == "mu" else A.nu
     agg = min if component == "mu" else max
-    if stage == "subsemigroup":
-        p, x, y = t
-        points, rhs = (x, y), agg(vals[x], vals[y])
-    elif stage == "bi_ideal":
-        p, x, y, z = t
-        points, rhs = (x, y, z), agg(vals[x], vals[z])
-    elif stage == "one_two_ideal":
-        p, x, w, y, z = t
-        points, rhs = (x, w, y, z), agg(vals[x], vals[y], vals[z])
-    elif stage in ("left_ideal", "right_ideal"):
-        p, x, y = t
-        src = y if stage == "left_ideal" else x
-        points, rhs = (x, y), vals[src]
-    else:  # semiprime
-        x, x2 = t
-        p = x
-        points, rhs = (x,), vals[x2]
+    p = t[0]
+    points = (p,) if stage == "semiprime" else t[1:]
+    rhs = agg(vals[t[i]] for i in _STAGES[stage][2])
     return Violation(kind, stage, component, points, p, vals[p], rhs)
 
 
@@ -268,31 +284,12 @@ def find_violation(kind: FuzzyStructureKind, S: Semigroup, A: IFSubset) -> Viola
     right; semiprime checks ideal-ness before the squares.
     """
     _require_subject(S, A)
-    idx = _scan_index(S)
-    mu, nu = A.mu, A.nu
-    K = FuzzyStructureKind
-
-    stages: list[tuple[str, object, object]] = []
-    if kind in (K.SUBSEMIGROUP, K.BI_IDEAL, K.ONE_TWO_IDEAL):
-        stages.append(("subsemigroup", _scan_sub, idx.pairs))
-        if kind == K.BI_IDEAL:
-            stages.append(("bi_ideal", _scan_bi, idx.triples))
-        elif kind == K.ONE_TWO_IDEAL:
-            stages.append(("one_two_ideal", _scan_one_two, idx.quads))
-    elif kind == K.LEFT_IDEAL:
-        stages.append(("left_ideal", _scan_left, idx.pairs))
-    elif kind == K.RIGHT_IDEAL:
-        stages.append(("right_ideal", _scan_right, idx.pairs))
-    elif kind in (K.IDEAL, K.SEMIPRIME):
-        stages.append(("left_ideal", _scan_left, idx.pairs))
-        stages.append(("right_ideal", _scan_right, idx.pairs))
-        if kind == K.SEMIPRIME:
-            stages.append(("semiprime", _scan_semiprime, idx.squares))
-    else:
+    if kind not in _KIND_STAGES:
         raise ValueError(f"unknown kind {kind!r}")
-
-    for stage, scan, data in stages:
-        hit = scan(data, mu, nu)
+    idx = _scan_index(S)
+    for stage in _KIND_STAGES[kind]:
+        scan, field, _ = _STAGES[stage]
+        hit = scan(getattr(idx, field), A.mu, A.nu)
         if hit is not None:
             return _violation_of(kind, stage, hit, A)
     return None

@@ -68,9 +68,6 @@ class Semigroup:
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
-    def square(self, x: int) -> int:
-        return self.table[x][x]
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -95,10 +92,6 @@ class ElementSubset:
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
-
-
-def subset(S: Semigroup, members) -> ElementSubset:
-    return ElementSubset(S.order, frozenset(members))
 
 
 def full_subset(S: Semigroup) -> ElementSubset:
@@ -204,6 +197,20 @@ def _powers(S: Semigroup, a: int) -> list[int]:
     return seen
 
 
+def regularity_gap(S: Semigroup, kind: str) -> int | None:
+    """First element a with no witness for the regularity equation of kind
+    (regular: a = axa; intra_regular: a = x a^2 y; left_regular: a = x a^2;
+    right_regular: a = a^2 x), or None when every element has one."""
+    T, els = S.table, range(S.order)
+    witnessed = {
+        "regular": lambda a, a2: any(T[T[a][x]][a] == a for x in els),
+        "intra_regular": lambda a, a2: any(T[T[x][a2]][y] == a for x in els for y in els),
+        "left_regular": lambda a, a2: any(T[x][a2] == a for x in els),
+        "right_regular": lambda a, a2: any(T[a2][x] == a for x in els),
+    }[kind]
+    return next((a for a in els if not witnessed(a, T[a][a])), None)
+
+
 @lru_cache(maxsize=4096)
 def classify(S: Semigroup) -> Classification:
     """Decide every structural flag by exhaustive witness search.
@@ -214,12 +221,10 @@ def classify(S: Semigroup) -> Classification:
     n, T = S.order, S.table
     elems = range(n)
 
-    regular = all(any(T[T[a][x]][a] == a for x in elems) for a in elems)
-    intra_regular = all(
-        any(T[T[x][T[a][a]]][y] == a for x in elems for y in elems) for a in elems
+    regular, intra_regular, left_regular, right_regular = (
+        regularity_gap(S, kind) is None
+        for kind in ("regular", "intra_regular", "left_regular", "right_regular")
     )
-    left_regular = all(any(T[x][T[a][a]] == a for x in elems) for a in elems)
-    right_regular = all(any(T[T[a][a]][x] == a for x in elems) for a in elems)
 
     archimedean = True
     for a in elems:

@@ -78,6 +78,15 @@ class TestTransform:
         err = capsys.readouterr().err
         assert err == "error: negative element index in '-1 0.2 0.3'\n"
 
+    def test_huge_index_is_a_short_one_line_error(self, tmp_path, capsys):
+        # the missing elements are counted, never listed or allocated in full
+        p = tmp_path / "sparse.ifs"
+        p.write_text("0 0.5 0.1\n1000000000000 0.2 0.3\n")
+        assert main(["transform", str(p), "--beta", "1", "--alpha", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 120
+        assert err.startswith("error: carrier elements missing from input: [1, 2, 3]")
+
 
 class TestProduct:
     def test_characteristic_product(self, tmp_path, capsys):

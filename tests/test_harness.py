@@ -75,6 +75,12 @@ class TestSampleIfs:
         with pytest.raises(ValueError):
             SampleSpec(beta_grid=(F(0),))
 
+    def test_empty_beta_grid_rejected(self):
+        # with no beta there is no magnified variant: every transform theorem
+        # would verify vacuously and the converse witness would have none
+        with pytest.raises(ValueError, match="beta grid is empty"):
+            SampleSpec(beta_grid=())
+
     def test_spec_coerces_numeric_fields(self):
         spec = SampleSpec(grade_grid_step=1, beta_grid=(1,))
         assert spec.grade_grid_step == F(1)

@@ -7,6 +7,7 @@ invariance the memo rests on: a strictly increasing map applied to each
 grade map separately changes no verdict.
 """
 
+import functools
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -14,8 +15,15 @@ from hypothesis import strategies as st
 
 from ifsemigroups import (
     IFSubset,
+    NotAGroup,
+    PreconditionNotMet,
     SampleSpec,
+    THEOREM_IDS,
     TransformParams,
+    check_archimedean_constant,
+    check_characterization,
+    check_group_constant,
+    check_semiprime_fixedpoint,
     check_transform_equivalence,
     classify,
     enumerate_semigroups,
@@ -154,3 +162,60 @@ def test_increasing_maps_preserve_verdicts(case):
     before = harness._verdict(idx, tuple(mu), tuple(nu))
     after = harness._verdict(idx, _increasing(mu, mu_map), _increasing(nu, nu_map))
     assert after == before
+
+
+_SINGLE_CASE = {
+    "group_constant": check_group_constant,
+    "fixedpoint": check_semiprime_fixedpoint,
+    "archimedean_constant": check_archimedean_constant,
+}
+
+
+def test_every_single_subject_theorem_matches_its_single_case_check(monkeypatch):
+    # an order-breaking transform that refutes each of the 13 single-subject
+    # theorems on some semigroup; it is a pure function, so memoising it only
+    # spares the single-case checks from magnifying the same subject again
+    true_magnify = harness.magnify
+
+    @functools.lru_cache(maxsize=None)
+    def broken(A, params):
+        B = true_magnify(A, params)
+        if params.beta == F(1, 2) and A.mu[0] != A.mu[-1]:
+            return IFSubset(A.carrier_order, B.mu[::-1], B.nu[::-1])
+        if params.beta == F(3, 4) and len(set(A.mu)) == 1:
+            return IFSubset(A.carrier_order, (B.mu[0] / 2,) + B.mu[1:], B.nu)
+        return B
+
+    monkeypatch.setattr(harness, "magnify", broken)
+    spec = SampleSpec(grade_grid_step=F(1, 2), random_count=16, seed=3)
+    single_subject = [t for t in THEOREM_IDS if t in harness._THEOREMS]
+    assert len(single_subject) == 13
+    reports = run_suite([2, 3], spec, theorems=single_subject)
+    tables = dict(harness._suite_tasks([2, 3], include_library=True))
+    subjects = {n: list(sample_ifs(n, spec)) for n in (2, 3, 4)}
+
+    def first_certificate(check_one, S, label):
+        for A in subjects[S.order]:
+            for params in [TransformParams(beta, alpha) for beta in spec.beta_grid
+                           for alpha in harness.alpha_samples(A, beta)]:
+                try:
+                    rep = check_one(S, A, params, label)
+                except (NotAGroup, PreconditionNotMet):
+                    break  # a gate: it refuses A whatever the parameters
+                if rep.outcome == "counterexample":
+                    return rep.certificate
+        return None
+
+    refuted = dict.fromkeys(single_subject, 0)
+    for rep in reports:
+        S, tid = tables[rep.semigroup], rep.theorem_id
+        if tid.startswith("char_"):
+            single = check_characterization(tid[len("char_"):], S, spec, label=rep.semigroup)
+            assert rep == single
+        else:
+            check_one = _SINGLE_CASE.get(tid) or functools.partial(
+                check_transform_equivalence, harness.EQUIV_THEOREMS[tid]
+            )
+            assert rep.certificate == first_certificate(check_one, S, rep.semigroup)
+        refuted[tid] += rep.outcome == "counterexample"
+    assert all(refuted.values()), refuted
