@@ -37,21 +37,14 @@ def build_factorizations(S: Semigroup) -> FactorizationIndex:
     return FactorizationIndex(S.order, tuple(tuple(b) for b in buckets))
 
 
-def if_product(
-    S: Semigroup,
-    A: IFSubset,
-    B: IFSubset,
-    index: FactorizationIndex | None = None,
-) -> IFSubset:
+def if_product(S: Semigroup, A: IFSubset, B: IFSubset) -> IFSubset:
     """Compose two subjects along the multiplication of S."""
     if A.carrier_order != S.order or B.carrier_order != S.order:
         raise CarrierMismatch("subject carrier does not match semigroup order")
-    if index is None:
-        index = build_factorizations(S)
     mu_a, mu_b, nu_a, nu_b = A.mu, B.mu, A.nu, B.nu
     mu = []
     nu = []
-    for pairs in index.pairs_for:
+    for pairs in build_factorizations(S).pairs_for:
         if not pairs:
             mu.append(ZERO)
             nu.append(ONE)

@@ -653,7 +653,6 @@ def _crisp_one_sided_ideals(S: Semigroup) -> tuple[list[ElementSubset], list[Ele
 def check_regular_iff_product(
     S: Semigroup,
     spec: SampleSpec | None = None,
-    magnified: bool = True,
     subjects: Sequence[IFSubset] | None = None,
     label: str | None = None,
 ) -> VerificationReport:
@@ -670,10 +669,10 @@ def check_regular_iff_product(
     state = _TaskState(_label(S, label), S, classify(S))
     if state.cls.regular:
         _sweep([state], _subject_stream(S, spec, subjects), ("regular_product",), spec, False)
-    return _regular_product(state, spec, magnified)
+    return _regular_product(state, spec)
 
 
-def _regular_product(state: _TaskState, spec: SampleSpec, magnified: bool) -> VerificationReport:
+def _regular_product(state: _TaskState, spec: SampleSpec) -> VerificationReport:
     """Core of the regularity/product-law theorem, on the right and left
     ideals a sweep gated."""
     S, name, regular = state.S, state.label, state.cls.regular
@@ -718,7 +717,7 @@ def _regular_product(state: _TaskState, spec: SampleSpec, magnified: bool) -> Ve
                         detail="product differs from intersection on a regular semigroup",
                     )
                     return _report(tid, name, checked, skipped, cert)
-                for params in _pair_params(A, B, spec) if magnified else ():
+                for params in _pair_params(A, B, spec):
                     A2, B2 = magnify(A, params), magnify(B, params)
                     if not ifs_eq(if_product(S, A2, B2), intersect(A2, B2)):
                         cert = Certificate(
@@ -741,18 +740,17 @@ def _regular_product(state: _TaskState, spec: SampleSpec, magnified: bool) -> Ve
     if not replay_certificate(wit):
         raise AssertionError("non-regular product witness does not replay")
     checked += 1
-    if magnified:
-        for beta in spec.beta_grid:
-            # alpha is pinned to zero: both witnesses have vanishing nu somewhere
-            params = TransformParams(beta, ZERO)
-            A2, B2 = magnify(chi_r, params), magnify(chi_l, params)
-            checked += 1
-            if ifs_eq(if_product(S, A2, B2), intersect(A2, B2)):
-                cert = chi_cert(
-                    beta=beta, alpha=ZERO, kind="magnified",
-                    detail="magnified witness unexpectedly satisfies the product law",
-                )
-                return VerificationReport(tid, name, 1, checked, 0, "counterexample", cert)
+    for beta in spec.beta_grid:
+        # alpha is pinned to zero: both witnesses have vanishing nu somewhere
+        params = TransformParams(beta, ZERO)
+        A2, B2 = magnify(chi_r, params), magnify(chi_l, params)
+        checked += 1
+        if ifs_eq(if_product(S, A2, B2), intersect(A2, B2)):
+            cert = chi_cert(
+                beta=beta, alpha=ZERO, kind="magnified",
+                detail="magnified witness unexpectedly satisfies the product law",
+            )
+            return VerificationReport(tid, name, 1, checked, 0, "counterexample", cert)
     return _verified(tid, name, checked, 0, witnesses=(wit,))
 
 
@@ -775,20 +773,17 @@ _BREAK_STAGES = {
 def break_property(S: Semigroup, A: IFSubset, kind: FuzzyStructureKind) -> IFSubset | None:
     """Mutate one membership grade so the property's mu-inequality fails.
 
-    Picks the first tuple (in scan order) whose product point is disjoint
-    from the tuple's argument points and whose required minimum is
-    positive, then halves the membership there. Returns None when no such
-    tuple exists for this subject.
+    Picks the first tuple (in scan order) whose site is disjoint from the
+    tuple's argument points and whose required minimum is positive, then
+    lowers the membership at the site to at most half that minimum.
+    Returns None when no such tuple exists for this subject.
     """
-    stage = _BREAK_STAGES[kind]
-    args = predicates._STAGES[stage][2]
     mu = A.mu
-    for t in predicates._stage_tuples(predicates._scan_index(S), stage):
-        p = t[0]
-        required = min(mu[t[i]] for i in args)
-        if required > 0 and all(t[i] != p for i in args):
+    for p, *args in predicates._scan_index(S)[_BREAK_STAGES[kind]]:
+        required = min(mu[a] for a in args)
+        if required > 0 and p not in args:
             new_mu = list(mu)
-            new_mu[p] = required / 2
+            new_mu[p] = min(mu[p], required / 2)
             return IFSubset(A.carrier_order, tuple(new_mu), A.nu)
     return None
 
@@ -811,8 +806,6 @@ class _TaskState:
     counts: list = field(default_factory=list)
     # profile position -> the first subjects passing it, capped, for the pair theorems
     passers: list = field(default_factory=lambda: [[] for _ in KIND_ORDER])
-    # signature id -> 1 once a subject with that signature walked its variants
-    walked: bytearray = field(default_factory=bytearray)
 
     @property
     def subjects(self) -> int:
@@ -857,16 +850,14 @@ def _weak_order(values) -> tuple[int, ...]:
     return tuple([rank[v] for v in values])
 
 
-def _verdict(idx: predicates._ScanIndex, mu, nu) -> tuple:
+def _verdict(idx: dict, mu, nu) -> tuple:
     """Everything the sweep asks of one grade view on one semigroup:
     (profile flags, first x whose grades differ from those of x*x, whether
     both maps are constant, first x breaking a semiprime square inequality),
     with None where there is no such x."""
-    squares = idx.squares
-    fixed = next(
-        (x for x, x2 in enumerate(squares) if mu[x] != mu[x2] or nu[x] != nu[x2]), None
-    )
-    hit = predicates._scan_semiprime(squares, mu, nu)
+    squares = idx["semiprime"]  # (x, x*x) for each x
+    fixed = next((x for x, x2 in squares if mu[x] != mu[x2] or nu[x] != nu[x2]), None)
+    hit = predicates._scan1(squares, mu, nu)
     return (
         predicates._profile_from(idx, mu, nu),
         fixed,
@@ -881,23 +872,17 @@ class _Patterns:
     A view's pattern is the weak order of its mu and of its nu. The scans
     compare mu only with mu and nu only with nu, so views sharing a pattern
     share their verdict on every semigroup; each pattern keeps the first
-    view seen with it to compute that verdict from. A subject's signature
-    is its pattern id and the ids of its variants, in order: subjects that
-    share one get identical verdicts throughout. Verdicts are interned here
-    so that the semigroups of one order share the few distinct ones.
+    view seen with it to compute that verdict from. Verdicts are interned
+    here so that the semigroups of one order share the few distinct ones.
 
     Every semigroup of the order meets the subjects in the same order, so
-    the walks are the same for all of them: only the first subject with a
-    signature walks its variants, and only to the variants whose (pattern,
-    variant pattern) pair no earlier walk reached.
+    the walks are the same for all of them: a subject walks only to the
+    variants whose (pattern, variant pattern) pair no earlier walk reached.
     """
 
     def __init__(self):
         self._ids: dict = {}
         self.views: list = []
-        self.signatures: dict = {}
-        # signature id -> indices of the variants its walk tests
-        self.walks: list = []
         self._reached: set = set()
         self._verdicts: dict = {}
 
@@ -909,19 +894,16 @@ class _Patterns:
             self.views.append((mu, nu))
         return pid
 
-    def signature(self, pid: int, vids: tuple[int, ...]) -> int:
-        sid = self.signatures.get((pid, vids))
-        if sid is None:
-            sid = self.signatures[(pid, vids)] = len(self.walks)
-            fresh = []
-            for i, vid in enumerate(vids):
-                if (pid, vid) not in self._reached:
-                    self._reached.add((pid, vid))
-                    fresh.append(i)
-            self.walks.append(tuple(fresh))
-        return sid
+    def walk(self, pid: int, variants) -> tuple[int, ...]:
+        """Indices of the variants whose pair with ``pid`` is reached first here."""
+        fresh = []
+        for i, (_, _, vid) in enumerate(variants):
+            if (pid, vid) not in self._reached:
+                self._reached.add((pid, vid))
+                fresh.append(i)
+        return tuple(fresh)
 
-    def verdict(self, idx: predicates._ScanIndex, pid: int) -> tuple:
+    def verdict(self, idx: dict, pid: int) -> tuple:
         v = _verdict(idx, *self.views[pid])
         return self._verdicts.setdefault(v, v)
 
@@ -937,11 +919,11 @@ def _variants_for(A: IFSubset, spec: SampleSpec, patterns: _Patterns):
 
 
 def _prepare(A: IFSubset, spec: SampleSpec, patterns: _Patterns, need_variants: bool):
-    """(subject, pattern id, signature id, variants), shared by every semigroup
-    of the subject's carrier order."""
+    """(subject, pattern id, indices of the variants to walk, variants),
+    shared by every semigroup of the subject's carrier order."""
     pid = patterns.pattern(*predicates._scaled(A))
     variants = _variants_for(A, spec, patterns) if need_variants else ()
-    return A, pid, patterns.signature(pid, tuple(v[2] for v in variants)), variants
+    return A, pid, patterns.walk(pid, variants), variants
 
 
 def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
@@ -950,11 +932,10 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
 
     Every subject is tallied under its pattern, and, while the pair
     theorems need them, kept as a passer of the positions it passes. Only
-    the walks laid out by ``patterns`` run: a later subject with the same
-    signature, or a pair an earlier walk reached, meets the same verdicts,
-    so it cannot record a certificate the earlier one did not. Each step
-    tests the theorems whose hypothesis the semigroup has and whose
-    precondition the subject passes.
+    the walks laid out by ``patterns`` run: a pair an earlier walk reached
+    meets the same verdicts, so it cannot record a certificate the earlier
+    one did not. Each step tests the theorems whose hypothesis the
+    semigroup has and whose precondition the subject passes.
     """
     S, cls, T = state.S, state.cls, state.S.table
     idx = predicates._scan_index(S)
@@ -969,13 +950,12 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
         pos for tid in tids if tid in _PAIR_GATES and _pairs_wanted(tid, cls)
         for pos in _PAIR_GATES[tid][1] if len(passers[pos]) < cap
     }
-    verdicts, counts, walked, certs = state.verdicts, state.counts, state.walked, state.certs
+    verdicts, counts, certs = state.verdicts, state.counts, state.certs
     grow = len(patterns.views) - len(verdicts)
     verdicts.extend([None] * grow)
     counts.extend([0] * grow)
-    walked.extend(bytes(len(patterns.walks) - len(walked)))
 
-    for A, pid, sid, variants in chunk:
+    for A, pid, walk, variants in chunk:
         v = verdicts[pid]
         if v is None:
             v = verdicts[pid] = patterns.verdict(idx, pid)
@@ -984,10 +964,7 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
             if v[0][pos] and len(passers[pos]) < cap:
                 passers[pos].append(A)
 
-        if walked[sid]:
-            continue
-        walked[sid] = 1
-        for i in patterns.walks[sid]:
+        for i in walk:
             beta, alpha, vid = variants[i]
             w = verdicts[vid]
             if w is None:
@@ -1034,7 +1011,7 @@ def _finish_task(state: _TaskState, tids, spec: SampleSpec) -> list[Verification
         if tid in _THEOREMS:
             reports.append(_theorem_report(_THEOREMS[tid], state, spec))
         elif tid == "regular_product":
-            reports.append(_regular_product(state, spec, True))
+            reports.append(_regular_product(state, spec))
         else:
             reports.append(_pairs_report(state, spec, tid))
     return reports

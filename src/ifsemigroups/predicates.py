@@ -14,15 +14,23 @@ tuples:
   ideal          left_ideal and right_ideal
   semiprime      ideal, and mu(x) >= mu(x*x), nu(x) <= nu(x*x)
 
-Scans visit tuples in lexicographic order of the quantified variables and
-test the mu inequality before the nu inequality, so the reported violation
-is deterministic. The scan helpers only compare values, which lets the
-batch harness run them on order-isomorphic integer views of the exact
-grades; public entry points work on the Fractions directly.
+Each stage (the inequality pair a row adds; ideal adds none) is defined
+once, in ``_STAGES``: how many points it quantifies over, and the tuple
+(site, argument points) those points give, where the site is the element
+on the left side and the argument points are those on the right side.
+The scan index keeps, per stage and in lexicographic order of the points,
+only the first points for each (site, argument points): the inequality
+depends on nothing else. Scans test the mu inequality before the nu
+inequality, so the reported violation is the lexicographically first
+one. The scans only compare values, which lets the batch harness run them
+on order-isomorphic integer views of the exact grades; public entry
+points work on the Fractions directly. ``replay_violation`` recomputes a
+reported violation from the formulas above, without ``_STAGES``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -76,143 +84,92 @@ class Violation:
         )
 
 
-@dataclass(frozen=True)
-class _ScanIndex:
-    pairs: tuple[tuple[int, int, int], ...]  # (xy, x, y)
-    triples: tuple[tuple[int, int, int, int], ...]  # (xyz, x, y, z)
-    quads: tuple[tuple[int, int, int, int, int], ...]  # (xw(yz), x, w, y, z)
-    squares: tuple[int, ...]
-    # deduplicated (site, args) projections: the middle variables only move
-    # the site, so tuples sharing site and argument points impose the same
-    # condition; boolean scans use these, violation scans use the full lists
-    bi_keys: tuple[tuple[int, int, int], ...]
-    one_two_keys: tuple[tuple[int, int, int, int], ...]
+# --- scans: value-generic, first violating tuple in scan order; one per
+# number of argument points. A tuple is (site, *argument points).
+
+
+def _scan1(tuples, mu, nu):
+    for t in tuples:
+        p, a = t
+        if mu[p] < mu[a]:
+            return t, "mu"
+        if nu[p] > nu[a]:
+            return t, "nu"
+    return None
+
+
+def _scan2(tuples, mu, nu):
+    for t in tuples:
+        p, a, b = t
+        ma, mb = mu[a], mu[b]
+        if mu[p] < (ma if ma < mb else mb):
+            return t, "mu"
+        va, vb = nu[a], nu[b]
+        if nu[p] > (va if va > vb else vb):
+            return t, "nu"
+    return None
+
+
+def _scan3(tuples, mu, nu):
+    for t in tuples:
+        p, a, b, c = t
+        m = mu[a]
+        u = mu[b]
+        if u < m:
+            m = u
+        u = mu[c]
+        if u < m:
+            m = u
+        if mu[p] < m:
+            return t, "mu"
+        v = nu[a]
+        u = nu[b]
+        if u > v:
+            v = u
+        u = nu[c]
+        if u > v:
+            v = u
+        if nu[p] > v:
+            return t, "nu"
+    return None
+
+
+# stage -> (its scan, number of quantified points, the tuple of the points
+# over a Cayley table T: the site of the left side, then the argument points)
+_STAGES = {
+    "subsemigroup": (_scan2, 2, lambda T, x, y: (T[x][y], x, y)),
+    "bi_ideal": (_scan2, 3, lambda T, x, y, z: (T[T[x][y]][z], x, z)),
+    "one_two_ideal": (_scan3, 4, lambda T, x, w, y, z: (T[T[x][w]][T[y][z]], x, y, z)),
+    "left_ideal": (_scan1, 2, lambda T, x, y: (T[x][y], y)),
+    "right_ideal": (_scan1, 2, lambda T, x, y: (T[x][y], x)),
+    "semiprime": (_scan1, 1, lambda T, x: (x, T[x][x])),
+}
 
 
 @lru_cache(maxsize=1024)
-def _scan_index(S: Semigroup) -> _ScanIndex:
-    n, T = S.order, S.table
-    r = range(n)
-    pairs = tuple((T[x][y], x, y) for x in r for y in r)
-    triples = tuple((T[T[x][y]][z], x, y, z) for x in r for y in r for z in r)
-    quads = tuple(
-        (T[T[x][w]][T[y][z]], x, w, y, z) for x in r for w in r for y in r for z in r
-    )
-    squares = tuple(T[x][x] for x in r)
-    bi_keys = tuple(dict.fromkeys((p, x, z) for p, x, _, z in triples))
-    one_two_keys = tuple(dict.fromkeys((p, x, y, z) for p, x, _, y, z in quads))
-    return _ScanIndex(pairs, triples, quads, squares, bi_keys, one_two_keys)
+def _scan_index(S: Semigroup) -> dict[str, dict[tuple, tuple]]:
+    """stage -> {tuple: its first points}, in lexicographic order of the
+    points. Points sharing a tuple impose the same inequality, so scanning
+    one per tuple finds the same first violating points."""
+    index = {}
+    for stage, (_, k, at) in _STAGES.items():
+        first: dict[tuple, tuple] = {}
+        for points in itertools.product(range(S.order), repeat=k):
+            first.setdefault(at(S.table, *points), points)
+        index[stage] = first
+    return index
 
 
-# --- scan helpers: value-generic, first violation in lexicographic order ---
-
-
-def _scan_sub(pairs, mu, nu):
-    for t in pairs:
-        p, x, y = t
-        mx, my = mu[x], mu[y]
-        if mu[p] < (mx if mx < my else my):
-            return t, "mu"
-        vx, vy = nu[x], nu[y]
-        if nu[p] > (vx if vx > vy else vy):
-            return t, "nu"
-    return None
-
-
-def _scan_bi(triples, mu, nu):
-    for t in triples:
-        p, x, _, z = t
-        mx, mz = mu[x], mu[z]
-        if mu[p] < (mx if mx < mz else mz):
-            return t, "mu"
-        vx, vz = nu[x], nu[z]
-        if nu[p] > (vx if vx > vz else vz):
-            return t, "nu"
-    return None
-
-
-def _scan_one_two(quads, mu, nu):
-    for t in quads:
-        p, x, _, y, z = t
-        if mu[p] < min(mu[x], mu[y], mu[z]):
-            return t, "mu"
-        if nu[p] > max(nu[x], nu[y], nu[z]):
-            return t, "nu"
-    return None
-
-
-def _scan_left(pairs, mu, nu):
-    for t in pairs:
-        p, _, y = t
-        if mu[p] < mu[y]:
-            return t, "mu"
-        if nu[p] > nu[y]:
-            return t, "nu"
-    return None
-
-
-def _scan_right(pairs, mu, nu):
-    for t in pairs:
-        p, x, _ = t
-        if mu[p] < mu[x]:
-            return t, "mu"
-        if nu[p] > nu[x]:
-            return t, "nu"
-    return None
-
-
-def _scan_semiprime(squares, mu, nu):
-    for x, x2 in enumerate(squares):
-        if mu[x] < mu[x2]:
-            return (x, x2), "mu"
-        if nu[x] > nu[x2]:
-            return (x, x2), "nu"
-    return None
-
-
-def _bi_keys_ok(keys, mu, nu) -> bool:
-    for p, x, z in keys:
-        mx, mz = mu[x], mu[z]
-        if mu[p] < (mx if mx < mz else mz):
-            return False
-        vx, vz = nu[x], nu[z]
-        if nu[p] > (vx if vx > vz else vz):
-            return False
-    return True
-
-
-def _one_two_keys_ok(keys, mu, nu) -> bool:
-    for p, x, y, z in keys:
-        m = mu[x]
-        t = mu[y]
-        if t < m:
-            m = t
-        t = mu[z]
-        if t < m:
-            m = t
-        if mu[p] < m:
-            return False
-        v = nu[x]
-        t = nu[y]
-        if t > v:
-            v = t
-        t = nu[z]
-        if t > v:
-            v = t
-        if nu[p] > v:
-            return False
-    return True
-
-
-def _profile_from(idx: _ScanIndex, mu, nu) -> tuple[bool, ...]:
+def _profile_from(idx, mu, nu) -> tuple[bool, ...]:
     """All seven flags in KIND_ORDER, sharing scans across the hierarchy."""
-    sub = _scan_sub(idx.pairs, mu, nu) is None
-    bi = sub and _bi_keys_ok(idx.bi_keys, mu, nu)
-    one_two = sub and _one_two_keys_ok(idx.one_two_keys, mu, nu)
-    left = _scan_left(idx.pairs, mu, nu) is None
-    right = _scan_right(idx.pairs, mu, nu) is None
+    pairs, triples, quads, lefts, rights, squares = idx.values()
+    sub = _scan2(pairs, mu, nu) is None
+    bi = sub and _scan2(triples, mu, nu) is None
+    one_two = sub and _scan3(quads, mu, nu) is None
+    left = _scan1(lefts, mu, nu) is None
+    right = _scan1(rights, mu, nu) is None
     ideal = left and right
-    semi = ideal and _scan_semiprime(idx.squares, mu, nu) is None
+    semi = ideal and _scan1(squares, mu, nu) is None
     return (sub, bi, one_two, left, right, ideal, semi)
 
 
@@ -235,18 +192,6 @@ def _require_subject(S: Semigroup, A: IFSubset) -> None:
         raise EmptyFuzzySubset("subject has identically zero membership")
 
 
-# stage -> (scan helper, scan-index field it reads, positions of the argument
-# points in each tuple); a tuple's first entry is the site of its left side,
-# and a semiprime tuple is (x, x*x)
-_STAGES = {
-    "subsemigroup": (_scan_sub, "pairs", (1, 2)),
-    "bi_ideal": (_scan_bi, "triples", (1, 3)),
-    "one_two_ideal": (_scan_one_two, "quads", (1, 3, 4)),
-    "left_ideal": (_scan_left, "pairs", (2,)),
-    "right_ideal": (_scan_right, "pairs", (1,)),
-    "semiprime": (_scan_semiprime, "squares", (1,)),
-}
-
 # kind -> its stages, in the order they are scanned
 _KIND_STAGES = {
     FuzzyStructureKind.SUBSEMIGROUP: ("subsemigroup",),
@@ -259,21 +204,19 @@ _KIND_STAGES = {
 }
 
 
-def _stage_tuples(idx: _ScanIndex, stage: str):
-    """The tuples a stage quantifies over, in scan order."""
-    field = _STAGES[stage][1]
-    return tuple(enumerate(idx.squares)) if field == "squares" else getattr(idx, field)
-
-
-def _violation_of(kind, stage, hit, A: IFSubset) -> Violation:
-    """Build a Violation with exact Fraction sides from a scan hit."""
-    t, component = hit
-    vals = A.mu if component == "mu" else A.nu
-    agg = min if component == "mu" else max
-    p = t[0]
-    points = (p,) if stage == "semiprime" else t[1:]
-    rhs = agg(vals[t[i]] for i in _STAGES[stage][2])
-    return Violation(kind, stage, component, points, p, vals[p], rhs)
+def _violation_of(kind, stages, S: Semigroup, A: IFSubset) -> Violation | None:
+    """The first violation over the stages in turn, with exact Fraction sides."""
+    idx = _scan_index(S)
+    for stage in stages:
+        hit = _STAGES[stage][0](idx[stage], A.mu, A.nu)
+        if hit is not None:
+            t, component = hit
+            vals = A.mu if component == "mu" else A.nu
+            agg = min if component == "mu" else max
+            p = t[0]
+            rhs = agg(vals[a] for a in t[1:])
+            return Violation(kind, stage, component, idx[stage][t], p, vals[p], rhs)
+    return None
 
 
 def find_violation(kind: FuzzyStructureKind, S: Semigroup, A: IFSubset) -> Violation | None:
@@ -286,13 +229,7 @@ def find_violation(kind: FuzzyStructureKind, S: Semigroup, A: IFSubset) -> Viola
     _require_subject(S, A)
     if kind not in _KIND_STAGES:
         raise ValueError(f"unknown kind {kind!r}")
-    idx = _scan_index(S)
-    for stage in _KIND_STAGES[kind]:
-        scan, field, _ = _STAGES[stage]
-        hit = scan(getattr(idx, field), A.mu, A.nu)
-        if hit is not None:
-            return _violation_of(kind, stage, hit, A)
-    return None
+    return _violation_of(kind, _KIND_STAGES[kind], S, A)
 
 
 def check(kind: FuzzyStructureKind, S: Semigroup, A: IFSubset) -> bool:
@@ -309,10 +246,7 @@ def profile(S: Semigroup, A: IFSubset) -> dict[FuzzyStructureKind, bool]:
 def find_semiprime_inequality_violation(S: Semigroup, A: IFSubset) -> Violation | None:
     """The square inequalities alone, without requiring A to be an ideal."""
     _require_subject(S, A)
-    hit = _scan_semiprime(_scan_index(S).squares, A.mu, A.nu)
-    if hit is None:
-        return None
-    return _violation_of(FuzzyStructureKind.SEMIPRIME, "semiprime", hit, A)
+    return _violation_of(FuzzyStructureKind.SEMIPRIME, ("semiprime",), S, A)
 
 
 def semiprime_inequalities_hold(S: Semigroup, A: IFSubset) -> bool:

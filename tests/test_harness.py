@@ -312,6 +312,15 @@ class TestBreakProperty:
         A = IFSubset(2, (F(0), F(1, 2)), (F(1), F(0)))
         assert break_property(mod2, A, K.SEMIPRIME) is None
 
+    def test_never_raises_membership_on_a_failing_subject(self, null2):
+        # the subject already fails at 1*1 = 0; halving the required 1/2
+        # there would raise mu(0) to 1/4 and break mu + nu <= 1
+        A = IFSubset(2, (F(0), F(1, 2)), (F(1), F(0)))
+        M = break_property(null2, A, K.SUBSEMIGROUP)
+        assert M is not None
+        assert M.mu[0] <= A.mu[0]
+        assert not check(K.SUBSEMIGROUP, null2, M)
+
 
 class TestReplayCertificate:
     def test_forged_equivalence_claim_does_not_replay(self, mod2):

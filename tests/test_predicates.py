@@ -12,6 +12,9 @@ from ifsemigroups import (
     EmptyFuzzySubset,
     FuzzyStructureKind as K,
     IFSubset,
+    SampleSpec,
+    break_property,
+    builtin_library,
     characteristic_pair,
     check,
     enumerate_semigroups,
@@ -20,6 +23,7 @@ from ifsemigroups import (
     is_crisp_structure,
     profile,
     replay_violation,
+    sample_ifs,
     semiprime_inequalities_hold,
 )
 
@@ -165,3 +169,88 @@ def test_profile_agrees_with_single_checks(case):
     flags = profile(S, A)
     for kind in ALL_KINDS:
         assert flags[kind] == check(kind, S, A)
+
+
+# --- differential check of the deduplicated stage scans against a naive scan
+# over every tuple, written out from the formulas of the module docstring:
+# stage -> (number of points, site, elements of the right side)
+NAIVE_STAGES = {
+    "subsemigroup": (2, lambda T, x, y: T[x][y], lambda T, x, y: (x, y)),
+    "bi_ideal": (3, lambda T, x, y, z: T[T[x][y]][z], lambda T, x, y, z: (x, z)),
+    "one_two_ideal": (4, lambda T, x, w, y, z: T[T[x][w]][T[y][z]],
+                      lambda T, x, w, y, z: (x, y, z)),
+    "left_ideal": (2, lambda T, x, y: T[x][y], lambda T, x, y: (y,)),
+    "right_ideal": (2, lambda T, x, y: T[x][y], lambda T, x, y: (x,)),
+    "semiprime": (1, lambda T, x: x, lambda T, x: (T[x][x],)),
+}
+NAIVE_KIND_STAGES = {
+    K.SUBSEMIGROUP: ("subsemigroup",),
+    K.BI_IDEAL: ("subsemigroup", "bi_ideal"),
+    K.ONE_TWO_IDEAL: ("subsemigroup", "one_two_ideal"),
+    K.LEFT_IDEAL: ("left_ideal",),
+    K.RIGHT_IDEAL: ("right_ideal",),
+    K.IDEAL: ("left_ideal", "right_ideal"),
+    K.SEMIPRIME: ("left_ideal", "right_ideal", "semiprime"),
+}
+# the stage whose membership inequality break_property breaks
+NAIVE_BREAK_STAGE = {
+    K.SUBSEMIGROUP: "subsemigroup",
+    K.BI_IDEAL: "bi_ideal",
+    K.ONE_TWO_IDEAL: "one_two_ideal",
+    K.LEFT_IDEAL: "left_ideal",
+    K.RIGHT_IDEAL: "right_ideal",
+    K.IDEAL: "left_ideal",
+    K.SEMIPRIME: "semiprime",
+}
+
+
+def naive_tuples(S, stage):
+    k, site, args = NAIVE_STAGES[stage]
+    for points in itertools.product(range(S.order), repeat=k):
+        yield points, site(S.table, *points), args(S.table, *points)
+
+
+def naive_first_violation(S, A, stage):
+    for points, p, args in naive_tuples(S, stage):
+        low = min(A.mu[a] for a in args)
+        if A.mu[p] < low:
+            return stage, "mu", points, p, A.mu[p], low
+        high = max(A.nu[a] for a in args)
+        if A.nu[p] > high:
+            return stage, "nu", points, p, A.nu[p], high
+    return None
+
+
+def naive_mutant(S, A, kind):
+    for _, p, args in naive_tuples(S, NAIVE_BREAK_STAGE[kind]):
+        required = min(A.mu[a] for a in args)
+        if required > 0 and p not in args:
+            mu = list(A.mu)
+            mu[p] = required / 2
+            return IFSubset(A.carrier_order, tuple(mu), A.nu)
+    return None
+
+
+def test_deduplicated_scans_match_naive_scan():
+    tables = [S for n in (1, 2, 3) for S in enumerate_semigroups(n)]
+    tables += [e.semigroup for e in builtin_library() if e.semigroup.order == 4]
+    spec = SampleSpec(grade_grid_step=F(1, 2), random_count=8, seed=11)
+    violations = mutants = 0
+    for S in tables:
+        for A in sample_ifs(S.order, spec):
+            firsts = {stage: naive_first_violation(S, A, stage) for stage in NAIVE_STAGES}
+            for kind in ALL_KINDS:
+                expected = next(
+                    (firsts[st] for st in NAIVE_KIND_STAGES[kind] if firsts[st]), None
+                )
+                v = find_violation(kind, S, A)
+                got = v and (v.stage, v.component, v.points, v.site, v.lhs, v.rhs)
+                assert got == expected, (S.table, A, kind)
+                violations += v is not None
+                if v is None:
+                    assert break_property(S, A, kind) == naive_mutant(S, A, kind)
+                    mutants += 1
+            v = find_semiprime_inequality_violation(S, A)
+            got = v and (v.stage, v.component, v.points, v.site, v.lhs, v.rhs)
+            assert got == firsts["semiprime"]
+    assert violations > 0 and mutants > 0
