@@ -248,7 +248,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IfsgError, ValueError, OSError, KeyError) as exc:
+    except OSError as exc:
+        where = "" if exc.filename is None else f": {exc.filename}"
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
+        return _USAGE_ERROR
+    except (IfsgError, ValueError, KeyError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return _USAGE_ERROR

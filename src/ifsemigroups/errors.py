@@ -20,7 +20,7 @@ class ParseError(IfsgError):
 class OrderTooLarge(IfsgError):
     """Requested enumeration order above the hard cap."""
 
-    def __init__(self, order: int, cap: int = 3):
+    def __init__(self, order: int, cap: int):
         super().__init__(f"order {order} not enumerable (cap is {cap})")
         self.order = order
         self.cap = cap

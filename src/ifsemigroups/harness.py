@@ -10,8 +10,11 @@ product witnesses) are attached to verified reports as witnesses.
 
 Each single-subject theorem is one ``_THEOREMS`` entry, run by both the
 suite sweep and the public check (its gates, then the entry's test). Each
-pair theorem is its gates (``_PAIR_GATES``) plus one core test, which the
-suite runs on the subjects its sweep already gated.
+pair theorem is one ``_PAIR_THEOREMS`` entry: its hypothesis flags, the
+profile positions of its operands, its law and its certificate fields.
+One core tests a pair against that law, plainly and magnified; the suite
+runs it on the subjects its sweep already gated, the public checks after
+their gates.
 
 The suite runner shares work aggressively but never changes semantics:
 subject profiles evaluate through the same scan code as the public
@@ -33,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 
 from . import predicates
 from .composition import if_product
-from .errors import HypothesisNotMet, NotAGroup, OrderTooLarge, PreconditionNotMet
+from .errors import HypothesisNotMet, NotAGroup, PreconditionNotMet
 from .ifs import (
     IFSubset,
     ONE,
@@ -162,6 +165,8 @@ def sample_ifs(carrier_order: int, spec: SampleSpec) -> Iterator[IFSubset]:
     Subjects with identically zero membership are skipped (they fail the
     non-emptiness precondition of every predicate).
     """
+    if carrier_order < 1:
+        raise ValueError(f"carrier order {carrier_order} must be at least 1")
     pairs = grid_grade_pairs(spec.grade_grid_step)
     for combo in itertools.product(pairs, repeat=carrier_order):
         mu = tuple(p[0] for p in combo)
@@ -523,60 +528,103 @@ def check_characterization(
     """
     if kind not in _CHAR_RELEVANT:
         raise ValueError(f"unknown characterization kind {kind!r}")
+    return _one_table(f"char_{kind}", kind, S, spec, subjects, label)
+
+
+def _one_table(tid: str, flag: str, S: Semigroup, spec: SampleSpec | None,
+               subjects: Sequence[IFSubset] | None, label: str | None) -> VerificationReport:
+    """The suite over one semigroup and one theorem, on the sampled subjects
+    or the given ones (each checked against S first); the sweep runs only
+    when the semigroup has ``flag``, the theorem's hypothesis."""
     spec = spec or SampleSpec()
-    th = _THEOREMS[f"char_{kind}"]
-    state = _TaskState(_label(S, label), S, classify(S))
-    if getattr(state.cls, kind):
-        _sweep([state], _subject_stream(S, spec, subjects), (th.tid,), spec)
-    return _theorem_report(th, state, spec)
-
-
-def _subject_stream(S: Semigroup, spec: SampleSpec, subjects: Sequence[IFSubset] | None):
-    """The sampled subjects, or the given ones once each is checked against S."""
     if subjects is None:
-        return sample_ifs(S.order, spec)
-    subjects = list(subjects)
-    for A in subjects:
-        predicates._require_subject(S, A)
-    return subjects
+        subjects = sample_ifs(S.order, spec)
+    else:
+        subjects = list(subjects)
+        for A in subjects:
+            predicates._require_subject(S, A)
+    state = _TaskState(_label(S, label), S, classify(S))
+    if getattr(state.cls, flag):
+        _sweep([state], subjects, (tid,), spec)
+    (report,) = _finish_task(state, (tid,), spec)
+    return report
 
 
 # ---------------------------------------------------------------------------
-# the pair theorems: public gates, one shared core test each
+# the pair theorems: one table, run by the suite and the public checks
 
-# pair theorem -> (Classification flags under which it pairs sampled
-# subjects, profile positions those subjects must pass)
-_PAIR_GATES = {
-    "semiprime_intersection": ((), (_SEMIPRIME,)),
-    "product_bi_ideal": (("regular", "intra_regular"), (_BI,)),
-    "product_one_two_ideal": (("regular", "intra_regular", "left_regular"), (_ONE_TWO,)),
-    "regular_product": (("regular",), (_RIGHT, _LEFT)),
-}
+
+def _semiprime_meet(S: Semigroup, A: IFSubset, B: IFSubset) -> bool:
+    return check(K.SEMIPRIME, S, intersect(A, B))
+
+
+def _meet_inside_products(S: Semigroup, A: IFSubset, B: IFSubset) -> bool:
+    I = intersect(A, B)
+    return ifs_leq(I, if_product(S, A, B)) and ifs_leq(I, if_product(S, B, A))
+
+
+def _product_is_meet(S: Semigroup, A: IFSubset, B: IFSubset) -> bool:
+    return ifs_eq(if_product(S, A, B), intersect(A, B))
+
+
+@dataclass(frozen=True)
+class _PairTheorem:
+    """One pair theorem: on a semigroup with every flag in ``flags``, each
+    pair of subjects passing the profile ``positions`` satisfies
+    ``law(S, A, B)``, plainly and under every sampled (beta, alpha). One
+    position pairs the unordered pairs of its passers, two pair the first
+    position's passers with the second's. ``plain`` and ``magnified`` are
+    the certificate fields of a failure; the plain pair is not tested when
+    ``plain`` is None."""
+
+    tid: str
+    flags: tuple[str, ...]
+    positions: tuple[int, ...]
+    law: Callable
+    plain: dict | None
+    magnified: dict
+    skip_empty: bool = False  # pairs with an empty intersection are skipped
+
+    def holds(self, cls: Classification) -> bool:
+        return all(getattr(cls, flag) for flag in self.flags)
+
+    def pairs(self, passers: list) -> Iterator[tuple[IFSubset, IFSubset]]:
+        lists = [passers[pos] for pos in self.positions]
+        if len(lists) == 2:
+            return itertools.product(*lists)
+        return itertools.combinations_with_replacement(lists[0], 2)
+
+    def failure(self, S: Semigroup, A: IFSubset, B: IFSubset, params_list,
+                name: str) -> Certificate | None:
+        """The first failure of the law on the pair, plain, then magnified
+        under each given (beta, alpha)."""
+        cert = functools.partial(Certificate, self.tid, name, S.table, A.mu, A.nu, B.mu, B.nu)
+        if self.plain is not None and not self.law(S, A, B):
+            return cert(**self.plain)
+        for params in params_list:
+            if not self.law(S, magnify(A, params), magnify(B, params)):
+                return cert(beta=params.beta, alpha=params.alpha, **self.magnified)
+        return None
+
+
+_INCLUSION_FAILURE = {"detail": "magnified intersection escapes a magnified product"}
+
+_PAIR_THEOREMS = {th.tid: th for th in (
+    _PairTheorem("semiprime_intersection", (), (_SEMIPRIME,), _semiprime_meet,
+                 {"detail": "plain intersection is not semiprime"},
+                 {"detail": "magnified intersection is not semiprime"}, skip_empty=True),
+    _PairTheorem("product_bi_ideal", ("regular", "intra_regular"), (_BI,),
+                 _meet_inside_products, None, _INCLUSION_FAILURE),
+    _PairTheorem("product_one_two_ideal", ("regular", "intra_regular", "left_regular"),
+                 (_ONE_TWO,), _meet_inside_products, None, _INCLUSION_FAILURE),
+    _PairTheorem("regular_product", ("regular",), (_RIGHT, _LEFT), _product_is_meet,
+                 {"kind": "fuzzy",
+                  "detail": "product differs from intersection on a regular semigroup"},
+                 {"kind": "magnified",
+                  "detail": "magnified product differs from magnified intersection"}),
+)}
 
 _PAIR_KINDS = {"bi_ideal_pair": "product_bi_ideal", "one_two_pair": "product_one_two_ideal"}
-
-
-def _pairs_wanted(tid: str, cls: Classification) -> bool:
-    return all(getattr(cls, flag) for flag in _PAIR_GATES[tid][0])
-
-
-def _intersection_failure(S: Semigroup, A: IFSubset, B: IFSubset, spec: SampleSpec,
-                          name: str) -> Certificate | None:
-    """Core test of two semiprime ideals with a non-empty intersection."""
-    tid = "semiprime_intersection"
-    if not check(K.SEMIPRIME, S, intersect(A, B)):
-        return Certificate(
-            tid, name, S.table, A.mu, A.nu, B.mu, B.nu,
-            detail="plain intersection is not semiprime",
-        )
-    for params in _pair_params(A, B, spec):
-        if not check(K.SEMIPRIME, S, intersect(magnify(A, params), magnify(B, params))):
-            return Certificate(
-                tid, name, S.table, A.mu, A.nu, B.mu, B.nu,
-                beta=params.beta, alpha=params.alpha,
-                detail="magnified intersection is not semiprime",
-            )
-    return None
 
 
 def check_semiprime_intersection(
@@ -592,24 +640,9 @@ def check_semiprime_intersection(
         raise PreconditionNotMet("both subjects must be semiprime ideals")
     if not is_nonempty(intersect(A, B)):
         raise PreconditionNotMet("intersection is empty")
-    cert = _intersection_failure(S, A, B, spec or SampleSpec(), name)
-    return _report("semiprime_intersection", name, 1, 0, cert)
-
-
-def _inclusion_failure(S: Semigroup, A: IFSubset, B: IFSubset, params_list,
-                       tid: str, name: str) -> Certificate | None:
-    """Core test of a gated pair: under each given (beta, alpha), the
-    magnified intersection sits inside both magnified products."""
-    for params in params_list:
-        A2, B2 = magnify(A, params), magnify(B, params)
-        I = intersect(A2, B2)
-        if not (ifs_leq(I, if_product(S, A2, B2)) and ifs_leq(I, if_product(S, B2, A2))):
-            return Certificate(
-                tid, name, S.table, A.mu, A.nu, B.mu, B.nu,
-                beta=params.beta, alpha=params.alpha,
-                detail="magnified intersection escapes a magnified product",
-            )
-    return None
+    th = _PAIR_THEOREMS["semiprime_intersection"]
+    cert = th.failure(S, A, B, _pair_params(A, B, spec or SampleSpec()), name)
+    return _report(th.tid, name, 1, 0, cert)
 
 
 def check_product_inclusions(
@@ -628,14 +661,14 @@ def check_product_inclusions(
     """
     if kind not in _PAIR_KINDS:
         raise ValueError(f"unknown pair kind {kind!r}")
-    tid = _PAIR_KINDS[kind]
-    if not _pairs_wanted(tid, classify(S)):
+    th = _PAIR_THEOREMS[_PAIR_KINDS[kind]]
+    if not th.holds(classify(S)):
         raise HypothesisNotMet(f"semigroup lacks the flags required for {kind}")
-    (pk,) = (KIND_ORDER[pos] for pos in _PAIR_GATES[tid][1])
+    (pk,) = (KIND_ORDER[pos] for pos in th.positions)
     if not (check(pk, S, A) and check(pk, S, B)):
         raise HypothesisNotMet(f"subjects are not both {pk.value}s")
     name = _label(S, label)
-    return _report(tid, name, 1, 0, _inclusion_failure(S, A, B, (params,), tid, name))
+    return _report(th.tid, name, 1, 0, th.failure(S, A, B, (params,), name))
 
 
 def _crisp_one_sided_ideals(S: Semigroup) -> tuple[list[ElementSubset], list[ElementSubset]]:
@@ -665,87 +698,58 @@ def check_regular_iff_product(
     breaks the equality. Level 3 repeats level 2 on magnified subjects
     (the witness pins alpha to zero because its nu vanishes on the ideal).
     """
-    spec = spec or SampleSpec()
-    state = _TaskState(_label(S, label), S, classify(S))
-    if state.cls.regular:
-        _sweep([state], _subject_stream(S, spec, subjects), ("regular_product",), spec, False)
-    return _regular_product(state, spec)
+    return _one_table("regular_product", "regular", S, spec, subjects, label)
 
 
 def _regular_product(state: _TaskState, spec: SampleSpec) -> VerificationReport:
-    """Core of the regularity/product-law theorem, on the right and left
-    ideals a sweep gated."""
+    """The crisp level of the regularity/product-law theorem, then the pair
+    core on the right and left ideals a sweep gated (regular) or the
+    characteristic-pair witness (non-regular)."""
     S, name, regular = state.S, state.label, state.cls.regular
     tid = "regular_product"
 
     crisp_rights, crisp_lefts = _crisp_one_sided_ideals(S)
-    crisp_pairs = 0
-    crisp_gap: tuple[ElementSubset, ElementSubset] | None = None
-    for R in crisp_rights:
-        for L in crisp_lefts:
-            crisp_pairs += 1
-            if multiply_subsets(S, R, L).members != R.members & L.members:
-                if crisp_gap is None:
-                    crisp_gap = (R, L)
-    if crisp_gap is not None:
-        chi_r, chi_l = (characteristic_pair(S.order, X) for X in crisp_gap)
-        chi_cert = functools.partial(
-            Certificate, tid, name, S.table, chi_r.mu, chi_r.nu, chi_l.mu, chi_l.nu
+    crisp_pairs = len(crisp_rights) * len(crisp_lefts)
+    crisp_gap = next((
+        (R, L) for R in crisp_rights for L in crisp_lefts
+        if multiply_subsets(S, R, L).members != R.members & L.members
+    ), None)
+    if crisp_gap is None:
+        if regular:
+            return _pairs_report(state, spec, tid, crisp_pairs)
+        # flagged non-regular, yet the law holds on every crisp pair
+        cert = Certificate(
+            tid, name, S.table, (ONE,) * S.order, (ZERO,) * S.order,
+            kind="crisp_agreement",
+            detail="crisp product law disagrees with the regularity flag",
         )
-    if (crisp_gap is None) != regular:
-        if crisp_gap is not None:
-            # flagged regular, yet a concrete pair breaks the law
-            cert = chi_cert(kind="crisp", detail="regular semigroup with RL != R n L")
-        else:
-            # flagged non-regular, yet the law holds on every crisp pair
-            cert = Certificate(
-                tid, name, S.table, (ONE,) * S.order, (ZERO,) * S.order,
-                kind="crisp_agreement",
-                detail="crisp product law disagrees with the regularity flag",
-            )
+        return _report(tid, name, crisp_pairs, 0, cert)
+    chi_r, chi_l = (characteristic_pair(S.order, X) for X in crisp_gap)
+    chi_cert = functools.partial(
+        Certificate, tid, name, S.table, chi_r.mu, chi_r.nu, chi_l.mu, chi_l.nu
+    )
+    if regular:
+        # flagged regular, yet a concrete pair breaks the law
+        cert = chi_cert(kind="crisp", detail="regular semigroup with RL != R n L")
         return _report(tid, name, crisp_pairs, 0, cert)
 
-    checked = crisp_pairs
-    if regular:
-        skipped = state.subjects - state.held(_RIGHT, _LEFT)
-        for A in state.passers[_RIGHT]:
-            for B in state.passers[_LEFT]:
-                checked += 1
-                if not ifs_eq(if_product(S, A, B), intersect(A, B)):
-                    cert = Certificate(
-                        tid, name, S.table, A.mu, A.nu, B.mu, B.nu, kind="fuzzy",
-                        detail="product differs from intersection on a regular semigroup",
-                    )
-                    return _report(tid, name, checked, skipped, cert)
-                for params in _pair_params(A, B, spec):
-                    A2, B2 = magnify(A, params), magnify(B, params)
-                    if not ifs_eq(if_product(S, A2, B2), intersect(A2, B2)):
-                        cert = Certificate(
-                            tid, name, S.table, A.mu, A.nu, B.mu, B.nu,
-                            beta=params.beta, alpha=params.alpha, kind="magnified",
-                            detail="magnified product differs from magnified intersection",
-                        )
-                        return _report(tid, name, checked, skipped, cert)
-        return _verified(tid, name, checked, skipped)
-
     # non-regular: the failing crisp pair yields a characteristic-pair witness
-    if ifs_eq(if_product(S, chi_r, chi_l), intersect(chi_r, chi_l)):
+    if _product_is_meet(S, chi_r, chi_l):
         cert = chi_cert(
             kind="fuzzy", detail="characteristic witness unexpectedly satisfies the product law"
         )
-        return VerificationReport(tid, name, 1, checked, 0, "counterexample", cert)
+        return VerificationReport(tid, name, 1, crisp_pairs, 0, "counterexample", cert)
     wit = chi_cert(
         kind="fuzzy", detail="characteristic pair of a failing crisp pair breaks the product law"
     )
     if not replay_certificate(wit):
         raise AssertionError("non-regular product witness does not replay")
-    checked += 1
+    checked = crisp_pairs + 1
     for beta in spec.beta_grid:
         # alpha is pinned to zero: both witnesses have vanishing nu somewhere
         params = TransformParams(beta, ZERO)
-        A2, B2 = magnify(chi_r, params), magnify(chi_l, params)
         checked += 1
-        if ifs_eq(if_product(S, A2, B2), intersect(A2, B2)):
+        if _product_is_meet(S, magnify(chi_r, params), magnify(chi_l, params)):
             cert = chi_cert(
                 beta=beta, alpha=ZERO, kind="magnified",
                 detail="magnified witness unexpectedly satisfies the product law",
@@ -834,8 +838,6 @@ def _normalize_theorems(theorems) -> tuple[str, ...]:
 def _suite_tasks(orders, include_library) -> list[tuple[str, Semigroup]]:
     tasks: list[tuple[str, Semigroup]] = []
     for n in sorted(set(orders)):
-        if not 1 <= n <= 3:
-            raise OrderTooLarge(n)
         for i, S in enumerate(enumerate_semigroups(n)):
             tasks.append((f"order{n}/{i:03d}", S))
     if include_library:
@@ -947,8 +949,9 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
     ]
     passers = state.passers
     filling = {
-        pos for tid in tids if tid in _PAIR_GATES and _pairs_wanted(tid, cls)
-        for pos in _PAIR_GATES[tid][1] if len(passers[pos]) < cap
+        pos for tid in tids
+        if (pair := _PAIR_THEOREMS.get(tid)) is not None and pair.holds(cls)
+        for pos in pair.positions if len(passers[pos]) < cap
     }
     verdicts, counts, certs = state.verdicts, state.counts, state.certs
     grow = len(patterns.views) - len(verdicts)
@@ -979,10 +982,11 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
                     certs[th.tid] = cert
 
 
-def _sweep(group: list[_TaskState], subjects, tids, spec: SampleSpec,
-           need_variants: bool = True) -> None:
-    """Sweep a stream of subjects of one carrier order past its semigroups."""
+def _sweep(group: list[_TaskState], subjects, tids, spec: SampleSpec) -> None:
+    """Sweep a stream of subjects of one carrier order past its semigroups;
+    magnified variants are built only for the single-subject theorems."""
     patterns = _Patterns()
+    need_variants = any(tid in _THEOREMS for tid in tids)
     subjects = iter(subjects)
     while block := list(itertools.islice(subjects, _SUBJECT_CHUNK)):
         chunk = [_prepare(A, spec, patterns, need_variants) for A in block]
@@ -1017,29 +1021,23 @@ def _finish_task(state: _TaskState, tids, spec: SampleSpec) -> list[Verification
     return reports
 
 
-def _pairs_report(state: _TaskState, spec: SampleSpec, tid: str) -> VerificationReport:
-    """A pair theorem's core test over the unordered pairs of the capped
-    passers the sweep gated for it."""
-    S, label = state.S, state.label
-    if not _pairs_wanted(tid, state.cls):
+def _pairs_report(state: _TaskState, spec: SampleSpec, tid: str,
+                  checked: int = 0) -> VerificationReport:
+    """A pair theorem's core over the pairs of the capped passers the sweep
+    gated for it, counted on top of ``checked``."""
+    th, S, label = _PAIR_THEOREMS[tid], state.S, state.label
+    if not th.holds(state.cls):
         return _verified(tid, label, 0, state.subjects)
-    (pos,) = _PAIR_GATES[tid][1]
-    passers = state.passers[pos]
-    skipped = state.subjects - state.held(pos)
-    pairs = 0
-    for i, A in enumerate(passers):
-        for B in passers[i:]:
-            if tid == "semiprime_intersection":
-                if not is_nonempty(intersect(A, B)):
-                    skipped += 1
-                    continue
-                cert = _intersection_failure(S, A, B, spec, label)
-            else:
-                cert = _inclusion_failure(S, A, B, _pair_params(A, B, spec), tid, label)
-            pairs += 1
-            if cert is not None:
-                return _report(tid, label, pairs, skipped, cert)
-    return _verified(tid, label, pairs, skipped)
+    skipped = state.subjects - state.held(*th.positions)
+    for A, B in th.pairs(state.passers):
+        if th.skip_empty and not is_nonempty(intersect(A, B)):
+            skipped += 1
+            continue
+        checked += 1
+        cert = th.failure(S, A, B, _pair_params(A, B, spec), label)
+        if cert is not None:
+            return _report(tid, label, checked, skipped, cert)
+    return _verified(tid, label, checked, skipped)
 
 
 def run_suite(
@@ -1063,9 +1061,8 @@ def run_suite(
     for st in states:
         by_order.setdefault(st.S.order, []).append(st)
 
-    need_variants = any(t in _THEOREMS for t in tids)
     for n, group in sorted(by_order.items()):
-        _sweep(group, sample_ifs(n, spec), tids, spec, need_variants)
+        _sweep(group, sample_ifs(n, spec), tids, spec)
 
     reports: list[VerificationReport] = []
     for st in states:

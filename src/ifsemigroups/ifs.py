@@ -22,8 +22,6 @@ from .errors import (
 )
 from .semigroups import ElementSubset
 
-Grade = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

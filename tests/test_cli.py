@@ -47,6 +47,13 @@ class TestClassify:
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/path"]) == 2
 
+    def test_unreadable_file_names_reason_and_path(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cayley"
+        assert main(["classify", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: No such file or directory: {missing}\n"
+        assert main(["classify", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: Is a directory: {tmp_path}\n"
+
 
 class TestTransform:
     def test_worked_example_grades(self, worked_file, capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from ifsemigroups import (
+    CarrierMismatch,
     Certificate,
     ElementSubset,
     FuzzyStructureKind as K,
@@ -74,6 +75,11 @@ class TestSampleIfs:
             SampleSpec(alpha_strategy="extremes")
         with pytest.raises(ValueError):
             SampleSpec(beta_grid=(F(0),))
+
+    def test_carrier_order_below_one_rejected(self):
+        for order in (0, -1):
+            with pytest.raises(ValueError, match=f"carrier order {order} must be at least 1"):
+                next(sample_ifs(order, SampleSpec(random_count=1)))
 
     def test_empty_beta_grid_rejected(self):
         # with no beta there is no magnified variant: every transform theorem
@@ -291,6 +297,16 @@ class TestRegularIffProduct:
         assert rep.outcome == "verified"
         assert rep.witnesses
         assert replay_certificate(rep.witnesses[0])
+
+
+def test_given_subjects_are_checked_with_or_without_the_flag(null2, leftzero2):
+    # null2 lacks regularity and left regularity, leftzero2 has both
+    wrong_carrier = [IFSubset(3, (F(1), F(0), F(0)), (F(0), F(0), F(0)))]
+    for S in (null2, leftzero2):
+        with pytest.raises(CarrierMismatch):
+            check_regular_iff_product(S, subjects=wrong_carrier)
+        with pytest.raises(CarrierMismatch):
+            check_characterization("left_regular", S, subjects=wrong_carrier)
 
 
 class TestBreakProperty:
