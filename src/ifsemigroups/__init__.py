@@ -19,6 +19,7 @@ from .errors import (
     IfsgError,
     NotAGroup,
     OrderTooLarge,
+    OrderTooSmall,
     OutOfRangeEntry,
     ParseError,
     PreconditionNotMet,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CarrierMismatch
-from .ifs import IFSubset, ONE, ZERO
+from .ifs import IFSubset, ONE, ZERO, _trusted
 from .semigroups import Semigroup
 
 
@@ -51,6 +51,6 @@ def if_product(S: Semigroup, A: IFSubset, B: IFSubset) -> IFSubset:
             continue
         mu.append(max(min(mu_a[u], mu_b[v]) for u, v in pairs))
         nu.append(min(max(nu_a[u], nu_b[v]) for u, v in pairs))
-    # the pointwise sum bound is provable from the operands; the IFSubset
-    # constructor asserts it anyway
-    return IFSubset(S.order, tuple(mu), tuple(nu))
+    # valid by construction: where min(mu_a(u), mu_b(v)) attains mu(x), nu(x)
+    # is at most max(nu_a(u), nu_b(v)), so mu(x) + nu(x) <= 1
+    return _trusted(S.order, tuple(mu), tuple(nu))

@@ -26,6 +26,20 @@ class OrderTooLarge(IfsgError):
         self.cap = cap
 
 
+class OrderTooSmall(OrderTooLarge):
+    """Requested enumeration order below 1: no semigroup has an empty
+    carrier. A subclass of ``OrderTooLarge``, which used to cover every
+    order outside the enumerable range, so handlers of that error still
+    catch it."""
+
+    def __init__(self, order: int):
+        IfsgError.__init__(
+            self, f"order {order} is below 1: a semigroup has at least one element"
+        )
+        self.order = order
+        self.cap = None
+
+
 class OutOfRangeEntry(IfsgError):
     """Cayley table entry outside the carrier."""
 

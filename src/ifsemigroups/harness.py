@@ -16,13 +16,24 @@ One core tests a pair against that law, plainly and magnified; the suite
 runs it on the subjects its sweep already gated, the public checks after
 their gates.
 
-The suite runner shares work aggressively but never changes semantics:
-subject profiles evaluate through the same scan code as the public
-predicates, on order-isomorphic integer views of the exact grades, and
-magnified variants are built once per subject and reused across every
-semigroup of that carrier size. Every predicate compares mu only with mu
-and nu only with nu, so a view's verdicts depend only on the weak order
-of each grade map: each semigroup decides each such pattern once.
+The suite runner shares work but never changes what is evaluated. Subject
+profiles evaluate through the same scan code as the public predicates, on
+order-isomorphic integer views of the exact grades. The sweep builds each
+subject's magnified variants once and hands them to every semigroup of
+that carrier order. Every predicate compares mu only with mu and nu only
+with nu, so a view's verdicts depend only on the weak order of each grade
+map: each semigroup decides each such pattern once.
+
+The pair theorems take their operands from a store with two scopes.
+``_Operands`` lives for one run (a ``run_suite`` call, or one public pair
+check): it interns operands by value, magnifies each (operand, sampled
+parameters) once, and keys each pair's parameters by its least
+non-membership; nothing in it depends on a semigroup. ``_TableOperands``
+lives while one table's reports are built: it computes each meet, each
+product and each meet's semiprime verdict once. Every stored value comes
+from this module's ``magnify``, ``intersect``, ``if_product`` and ``check``,
+looked up at call time, so a patched layer still sees every call that is
+made.
 """
 
 from __future__ import annotations
@@ -194,15 +205,6 @@ def _shifts(bound: Fraction, strategy: str) -> tuple[Fraction, ...]:
 def alpha_samples(A: IFSubset, beta: Fraction, strategy: str = "grid") -> tuple[Fraction, ...]:
     """Shifts sampled for a subject at a given scaling: zero, boundary, midpoint."""
     return _shifts(max_alpha(A, beta), strategy)
-
-
-def _pair_params(A: IFSubset, B: IFSubset, spec: SampleSpec) -> list[TransformParams]:
-    """Each sampled (beta, alpha) admissible for both subjects of a pair."""
-    return [
-        TransformParams(beta, alpha)
-        for beta in spec.beta_grid
-        for alpha in _shifts(min(max_alpha(A, beta), max_alpha(B, beta)), spec.alpha_strategy)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +548,7 @@ def _one_table(tid: str, flag: str, S: Semigroup, spec: SampleSpec | None,
     state = _TaskState(_label(S, label), S, classify(S))
     if getattr(state.cls, flag):
         _sweep([state], subjects, (tid,), spec)
-    (report,) = _finish_task(state, (tid,), spec)
+    (report,) = _finish_task(state, (tid,), _Operands(spec))
     return report
 
 
@@ -554,24 +556,109 @@ def _one_table(tid: str, flag: str, S: Semigroup, spec: SampleSpec | None,
 # the pair theorems: one table, run by the suite and the public checks
 
 
-def _semiprime_meet(S: Semigroup, A: IFSubset, B: IFSubset) -> bool:
-    return check(K.SEMIPRIME, S, intersect(A, B))
+class _Operands:
+    """The pair operands of one run, shared by every table and pair theorem.
+
+    Operands are interned by value, so equal subjects (a subject and its
+    magnification by (1, 0), say) are one object and the identity keys
+    here and in ``_TableOperands`` stand for values; the store holds every
+    object it keys by identity. Each (operand, TransformParams) is
+    magnified once, through ``magnify``. A pair's sampled parameters depend
+    only on the smaller least non-membership of its two subjects, since
+    max_alpha(X, beta) = beta * min(X.nu) with beta > 0, so pairs share one
+    tuple of parameters. Nothing here depends on a semigroup.
+    """
+
+    def __init__(self, spec: SampleSpec | None = None):
+        self.spec = spec or SampleSpec()
+        self._operands: dict = {}  # IFSubset -> the stored one equal to it
+        self._transforms: dict = {}  # TransformParams -> the stored one equal to it
+        self._params: dict = {}  # least nu of a pair -> its TransformParams
+        self._magnified: dict = {}  # (id(operand), id(params)) -> (magnified, params)
+
+    def operand(self, A: IFSubset) -> IFSubset:
+        return self._operands.setdefault(A, A)
+
+    def params(self, A: IFSubset, B: IFSubset) -> tuple[TransformParams, ...]:
+        """Each sampled (beta, alpha) admissible for both subjects of a pair."""
+        low = min(min(A.nu), min(B.nu))
+        found = self._params.get(low)
+        if found is None:
+            spec = self.spec
+            found = self._params[low] = tuple(
+                self._transforms.setdefault(p, p) for p in (
+                    TransformParams(beta, alpha) for beta in spec.beta_grid
+                    for alpha in _shifts(beta * low, spec.alpha_strategy)
+                )
+            )
+        return found
+
+    def magnified(self, A: IFSubset, params: TransformParams) -> IFSubset:
+        """``magnify(A, params)`` as a stored operand; A must be stored."""
+        key = (id(A), id(params))
+        found = self._magnified.get(key)
+        if found is None:
+            found = self._magnified[key] = (self.operand(magnify(A, params)), params)
+        return found[0]
 
 
-def _meet_inside_products(S: Semigroup, A: IFSubset, B: IFSubset) -> bool:
-    I = intersect(A, B)
-    return ifs_leq(I, if_product(S, A, B)) and ifs_leq(I, if_product(S, B, A))
+class _TableOperands:
+    """Meets and products of stored operands over one semigroup, each
+    computed once through ``intersect`` and ``if_product``, and the
+    semiprime verdict of each distinct meet, through ``check``. The plain
+    and magnified laws, the empty-meet test and every pair theorem of the
+    table share them; the suite drops them once the table's reports are
+    done. Meets are interned by value, like the operands."""
+
+    def __init__(self, S: Semigroup, operands: _Operands):
+        self.S = S
+        self.operands = operands
+        self._meets: dict = {}  # (id(X), id(Y)) -> intersect(X, Y)
+        self._meet_values: dict = {}  # meet -> the stored one equal to it
+        self._semiprime: dict = {}  # id(stored meet) -> its semiprime verdict
+        self._products: dict = {}  # (id(X), id(Y)) -> if_product(S, X, Y)
+
+    def meet(self, X: IFSubset, Y: IFSubset) -> IFSubset:
+        key = (id(X), id(Y))
+        found = self._meets.get(key)
+        if found is None:
+            I = intersect(X, Y)
+            found = self._meets[key] = self._meet_values.setdefault(I, I)
+        return found
+
+    def semiprime(self, I: IFSubset) -> bool:
+        """``check(SEMIPRIME, S, I)`` for a meet returned by ``meet``."""
+        found = self._semiprime.get(id(I))
+        if found is None:
+            found = self._semiprime[id(I)] = check(K.SEMIPRIME, self.S, I)
+        return found
+
+    def product(self, X: IFSubset, Y: IFSubset) -> IFSubset:
+        key = (id(X), id(Y))
+        found = self._products.get(key)
+        if found is None:
+            found = self._products[key] = if_product(self.S, X, Y)
+        return found
 
 
-def _product_is_meet(S: Semigroup, A: IFSubset, B: IFSubset) -> bool:
-    return ifs_eq(if_product(S, A, B), intersect(A, B))
+def _semiprime_meet(ops: _TableOperands, A: IFSubset, B: IFSubset) -> bool:
+    return ops.semiprime(ops.meet(A, B))
+
+
+def _meet_inside_products(ops: _TableOperands, A: IFSubset, B: IFSubset) -> bool:
+    I = ops.meet(A, B)
+    return ifs_leq(I, ops.product(A, B)) and ifs_leq(I, ops.product(B, A))
+
+
+def _product_is_meet(ops: _TableOperands, A: IFSubset, B: IFSubset) -> bool:
+    return ifs_eq(ops.product(A, B), ops.meet(A, B))
 
 
 @dataclass(frozen=True)
 class _PairTheorem:
     """One pair theorem: on a semigroup with every flag in ``flags``, each
     pair of subjects passing the profile ``positions`` satisfies
-    ``law(S, A, B)``, plainly and under every sampled (beta, alpha). One
+    ``law(ops, A, B)``, plainly and under every sampled (beta, alpha). One
     position pairs the unordered pairs of its passers, two pair the first
     position's passers with the second's. ``plain`` and ``magnified`` are
     the certificate fields of a failure; the plain pair is not tested when
@@ -588,21 +675,25 @@ class _PairTheorem:
     def holds(self, cls: Classification) -> bool:
         return all(getattr(cls, flag) for flag in self.flags)
 
-    def pairs(self, passers: list) -> Iterator[tuple[IFSubset, IFSubset]]:
-        lists = [passers[pos] for pos in self.positions]
+    def pairs(self, passers: list, operands: _Operands) -> Iterator[tuple[IFSubset, IFSubset]]:
+        """The pairs of stored passers the theorem tests."""
+        lists = [[operands.operand(A) for A in passers[pos]] for pos in self.positions]
         if len(lists) == 2:
             return itertools.product(*lists)
         return itertools.combinations_with_replacement(lists[0], 2)
 
-    def failure(self, S: Semigroup, A: IFSubset, B: IFSubset, params_list,
+    def failure(self, ops: _TableOperands, A: IFSubset, B: IFSubset, params_list,
                 name: str) -> Certificate | None:
-        """The first failure of the law on the pair, plain, then magnified
-        under each given (beta, alpha)."""
-        cert = functools.partial(Certificate, self.tid, name, S.table, A.mu, A.nu, B.mu, B.nu)
-        if self.plain is not None and not self.law(S, A, B):
+        """The first failure of the law on a pair of stored operands, plain,
+        then magnified under each given (beta, alpha)."""
+        cert = functools.partial(
+            Certificate, self.tid, name, ops.S.table, A.mu, A.nu, B.mu, B.nu
+        )
+        if self.plain is not None and not self.law(ops, A, B):
             return cert(**self.plain)
+        magnified = ops.operands.magnified
         for params in params_list:
-            if not self.law(S, magnify(A, params), magnify(B, params)):
+            if not self.law(ops, magnified(A, params), magnified(B, params)):
                 return cert(beta=params.beta, alpha=params.alpha, **self.magnified)
         return None
 
@@ -638,10 +729,12 @@ def check_semiprime_intersection(
     name = _label(S, label)
     if not (check(K.SEMIPRIME, S, A) and check(K.SEMIPRIME, S, B)):
         raise PreconditionNotMet("both subjects must be semiprime ideals")
-    if not is_nonempty(intersect(A, B)):
+    ops = _TableOperands(S, _Operands(spec))
+    A, B = ops.operands.operand(A), ops.operands.operand(B)
+    if not is_nonempty(ops.meet(A, B)):
         raise PreconditionNotMet("intersection is empty")
     th = _PAIR_THEOREMS["semiprime_intersection"]
-    cert = th.failure(S, A, B, _pair_params(A, B, spec or SampleSpec()), name)
+    cert = th.failure(ops, A, B, ops.operands.params(A, B), name)
     return _report(th.tid, name, 1, 0, cert)
 
 
@@ -668,7 +761,9 @@ def check_product_inclusions(
     if not (check(pk, S, A) and check(pk, S, B)):
         raise HypothesisNotMet(f"subjects are not both {pk.value}s")
     name = _label(S, label)
-    return _report(th.tid, name, 1, 0, th.failure(S, A, B, (params,), name))
+    ops = _TableOperands(S, _Operands())
+    A, B = ops.operands.operand(A), ops.operands.operand(B)
+    return _report(th.tid, name, 1, 0, th.failure(ops, A, B, (params,), name))
 
 
 def _crisp_one_sided_ideals(S: Semigroup) -> tuple[list[ElementSubset], list[ElementSubset]]:
@@ -701,11 +796,12 @@ def check_regular_iff_product(
     return _one_table("regular_product", "regular", S, spec, subjects, label)
 
 
-def _regular_product(state: _TaskState, spec: SampleSpec) -> VerificationReport:
+def _regular_product(state: _TaskState, ops: _TableOperands) -> VerificationReport:
     """The crisp level of the regularity/product-law theorem, then the pair
     core on the right and left ideals a sweep gated (regular) or the
     characteristic-pair witness (non-regular)."""
     S, name, regular = state.S, state.label, state.cls.regular
+    operands = ops.operands
     tid = "regular_product"
 
     crisp_rights, crisp_lefts = _crisp_one_sided_ideals(S)
@@ -716,7 +812,7 @@ def _regular_product(state: _TaskState, spec: SampleSpec) -> VerificationReport:
     ), None)
     if crisp_gap is None:
         if regular:
-            return _pairs_report(state, spec, tid, crisp_pairs)
+            return _pairs_report(state, ops, tid, crisp_pairs)
         # flagged non-regular, yet the law holds on every crisp pair
         cert = Certificate(
             tid, name, S.table, (ONE,) * S.order, (ZERO,) * S.order,
@@ -724,7 +820,7 @@ def _regular_product(state: _TaskState, spec: SampleSpec) -> VerificationReport:
             detail="crisp product law disagrees with the regularity flag",
         )
         return _report(tid, name, crisp_pairs, 0, cert)
-    chi_r, chi_l = (characteristic_pair(S.order, X) for X in crisp_gap)
+    chi_r, chi_l = (operands.operand(characteristic_pair(S.order, X)) for X in crisp_gap)
     chi_cert = functools.partial(
         Certificate, tid, name, S.table, chi_r.mu, chi_r.nu, chi_l.mu, chi_l.nu
     )
@@ -734,7 +830,7 @@ def _regular_product(state: _TaskState, spec: SampleSpec) -> VerificationReport:
         return _report(tid, name, crisp_pairs, 0, cert)
 
     # non-regular: the failing crisp pair yields a characteristic-pair witness
-    if _product_is_meet(S, chi_r, chi_l):
+    if _product_is_meet(ops, chi_r, chi_l):
         cert = chi_cert(
             kind="fuzzy", detail="characteristic witness unexpectedly satisfies the product law"
         )
@@ -745,13 +841,14 @@ def _regular_product(state: _TaskState, spec: SampleSpec) -> VerificationReport:
     if not replay_certificate(wit):
         raise AssertionError("non-regular product witness does not replay")
     checked = crisp_pairs + 1
-    for beta in spec.beta_grid:
-        # alpha is pinned to zero: both witnesses have vanishing nu somewhere
-        params = TransformParams(beta, ZERO)
+    # both witnesses have vanishing nu somewhere, so each sampled beta comes
+    # with the single shift zero
+    for params in operands.params(chi_r, chi_l):
         checked += 1
-        if _product_is_meet(S, magnify(chi_r, params), magnify(chi_l, params)):
+        if _product_is_meet(ops, operands.magnified(chi_r, params),
+                            operands.magnified(chi_l, params)):
             cert = chi_cert(
-                beta=beta, alpha=ZERO, kind="magnified",
+                beta=params.beta, alpha=params.alpha, kind="magnified",
                 detail="magnified witness unexpectedly satisfies the product law",
             )
             return VerificationReport(tid, name, 1, checked, 0, "counterexample", cert)
@@ -1008,33 +1105,35 @@ def _theorem_report(th: _Theorem, state: _TaskState, spec: SampleSpec) -> Verifi
     return _report(th.tid, label, held, n - held, state.certs.get(th.tid))
 
 
-def _finish_task(state: _TaskState, tids, spec: SampleSpec) -> list[VerificationReport]:
-    """Report assembly: the swept theorems, then the pair theorems on the passers."""
+def _finish_task(state: _TaskState, tids, operands: _Operands) -> list[VerificationReport]:
+    """Report assembly: the swept theorems, then the pair theorems on the
+    passers, sharing one table's meets and products."""
+    ops = _TableOperands(state.S, operands)
     reports: list[VerificationReport] = []
     for tid in tids:
         if tid in _THEOREMS:
-            reports.append(_theorem_report(_THEOREMS[tid], state, spec))
+            reports.append(_theorem_report(_THEOREMS[tid], state, operands.spec))
         elif tid == "regular_product":
-            reports.append(_regular_product(state, spec))
+            reports.append(_regular_product(state, ops))
         else:
-            reports.append(_pairs_report(state, spec, tid))
+            reports.append(_pairs_report(state, ops, tid))
     return reports
 
 
-def _pairs_report(state: _TaskState, spec: SampleSpec, tid: str,
+def _pairs_report(state: _TaskState, ops: _TableOperands, tid: str,
                   checked: int = 0) -> VerificationReport:
     """A pair theorem's core over the pairs of the capped passers the sweep
     gated for it, counted on top of ``checked``."""
-    th, S, label = _PAIR_THEOREMS[tid], state.S, state.label
+    th, label, operands = _PAIR_THEOREMS[tid], state.label, ops.operands
     if not th.holds(state.cls):
         return _verified(tid, label, 0, state.subjects)
     skipped = state.subjects - state.held(*th.positions)
-    for A, B in th.pairs(state.passers):
-        if th.skip_empty and not is_nonempty(intersect(A, B)):
+    for A, B in th.pairs(state.passers, operands):
+        if th.skip_empty and not is_nonempty(ops.meet(A, B)):
             skipped += 1
             continue
         checked += 1
-        cert = th.failure(S, A, B, _pair_params(A, B, spec), label)
+        cert = th.failure(ops, A, B, operands.params(A, B), label)
         if cert is not None:
             return _report(tid, label, checked, skipped, cert)
     return _verified(tid, label, checked, skipped)
@@ -1064,7 +1163,8 @@ def run_suite(
     for n, group in sorted(by_order.items()):
         _sweep(group, sample_ifs(n, spec), tids, spec)
 
+    operands = _Operands(spec)
     reports: list[VerificationReport] = []
     for st in states:
-        reports.extend(_finish_task(st, tids, spec))
+        reports.extend(_finish_task(st, tids, operands))
     return reports

@@ -73,6 +73,16 @@ class IFSubset:
                 raise SumConstraintViolation(x, m + v)
 
 
+def _trusted(carrier_order: int, mu: tuple, nu: tuple) -> IFSubset:
+    """An IFSubset built without validation, for results the library derives
+    from valid subjects in ways that keep them valid (meets, products,
+    admissible magnifications). Everything built from outside data goes
+    through the validating constructor."""
+    A = object.__new__(IFSubset)
+    vars(A).update(carrier_order=carrier_order, mu=mu, nu=nu)
+    return A
+
+
 def validate_ifs(carrier_order: int, mu, nu) -> IFSubset:
     """Build an IFSubset from grade-like entries (strings, ints, Fractions)."""
     mu_t = tuple(as_grade(g, x) for x, g in enumerate(mu))
@@ -108,7 +118,8 @@ def complement(A: IFSubset) -> IFSubset:
 def intersect(A: IFSubset, B: IFSubset) -> IFSubset:
     """Pointwise min on mu, max on nu."""
     _same_carrier(A, B)
-    return IFSubset(
+    # min(a, b) + max(c, d) <= a + c or b + d, so the meet stays valid
+    return _trusted(
         A.carrier_order,
         tuple(min(a, b) for a, b in zip(A.mu, B.mu)),
         tuple(max(a, b) for a, b in zip(A.nu, B.nu)),

@@ -17,6 +17,7 @@ from .errors import (
     CarrierMismatch,
     EmptySubset,
     OrderTooLarge,
+    OrderTooSmall,
     OutOfRangeEntry,
     ParseError,
 )
@@ -260,7 +261,9 @@ def enumerate_semigroups(order: int) -> Iterator[Semigroup]:
     """Yield every labeled associative table of the given order, in
     lexicographic order of the flattened table. Hard-capped at order 3
     (order 4 already has 4**16 raw tables)."""
-    if not 1 <= order <= ENUMERATION_CAP:
+    if order < 1:
+        raise OrderTooSmall(order)
+    if order > ENUMERATION_CAP:
         raise OrderTooLarge(order, ENUMERATION_CAP)
     elems = range(order)
     triples = list(itertools.product(elems, elems, elems))

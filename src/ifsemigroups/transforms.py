@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlphaOutOfRange, BetaOutOfRange
-from .ifs import IFSubset, ONE
+from .ifs import IFSubset, ONE, _trusted
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,9 @@ def magnify(A: IFSubset, params: TransformParams) -> IFSubset:
     bound = max_alpha(A, beta)
     if alpha > bound:
         raise AlphaOutOfRange(alpha, bound)
-    return IFSubset(
+    # with 0 <= alpha <= beta * min(nu) and beta <= 1, nu stays non-negative
+    # and mu + nu = beta * (mu + nu) <= 1 pointwise
+    return _trusted(
         A.carrier_order,
         tuple(beta * m + alpha for m in A.mu),
         tuple(beta * v - alpha for v in A.nu),

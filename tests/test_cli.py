@@ -193,6 +193,16 @@ class TestEnumerate:
     def test_order_too_large(self, capsys):
         assert main(["enumerate", "4"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "0"], ["enumerate", "-1"], ["enumerate", "0", "--count-only"],
+        ["check", "--orders", "0"], ["check", "--orders", "0,1"],
+    ])
+    def test_order_below_one_is_its_own_one_line_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "is below 1" in err and "cap" not in err
+
     def test_stream_reparses(self, capsys):
         assert main(["enumerate", "2"]) == 0
         blocks = capsys.readouterr().out.strip().split("\n\n")

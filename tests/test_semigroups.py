@@ -10,6 +10,7 @@ from ifsemigroups import (
     EmptySubset,
     CarrierMismatch,
     OrderTooLarge,
+    OrderTooSmall,
     OutOfRangeEntry,
     ParseError,
     Semigroup,
@@ -24,6 +25,7 @@ from ifsemigroups import (
     principal_left_ideal,
     principal_right_ideal,
     principal_two_sided_ideal,
+    run_suite,
     validate_cayley,
 )
 
@@ -208,6 +210,18 @@ class TestEnumeration:
             list(enumerate_semigroups(4))
         with pytest.raises(OrderTooLarge):
             list(enumerate_semigroups(0))
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_names_no_cap(self, order):
+        with pytest.raises(OrderTooSmall) as exc:
+            list(enumerate_semigroups(order))
+        assert str(exc.value) == (
+            f"order {order} is below 1: a semigroup has at least one element"
+        )
+        # an order below 1 is still outside the enumerable range
+        assert isinstance(exc.value, OrderTooLarge)
+        with pytest.raises(OrderTooSmall):
+            run_suite([order, 1])
 
 
 class TestLibrary:
