@@ -26,14 +26,18 @@ map: each semigroup decides each such pattern once.
 
 The pair theorems take their operands from a store with two scopes.
 ``_Operands`` lives for one run (a ``run_suite`` call, or one public pair
-check): it interns operands by value, magnifies each (operand, sampled
-parameters) once, and keys each pair's parameters by its least
-non-membership; nothing in it depends on a semigroup. ``_TableOperands``
-lives while one table's reports are built: it computes each meet, each
-product and each meet's semiprime verdict once. Every stored value comes
-from this module's ``magnify``, ``intersect``, ``if_product`` and ``check``,
-looked up at call time, so a patched layer still sees every call that is
-made.
+check or ``check_characterization``): it interns operands by value,
+magnifies each (operand, sampled parameters) once, and keys each pair's
+parameters by its least non-membership; nothing in it depends on a
+semigroup. The sampled parameters of a subject depend only on its least
+non-membership too, so the sweep's variants and the pairs share one
+parameter store: the parameters of each least non-membership are built once
+per run, and the sweep still magnifies every subject under every one of its
+sampled parameters. ``_TableOperands`` lives while one table's reports are
+built: it computes each meet, each product and each meet's semiprime
+verdict once. Every stored value comes from this module's ``magnify``,
+``intersect``, ``if_product`` and ``check``, looked up at call time, so a
+patched layer still sees every call that is made.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .ifs import (
     IFSubset,
     ONE,
     ZERO,
+    _trusted,
     characteristic_pair,
     ifs_eq,
     ifs_leq,
@@ -167,7 +172,8 @@ def _random_subject(n: int, rng: random.Random) -> IFSubset:
             nu.append(Fraction(rng.randint(0, e), e) * (1 - m))
             mu.append(m)
         if any(mu):
-            return IFSubset(n, tuple(mu), tuple(nu))
+            # m in [0, 1] and nu = t * (1 - m) with t in [0, 1], so m + nu <= 1
+            return _trusted(n, tuple(mu), tuple(nu))
 
 
 def sample_ifs(carrier_order: int, spec: SampleSpec) -> Iterator[IFSubset]:
@@ -183,7 +189,8 @@ def sample_ifs(carrier_order: int, spec: SampleSpec) -> Iterator[IFSubset]:
         mu = tuple(p[0] for p in combo)
         if not any(mu):
             continue
-        yield IFSubset(carrier_order, mu, tuple(p[1] for p in combo))
+        # grid pairs have m + v <= 1
+        yield _trusted(carrier_order, mu, tuple(p[1] for p in combo))
     rng = random.Random(spec.seed)
     for _ in range(spec.random_count):
         yield _random_subject(carrier_order, rng)
@@ -546,9 +553,10 @@ def _one_table(tid: str, flag: str, S: Semigroup, spec: SampleSpec | None,
         for A in subjects:
             predicates._require_subject(S, A)
     state = _TaskState(_label(S, label), S, classify(S))
+    operands = _Operands(spec)
     if getattr(state.cls, flag):
-        _sweep([state], subjects, (tid,), spec)
-    (report,) = _finish_task(state, (tid,), _Operands(spec))
+        _sweep([state], subjects, (tid,), spec, operands)
+    (report,) = _finish_task(state, (tid,), operands)
     return report
 
 
@@ -557,23 +565,26 @@ def _one_table(tid: str, flag: str, S: Semigroup, spec: SampleSpec | None,
 
 
 class _Operands:
-    """The pair operands of one run, shared by every table and pair theorem.
+    """The sampled parameters and pair operands of one run, shared by the
+    sweep, every table and every pair theorem.
 
     Operands are interned by value, so equal subjects (a subject and its
     magnification by (1, 0), say) are one object and the identity keys
     here and in ``_TableOperands`` stand for values; the store holds every
     object it keys by identity. Each (operand, TransformParams) is
-    magnified once, through ``magnify``. A pair's sampled parameters depend
-    only on the smaller least non-membership of its two subjects, since
-    max_alpha(X, beta) = beta * min(X.nu) with beta > 0, so pairs share one
-    tuple of parameters. Nothing here depends on a semigroup.
+    magnified once, through ``magnify``. A subject's sampled parameters
+    depend only on its least non-membership, and a pair's on the smaller
+    least non-membership of its two subjects, since
+    max_alpha(X, beta) = beta * min(X.nu) with beta > 0, so the subjects
+    and pairs with one least non-membership share one tuple of parameters.
+    Nothing here depends on a semigroup.
     """
 
     def __init__(self, spec: SampleSpec | None = None):
         self.spec = spec or SampleSpec()
         self._operands: dict = {}  # IFSubset -> the stored one equal to it
         self._transforms: dict = {}  # TransformParams -> the stored one equal to it
-        self._params: dict = {}  # least nu of a pair -> its TransformParams
+        self._params: dict = {}  # least nu of a subject or pair -> its TransformParams
         self._magnified: dict = {}  # (id(operand), id(params)) -> (magnified, params)
 
     def operand(self, A: IFSubset) -> IFSubset:
@@ -581,7 +592,11 @@ class _Operands:
 
     def params(self, A: IFSubset, B: IFSubset) -> tuple[TransformParams, ...]:
         """Each sampled (beta, alpha) admissible for both subjects of a pair."""
-        low = min(min(A.nu), min(B.nu))
+        return self.sampled(min(min(A.nu), min(B.nu)))
+
+    def sampled(self, low: Fraction) -> tuple[TransformParams, ...]:
+        """Each sampled (beta, alpha), in sampling order, for a least
+        non-membership ``low``: a subject's variants, or a pair's."""
         found = self._params.get(low)
         if found is None:
             spec = self.spec
@@ -1007,21 +1022,24 @@ class _Patterns:
         return self._verdicts.setdefault(v, v)
 
 
-def _variants_for(A: IFSubset, spec: SampleSpec, patterns: _Patterns):
+def _variants_for(A: IFSubset, patterns: _Patterns, operands: _Operands):
     """(beta, alpha, pattern id) of each magnified variant, in sampling order."""
-    out = []
-    for beta in spec.beta_grid:
-        for alpha in alpha_samples(A, beta, spec.alpha_strategy):
-            A2 = magnify(A, TransformParams(beta, alpha))
-            out.append((beta, alpha, patterns.pattern(*predicates._scaled(A2))))
-    return tuple(out)
+    return tuple([
+        (params.beta, params.alpha,
+         patterns.pattern(*predicates._scaled(magnify(A, params))))
+        for params in operands.sampled(min(A.nu))
+    ])
 
 
-def _prepare(A: IFSubset, spec: SampleSpec, patterns: _Patterns, need_variants: bool):
+def _prepare(A: IFSubset, spec: SampleSpec, patterns: _Patterns, need_variants: bool,
+             operands: _Operands | None = None):
     """(subject, pattern id, indices of the variants to walk, variants),
-    shared by every semigroup of the subject's carrier order."""
+    shared by every semigroup of the subject's carrier order. The variants'
+    parameters come from the run's ``operands``, or a store of their own."""
     pid = patterns.pattern(*predicates._scaled(A))
-    variants = _variants_for(A, spec, patterns) if need_variants else ()
+    variants = (
+        _variants_for(A, patterns, operands or _Operands(spec)) if need_variants else ()
+    )
     return A, pid, patterns.walk(pid, variants), variants
 
 
@@ -1079,14 +1097,16 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
                     certs[th.tid] = cert
 
 
-def _sweep(group: list[_TaskState], subjects, tids, spec: SampleSpec) -> None:
+def _sweep(group: list[_TaskState], subjects, tids, spec: SampleSpec,
+           operands: _Operands) -> None:
     """Sweep a stream of subjects of one carrier order past its semigroups;
-    magnified variants are built only for the single-subject theorems."""
+    magnified variants are built only for the single-subject theorems, with
+    parameters from the run's ``operands``."""
     patterns = _Patterns()
     need_variants = any(tid in _THEOREMS for tid in tids)
     subjects = iter(subjects)
     while block := list(itertools.islice(subjects, _SUBJECT_CHUNK)):
-        chunk = [_prepare(A, spec, patterns, need_variants) for A in block]
+        chunk = [_prepare(A, spec, patterns, need_variants, operands) for A in block]
         for st in group:
             _sweep_chunk(st, chunk, tids, spec, patterns)
 
@@ -1160,10 +1180,10 @@ def run_suite(
     for st in states:
         by_order.setdefault(st.S.order, []).append(st)
 
-    for n, group in sorted(by_order.items()):
-        _sweep(group, sample_ifs(n, spec), tids, spec)
-
     operands = _Operands(spec)
+    for n, group in sorted(by_order.items()):
+        _sweep(group, sample_ifs(n, spec), tids, spec, operands)
+
     reports: list[VerificationReport] = []
     for st in states:
         reports.extend(_finish_task(st, tids, operands))

@@ -12,6 +12,19 @@ The alpha bound is taken over the whole carrier, so every output is a
 valid subject (nu never goes negative and the pointwise sum stays within
 beta <= 1). Translation and multiplication are the beta = 1 and alpha = 0
 faces of magnify.
+
+All three run one integer kernel, ``_affine``. With beta = p/q,
+alpha = r/s and a grade g = a/b, the images are
+
+  beta * g + alpha = (p*s*a + r*q*b) / (q*s*b)
+  beta * g - alpha = (p*s*a - r*q*b) / (q*s*b)
+
+each built as one ``Fraction`` from ints, which normalises it exactly.
+The denominator q*s*b is positive, so the nu image is negative exactly
+when its numerator is, that is when alpha > beta * g. The kernel's sign
+test on the nu numerators is therefore the exact alpha bound
+alpha <= beta * min(nu), and the bound itself is computed only to report
+a violation.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlphaOutOfRange, BetaOutOfRange
-from .ifs import IFSubset, ONE, _trusted
+from .ifs import IFSubset, ONE, ZERO, _trusted
 
 
 @dataclass(frozen=True)
@@ -49,39 +62,47 @@ def max_alpha(A: IFSubset, beta: Fraction) -> Fraction:
     return beta * min(A.nu)
 
 
+def _affine(A: IFSubset, beta: Fraction, alpha: Fraction) -> IFSubset | None:
+    """(beta * mu + alpha, beta * nu - alpha) for 0 <= beta <= 1 and
+    alpha >= 0, or None when alpha > beta * min(nu)."""
+    ps = beta.numerator * alpha.denominator
+    rq = alpha.numerator * beta.denominator
+    qs = beta.denominator * alpha.denominator
+    nu = []
+    for g in A.nu:
+        a, b = g.numerator, g.denominator
+        top = ps * a - rq * b
+        if top < 0:
+            return None
+        nu.append(Fraction(top, qs * b))
+    # with 0 <= alpha <= beta * min(nu) and beta <= 1, nu stays non-negative
+    # and mu + nu = beta * (mu + nu) <= 1 pointwise
+    return _trusted(
+        A.carrier_order,
+        tuple([Fraction(ps * g.numerator + rq * g.denominator, qs * g.denominator)
+               for g in A.mu]),
+        tuple(nu),
+    )
+
+
 def translate(A: IFSubset, alpha: Fraction) -> IFSubset:
     """Shift membership up and non-membership down by alpha."""
-    bound = min(A.nu)
-    if not 0 <= alpha <= bound:
-        raise AlphaOutOfRange(alpha, bound)
-    return IFSubset(
-        A.carrier_order,
-        tuple(m + alpha for m in A.mu),
-        tuple(v - alpha for v in A.nu),
-    )
+    out = _affine(A, ONE, alpha) if alpha >= 0 else None
+    if out is None:
+        raise AlphaOutOfRange(alpha, min(A.nu))
+    return out
 
 
 def multiply(A: IFSubset, beta: Fraction) -> IFSubset:
     """Scale both grade maps by beta."""
     if not 0 <= beta <= 1:
         raise BetaOutOfRange(beta, "[0, 1]")
-    return IFSubset(
-        A.carrier_order,
-        tuple(beta * m for m in A.mu),
-        tuple(beta * v for v in A.nu),
-    )
+    return _affine(A, beta, ZERO)
 
 
 def magnify(A: IFSubset, params: TransformParams) -> IFSubset:
     """Scale by beta, then shift membership up and non-membership down by alpha."""
-    beta, alpha = params.beta, params.alpha
-    bound = max_alpha(A, beta)
-    if alpha > bound:
-        raise AlphaOutOfRange(alpha, bound)
-    # with 0 <= alpha <= beta * min(nu) and beta <= 1, nu stays non-negative
-    # and mu + nu = beta * (mu + nu) <= 1 pointwise
-    return _trusted(
-        A.carrier_order,
-        tuple(beta * m + alpha for m in A.mu),
-        tuple(beta * v - alpha for v in A.nu),
-    )
+    out = _affine(A, params.beta, params.alpha)
+    if out is None:
+        raise AlphaOutOfRange(params.alpha, max_alpha(A, params.beta))
+    return out

@@ -1,15 +1,18 @@
-"""The pair phase's operand store against a store-free reference.
+"""The run's operand store against a store-free reference.
 
 The pair core takes its operands from a store: each subject and each
 magnified operand is interned by value, each (subject, TransformParams) is
 magnified once per run, a pair's sampled parameters are keyed by its least
 non-membership, and each table computes each meet, product and semiprime
-verdict of a meet once. These tests pin the call counts that sharing
-promises, check that a store which shares nothing gives the same reports,
-and reach the non-regular product witness's branch for a witness that
-satisfies the product law, which no correct run reaches.
+verdict of a meet once. The sweep takes each subject's variant parameters
+from the same store, keyed by the subject's least non-membership. These
+tests pin the call counts that sharing promises, check that a store which
+shares nothing gives the same reports, and reach the non-regular product
+witness's branch for a witness that satisfies the product law, which no
+correct run reaches.
 """
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +26,7 @@ from ifsemigroups import (
     enumerate_semigroups,
     multiply_subsets,
     run_suite,
+    sample_ifs,
 )
 from ifsemigroups import harness
 from ifsemigroups.predicates import FuzzyStructureKind as K
@@ -30,6 +34,7 @@ from ifsemigroups.transforms import TransformParams, max_alpha
 
 PAIR_IDS = ["semiprime_intersection", "product_bi_ideal", "product_one_two_ideal",
             "regular_product"]
+SINGLE_IDS = [tid for tid in harness.THEOREM_IDS if tid not in PAIR_IDS]
 
 
 def _counting(patch, name, calls):
@@ -136,6 +141,47 @@ def test_store_matches_store_free_reference(orders, spec, sabotage):
     assert stored == reports(sabotage, _store_free)
     if sabotage is not None:
         assert any(r.outcome == "counterexample" for r in stored)
+
+
+# the default sampling plan, and each other alpha strategy on the 1/2 grid,
+# where the library's order-4 tables sweep 1296 grid subjects, not 50625
+SWEEP_SPECS = [SampleSpec(random_count=16, seed=3, alpha_strategy="grid")] + [
+    SampleSpec(grade_grid_step=F(1, 2), random_count=16, seed=3, alpha_strategy=strategy)
+    for strategy in harness.ALPHA_STRATEGIES if strategy != "grid"
+]
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS, ids=lambda s: s.alpha_strategy)
+def test_sweep_magnifies_each_subject_once_per_sampled_params(monkeypatch, spec):
+    """The sweep's variants, with their parameters from the shared store,
+    are the ``alpha_samples`` of each swept subject, each magnified once."""
+    strategy = spec.alpha_strategy
+    calls, sweeping = [], []
+    true_sweep = harness._sweep
+
+    def sweep(*args):
+        sweeping.append(len(calls))
+        true_sweep(*args)
+        sweeping.append(len(calls))
+
+    monkeypatch.setattr(harness, "_sweep", sweep)
+    _counting(monkeypatch.setattr, "magnify", calls)
+    assert len(SINGLE_IDS) == 13
+    reports = run_suite([1, 2, 3], spec, SINGLE_IDS)
+    assert all(r.outcome == "verified" for r in reports)
+    # the converse witnesses and replays magnify outside the sweep
+    swept = [c for start, end in zip(sweeping[::2], sweeping[1::2])
+             for c in calls[start:end]]
+    orders = sorted({S.order for _, S in harness._suite_tasks([1, 2, 3], True)})
+    assert orders == [1, 2, 3, 4]
+    expected = (
+        (A, TransformParams(b, a))
+        for n in orders for A in sample_ifs(n, spec)
+        for b in spec.beta_grid for a in harness.alpha_samples(A, b, strategy)
+    )
+    assert swept
+    for got, want in itertools.zip_longest(swept, expected):
+        assert got == want
 
 
 def test_non_regular_witness_satisfying_the_product_law_is_reported(monkeypatch):

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ifsemigroups import (
@@ -16,7 +16,7 @@ from ifsemigroups import (
     translate,
 )
 
-from conftest import subjects
+from conftest import grades, subjects
 
 
 class TestMaxAlpha:
@@ -146,3 +146,60 @@ def test_grade_values_map_injectively(A, beta, t):
     out = magnify(A, TransformParams(beta, alpha))
     assert len(set(out.mu)) == len(set(A.mu))
     assert len(set(out.nu)) == len(set(A.nu))
+
+
+# the integer kernel of translate, multiply and magnify against Fraction
+# arithmetic written out here
+
+
+def _reference(A, beta, alpha):
+    return (tuple(beta * g + alpha for g in A.mu), tuple(beta * g - alpha for g in A.nu))
+
+
+positive = grades.filter(lambda g: g > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subjects(nonempty=False), positive, grades)
+def test_magnify_matches_the_fraction_reference(A, beta, t):
+    alpha = t * max_alpha(A, beta)
+    out = magnify(A, TransformParams(beta, alpha))
+    assert (out.mu, out.nu) == _reference(A, beta, alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subjects(nonempty=False), positive)
+def test_magnify_at_the_bound_matches_the_fraction_reference(A, beta):
+    alpha = max_alpha(A, beta)
+    out = magnify(A, TransformParams(beta, alpha))
+    assert (out.mu, out.nu) == _reference(A, beta, alpha)
+    assert min(out.nu) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(subjects(nonempty=False), positive, st.integers(min_value=1, max_value=10**9))
+def test_magnify_just_above_the_bound_raises_with_the_bound(A, beta, k):
+    bound = max_alpha(A, beta)
+    assume(bound < 1)
+    with pytest.raises(AlphaOutOfRange) as exc:
+        magnify(A, TransformParams(beta, bound + (1 - bound) / k))
+    assert exc.value.bound == bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(subjects(nonempty=False), grades)
+def test_translate_and_multiply_match_the_fraction_reference(A, t):
+    alpha = t * min(A.nu)
+    out = translate(A, alpha)
+    assert (out.mu, out.nu) == _reference(A, F(1), alpha)
+    out = multiply(A, t)
+    assert (out.mu, out.nu) == _reference(A, t, F(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(subjects(nonempty=False), positive)
+def test_translate_outside_its_bound_raises_with_the_least_nonmembership(A, excess):
+    for alpha in (-excess, min(A.nu) + excess):
+        with pytest.raises(AlphaOutOfRange) as exc:
+            translate(A, alpha)
+        assert exc.value.bound == min(A.nu)

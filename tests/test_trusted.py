@@ -1,9 +1,9 @@
 """Trusted construction: results built from valid subjects skip validation.
 
-``magnify`` (once its alpha bound holds), ``intersect`` and ``if_product``
-build their results without re-validating them, because each is valid by
-construction. These tests rebuild every such result through the validating
-constructor, and check that the public ways in (``IFSubset(...)``,
+``magnify`` (once its alpha bound holds), ``intersect``, ``if_product`` and
+``sample_ifs`` build their results without re-validating them, because each
+is valid by construction. These tests rebuild every such result through the
+validating constructor, and check that the public ways in (``IFSubset(...)``,
 ``validate_ifs``, ``parse_ifs`` and ``replay_certificate``) still reject
 bad grades.
 """
@@ -19,6 +19,7 @@ from ifsemigroups import (
     Certificate,
     GradeOutOfRange,
     IFSubset,
+    SampleSpec,
     SumConstraintViolation,
     TransformParams,
     builtin_library,
@@ -29,6 +30,7 @@ from ifsemigroups import (
     max_alpha,
     parse_ifs,
     replay_certificate,
+    sample_ifs,
     validate_ifs,
 )
 
@@ -84,6 +86,17 @@ def composable(draw):
 def test_product_output_passes_validation(case):
     out = if_product(*case)
     assert out == _revalidated(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sampled_subjects_pass_validation(n):
+    # the default 1/4 grid, then seeded random subjects
+    spec = SampleSpec(random_count=256, seed=n)
+    count = 0
+    for A in sample_ifs(n, spec):
+        assert A == _revalidated(A)
+        count += 1
+    assert count > spec.random_count
 
 
 @settings(max_examples=100, deadline=None)
