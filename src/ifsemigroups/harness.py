@@ -4,9 +4,12 @@ Every theorem is checked over enumerated semigroups (orders 1..3), the
 curated library, grid-sampled fuzzy subjects, and a small grid of
 transform parameters. A check either verifies (with exhaustion counters)
 or produces a certificate that replays to a concrete violation through
-the public predicate and transform APIs. Expected-failure exhibits (the
-converse witnesses of the characterization theorems, the non-regular
-product witnesses) are attached to verified reports as witnesses.
+the public predicate and transform APIs. The converse exhibits of the
+characterizations and of the product law share one helper: a witness
+that breaks its law, plainly and magnified, is attached to the verified
+report; one that does not is a counterexample claiming ``exhibit_failed``,
+a certificate field that ``--machine`` does not print. ``_report`` replays
+every certificate and witness.
 
 Each single-subject theorem is one ``_THEOREMS`` entry, run by both the
 suite sweep and the public check (its gates, then the entry's test). Each
@@ -234,6 +237,7 @@ class Certificate:
     kind: str | None = None
     points: tuple[int, ...] = ()
     detail: str = ""
+    exhibit_failed: bool = False  # claims a converse exhibit failed, not a law
 
 
 @dataclass(frozen=True)
@@ -261,7 +265,7 @@ def replay_certificate(cert: Certificate) -> bool:
     True iff the recorded violation is reproduced exactly: for
     counterexample certificates that means the theorem really fails on the
     recorded data; for converse witnesses it means the exhibited failure
-    is genuine.
+    is genuine; for a failed exhibit (``exhibit_failed``), that it fails.
     """
     S = Semigroup(len(cert.table), cert.table)
     A = _subject_of(cert, "a")
@@ -269,6 +273,9 @@ def replay_certificate(cert: Certificate) -> bool:
         TransformParams(cert.beta, cert.alpha) if cert.beta is not None else None
     )
     tid = cert.theorem_id
+    if cert.exhibit_failed and cert.alpha:
+        chis = (A,) if cert.mu_b is None else (A, _subject_of(cert, "b"))
+        return min(max_alpha(X, cert.beta) for X in chis) == cert.alpha
 
     if tid in EQUIV_THEOREMS:
         kind = EQUIV_THEOREMS[tid]
@@ -296,11 +303,11 @@ def replay_certificate(cert: Certificate) -> bool:
     if tid.startswith("char_"):
         relevant = FuzzyStructureKind(cert.kind)
         if not check(relevant, S, A):
-            return False
+            return cert.exhibit_failed
         A2 = magnify(A, params) if params is not None else A
         m = cert.points[0]
         m2 = S.table[m][m]
-        return A2.mu[m] < A2.mu[m2] or A2.nu[m] > A2.nu[m2]
+        return (A2.mu[m] < A2.mu[m2] or A2.nu[m] > A2.nu[m2]) != cert.exhibit_failed
     if tid in ("product_bi_ideal", "product_one_two_ideal"):
         B = _subject_of(cert, "b")
         A2, B2 = magnify(A, params), magnify(B, params)
@@ -324,7 +331,7 @@ def replay_certificate(cert: Certificate) -> bool:
         B = _subject_of(cert, "b")
         if params is not None:
             A, B = magnify(A, params), magnify(B, params)
-        return not ifs_eq(if_product(S, A, B), intersect(A, B))
+        return ifs_eq(if_product(S, A, B), intersect(A, B)) == cert.exhibit_failed
     return False
 
 
@@ -335,19 +342,17 @@ def _squares_fixed(S: Semigroup, A: IFSubset) -> bool:
     )
 
 
-def _verified(tid: str, label: str, subjects: int, skipped: int = 0,
-              witnesses: tuple[Certificate, ...] = ()) -> VerificationReport:
-    return VerificationReport(tid, label, 1, subjects, skipped, "verified", None, witnesses)
-
-
-def _report(tid: str, label: str, subjects: int, skipped: int,
-            cert: Certificate | None) -> VerificationReport:
-    """Verified without a certificate; refuted by one only once it replays."""
-    if cert is None:
-        return _verified(tid, label, subjects, skipped)
-    if not replay_certificate(cert):
+def _report(tid: str, label: str, subjects: int, skipped: int = 0,
+            cert: Certificate | None = None,
+            witnesses: tuple[Certificate, ...] = ()) -> VerificationReport:
+    """Verified without a certificate, refuted by one; every certificate and
+    converse witness is emitted only once it replays."""
+    if cert is not None and not replay_certificate(cert):
         raise AssertionError(f"unsound certificate for {tid}: does not replay")
-    return VerificationReport(tid, label, 1, subjects, skipped, "counterexample", cert)
+    if not all(map(replay_certificate, witnesses)):
+        raise AssertionError(f"converse witness for {tid} does not replay")
+    outcome = "verified" if cert is None else "counterexample"
+    return VerificationReport(tid, label, 1, subjects, skipped, outcome, cert, witnesses)
 
 
 def _label(S: Semigroup, label: str | None) -> str:
@@ -479,45 +484,26 @@ def check_archimedean_constant(
     return _check_single("archimedean_constant", S, A, params, label)
 
 
-def _converse_witness(
-    kind: str, S: Semigroup, spec: SampleSpec, name: str
-) -> tuple[Certificate | None, Certificate | None]:
-    """(witness, counterexample): the characteristic pair of the principal
-    ideal of m*m must be a relevant ideal whose magnified translation
-    violates a semiprime inequality at the gap element m. A returned
-    witness has been replayed."""
-    tid = f"char_{kind}"
-    relevant, principal = _CHAR_RELEVANT[kind]
-    m = regularity_gap(S, kind)
-    if m is None:
-        raise HypothesisNotMet("no regularity gap: the flag holds")
+def _converse_witness(kind: str, ops: _TableOperands, name: str):
+    """The exhibit of a characterization's converse: the characteristic pair
+    of the principal ideal of m*m must be a relevant ideal whose magnified
+    translation violates a semiprime inequality at the gap element m."""
+    S, (relevant, principal) = ops.S, _CHAR_RELEVANT[kind]
+    m = regularity_gap(S, kind)  # not None: classify's flag is "no gap"
     m2 = S.table[m][m]
     W = characteristic_pair(S.order, principal(S, m2))
-    cert = functools.partial(
-        Certificate, tid, name, S.table, W.mu, W.nu, kind=relevant.value, points=(m,)
-    )
+    cert = functools.partial(Certificate, f"char_{kind}", name, S.table, W.mu, W.nu,
+                             kind=relevant.value, points=(m,))
     if not check(relevant, S, W):
-        return None, cert(detail="principal-ideal witness fails the relevant ideal predicate")
-    witness: Certificate | None = None
-    for beta in spec.beta_grid:
-        # nu of the witness vanishes on the ideal, forcing a zero shift
-        shift = max_alpha(W, beta)
-        if shift != 0:
-            return None, cert(beta=beta, alpha=shift,
-                              detail=f"witness admits the non-zero shift {shift}")
-        W2 = magnify(W, TransformParams(beta, ZERO))
-        if not (W2.mu[m] < W2.mu[m2] or W2.nu[m] > W2.nu[m2]):
-            return None, cert(beta=beta, alpha=ZERO,
-                              detail="witness fails to violate the semiprime inequalities")
-        if witness is None:
-            witness = cert(beta=beta, alpha=ZERO, detail=(
-                f"characteristic pair of the principal ideal of {m2} is a "
-                f"{relevant.value} whose magnified translation breaks "
-                f"semiprimeness at {m}"
-            ))
-    if not replay_certificate(witness):
-        raise AssertionError(f"converse witness for {tid} does not replay")
-    return witness, None
+        return (), cert(exhibit_failed=True,
+                        detail="principal-ideal witness fails the relevant ideal predicate"), 0
+    return _exhibit(
+        ops, (W,), lambda X: X.mu[m] < X.mu[m2] or X.nu[m] > X.nu[m2], cert,
+        {"detail": f"characteristic pair of the principal ideal of {m2} is a "
+                   f"{relevant.value} whose magnified translation breaks "
+                   f"semiprimeness at {m}"},
+        {"detail": "witness fails to violate the semiprime inequalities"},
+    )
 
 
 def check_characterization(
@@ -556,7 +542,7 @@ def _one_table(tid: str, flag: str, S: Semigroup, spec: SampleSpec | None,
     operands = _Operands(spec)
     if getattr(state.cls, flag):
         _sweep([state], subjects, (tid,), spec, operands)
-    (report,) = _finish_task(state, (tid,), operands)
+    (report,) = _finish_task(state, (tid,), _TableOperands(S, operands))
     return report
 
 
@@ -816,7 +802,6 @@ def _regular_product(state: _TaskState, ops: _TableOperands) -> VerificationRepo
     core on the right and left ideals a sweep gated (regular) or the
     characteristic-pair witness (non-regular)."""
     S, name, regular = state.S, state.label, state.cls.regular
-    operands = ops.operands
     tid = "regular_product"
 
     crisp_rights, crisp_lefts = _crisp_one_sided_ideals(S)
@@ -835,39 +820,52 @@ def _regular_product(state: _TaskState, ops: _TableOperands) -> VerificationRepo
             detail="crisp product law disagrees with the regularity flag",
         )
         return _report(tid, name, crisp_pairs, 0, cert)
-    chi_r, chi_l = (operands.operand(characteristic_pair(S.order, X)) for X in crisp_gap)
-    chi_cert = functools.partial(
-        Certificate, tid, name, S.table, chi_r.mu, chi_r.nu, chi_l.mu, chi_l.nu
+    chi_r, chi_l = (characteristic_pair(S.order, X) for X in crisp_gap)
+    cert = functools.partial(
+        Certificate, tid, name, S.table, chi_r.mu, chi_r.nu, chi_l.mu, chi_l.nu, kind="fuzzy"
     )
     if regular:
         # flagged regular, yet a concrete pair breaks the law
-        cert = chi_cert(kind="crisp", detail="regular semigroup with RL != R n L")
-        return _report(tid, name, crisp_pairs, 0, cert)
+        return _report(tid, name, crisp_pairs, 0,
+                       cert(kind="crisp", detail="regular semigroup with RL != R n L"))
 
     # non-regular: the failing crisp pair yields a characteristic-pair witness
-    if _product_is_meet(ops, chi_r, chi_l):
-        cert = chi_cert(
-            kind="fuzzy", detail="characteristic witness unexpectedly satisfies the product law"
-        )
-        return VerificationReport(tid, name, 1, crisp_pairs, 0, "counterexample", cert)
-    wit = chi_cert(
-        kind="fuzzy", detail="characteristic pair of a failing crisp pair breaks the product law"
+    witnesses, bad, tested = _exhibit(
+        ops, (chi_r, chi_l), lambda R, L: not _product_is_meet(ops, R, L), cert,
+        {"detail": "characteristic pair of a failing crisp pair breaks the product law"},
+        {"kind": "magnified",
+         "detail": "magnified witness unexpectedly satisfies the product law"},
+        {"detail": "characteristic witness unexpectedly satisfies the product law"},
     )
-    if not replay_certificate(wit):
-        raise AssertionError("non-regular product witness does not replay")
-    checked = crisp_pairs + 1
-    # both witnesses have vanishing nu somewhere, so each sampled beta comes
-    # with the single shift zero
-    for params in operands.params(chi_r, chi_l):
-        checked += 1
-        if _product_is_meet(ops, operands.magnified(chi_r, params),
-                            operands.magnified(chi_l, params)):
-            cert = chi_cert(
-                beta=params.beta, alpha=params.alpha, kind="magnified",
-                detail="magnified witness unexpectedly satisfies the product law",
-            )
-            return VerificationReport(tid, name, 1, checked, 0, "counterexample", cert)
-    return _verified(tid, name, checked, 0, witnesses=(wit,))
+    return _report(tid, name, crisp_pairs + tested, 0, bad, witnesses)
+
+
+def _exhibit(ops: _TableOperands, chis: tuple[IFSubset, ...], breaks: Callable,
+             cert: Callable, witness: dict, magnified: dict, plain: dict | None = None):
+    """(witnesses, counterexample, cases tested) of a converse exhibit: the
+    characteristic pair(s) ``chis`` must break a law, ``breaks(*chis)``.
+    They are tested plainly when ``plain`` gives the fields of that failure,
+    then magnified under each (beta, alpha) the run samples for them, whose
+    vanishing nu forces alpha = 0. ``cert`` completes the certificate fields;
+    a failure's certificate claims ``exhibit_failed``. The witness is the
+    first case tested; ``_report`` replays it."""
+    store = ops.operands
+    chis = tuple(store.operand(X) for X in chis)
+    failed = functools.partial(cert, exhibit_failed=True)
+    sampled = store.params(chis[0], chis[-1])
+    if plain is not None and not breaks(*chis):
+        return (), failed(**plain), 0
+    tested = int(plain is not None)  # the plain case, which passed
+    for params in sampled:
+        tested += 1
+        shift = min(max_alpha(X, params.beta) for X in chis)
+        if shift != 0:
+            return (), failed(beta=params.beta, alpha=shift,
+                              detail=f"witness admits the non-zero shift {shift}"), tested
+        if not breaks(*(store.magnified(X, params) for X in chis)):
+            return (), failed(beta=params.beta, alpha=params.alpha, **magnified), tested
+    first = {} if plain is not None else {"beta": sampled[0].beta, "alpha": sampled[0].alpha}
+    return (cert(**first, **witness),), None, tested
 
 
 # ---------------------------------------------------------------------------
@@ -1111,28 +1109,25 @@ def _sweep(group: list[_TaskState], subjects, tids, spec: SampleSpec,
             _sweep_chunk(st, chunk, tids, spec, patterns)
 
 
-def _theorem_report(th: _Theorem, state: _TaskState, spec: SampleSpec) -> VerificationReport:
-    """A single-subject theorem's report from one semigroup's sweep."""
+def _theorem_report(th: _Theorem, state: _TaskState, ops: _TableOperands) -> VerificationReport:
+    """A single-subject theorem's report from one table's sweep, or its converse exhibit."""
     label, n = state.label, state.subjects
     if th.hypothesis is not None and not getattr(state.cls, th.hypothesis):
         if th.hypothesis not in _CHAR_RELEVANT:
-            return _verified(th.tid, label, 0, n)
-        witness, bad = _converse_witness(th.hypothesis, state.S, spec, label)
-        if bad is not None:
-            return VerificationReport(th.tid, label, 1, 1, 0, "counterexample", bad)
-        return _verified(th.tid, label, 1, witnesses=(witness,))
+            return _report(th.tid, label, 0, n)
+        witnesses, bad, _ = _converse_witness(th.hypothesis, ops, label)
+        return _report(th.tid, label, 1, 0, bad, witnesses)
     held = n if th.precondition is None else state.held(th.precondition)
     return _report(th.tid, label, held, n - held, state.certs.get(th.tid))
 
 
-def _finish_task(state: _TaskState, tids, operands: _Operands) -> list[VerificationReport]:
+def _finish_task(state: _TaskState, tids, ops: _TableOperands) -> list[VerificationReport]:
     """Report assembly: the swept theorems, then the pair theorems on the
     passers, sharing one table's meets and products."""
-    ops = _TableOperands(state.S, operands)
     reports: list[VerificationReport] = []
     for tid in tids:
         if tid in _THEOREMS:
-            reports.append(_theorem_report(_THEOREMS[tid], state, operands.spec))
+            reports.append(_theorem_report(_THEOREMS[tid], state, ops))
         elif tid == "regular_product":
             reports.append(_regular_product(state, ops))
         else:
@@ -1146,7 +1141,7 @@ def _pairs_report(state: _TaskState, ops: _TableOperands, tid: str,
     gated for it, counted on top of ``checked``."""
     th, label, operands = _PAIR_THEOREMS[tid], state.label, ops.operands
     if not th.holds(state.cls):
-        return _verified(tid, label, 0, state.subjects)
+        return _report(tid, label, 0, state.subjects)
     skipped = state.subjects - state.held(*th.positions)
     for A, B in th.pairs(state.passers, operands):
         if th.skip_empty and not is_nonempty(ops.meet(A, B)):
@@ -1156,7 +1151,7 @@ def _pairs_report(state: _TaskState, ops: _TableOperands, tid: str,
         cert = th.failure(ops, A, B, operands.params(A, B), label)
         if cert is not None:
             return _report(tid, label, checked, skipped, cert)
-    return _verified(tid, label, checked, skipped)
+    return _report(tid, label, checked, skipped)
 
 
 def run_suite(
@@ -1186,5 +1181,5 @@ def run_suite(
 
     reports: list[VerificationReport] = []
     for st in states:
-        reports.extend(_finish_task(st, tids, operands))
+        reports.extend(_finish_task(st, tids, _TableOperands(st.S, operands)))
     return reports

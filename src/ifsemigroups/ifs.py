@@ -10,6 +10,7 @@ would manufacture false counterexamples.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +26,11 @@ from .semigroups import ElementSubset
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# Fraction expands a decimal exponent e to 10**|e| before any range check;
+# int()'s digit limit, which already bounds 'p/q' and plain decimals, bounds e.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
 
 def as_grade(value, point="grade") -> Fraction:
     """Coerce a string/int/Fraction to an exact grade in [0, 1].
@@ -38,6 +44,9 @@ def as_grade(value, point="grade") -> Fraction:
             f"refusing float {value!r}: pass a string or Fraction for an exact grade"
         )
     try:
+        exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+        if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+            raise ParseError(f"exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude")
         g = Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"cannot parse {value!r} as an exact rational") from None

@@ -232,3 +232,9 @@ class TestRoundTrips:
         for name in ("leftzero3", "cyclic4", "chain4"):
             S = library_entry(name).semigroup
             assert parse_cayley(format_cayley(S)) == S
+
+
+def test_huge_grade_exponent_is_a_one_line_error(worked_file, capsys):
+    assert main(["transform", worked_file, "--beta", "1e-4301", "--alpha", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: exponent of '1e-4301'") and err.count("\n") == 1

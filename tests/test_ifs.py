@@ -48,6 +48,15 @@ class TestGrades:
         with pytest.raises(ParseError):
             as_grade("one half")
 
+    def test_exponent_is_bounded_before_expansion(self):
+        # Fraction would build 10**|e| first; int()'s 4300-digit limit is the bound
+        assert as_grade("1e-2") == F(1, 100)
+        assert as_grade("25E-2") == F(1, 4)
+        assert as_grade("1e-4300") == F(1, 10**4300)
+        for text in ("1e-4301", "1e4301", "1e-999999999", "0.5E+999999999"):
+            with pytest.raises(ParseError, match="exponent"):
+                as_grade(text)
+
 
 class TestValidateIfs:
     def test_worked_example_grades_valid(self, worked_subject):
