@@ -21,11 +21,13 @@ their gates.
 
 The suite runner shares work but never changes what is evaluated. Subject
 profiles evaluate through the same scan code as the public predicates, on
-order-isomorphic integer views of the exact grades. The sweep builds each
-subject's magnified variants once and hands them to every semigroup of
-that carrier order. Every predicate compares mu only with mu and nu only
-with nu, so a view's verdicts depend only on the weak order of each grade
-map: each semigroup decides each such pattern once.
+the exact integer view each subject carries (``IFSubset.view``: a
+magnified variant gets its view from ``magnify``, a sampled subject
+computes its own once). The sweep builds each subject's magnified variants
+once and hands them to every semigroup of that carrier order. Every
+predicate compares mu only with mu and nu only with nu, so a view's
+verdicts depend only on the weak order of each grade map: each semigroup
+decides each such pattern once.
 
 The pair theorems take their operands from a store with two scopes.
 ``_Operands`` lives for one run (a ``run_suite`` call, or one public pair
@@ -442,12 +444,12 @@ def _check_single(tid: str, S: Semigroup, A: IFSubset, params: TransformParams,
         raise th.refusal[0](th.refusal[1])
     predicates._require_subject(S, A)
     idx = predicates._scan_index(S)
-    v = _verdict(idx, *predicates._scaled(A))
+    v = _verdict(idx, *A.view[1:])
     if th.precondition is not None and not v[0][th.precondition]:
         raise PreconditionNotMet(
             f"subject is not a {KIND_ORDER[th.precondition].value} ideal"
         )
-    w = _verdict(idx, *predicates._scaled(magnify(A, params)))
+    w = _verdict(idx, *magnify(A, params).view[1:])
     name = _label(S, label)
     return _report(tid, name, 1, 0, th.failure(name, S.table, A, params.beta, params.alpha, v, w))
 
@@ -1024,7 +1026,7 @@ def _variants_for(A: IFSubset, patterns: _Patterns, operands: _Operands):
     """(beta, alpha, pattern id) of each magnified variant, in sampling order."""
     return tuple([
         (params.beta, params.alpha,
-         patterns.pattern(*predicates._scaled(magnify(A, params))))
+         patterns.pattern(*magnify(A, params).view[1:]))
         for params in operands.sampled(min(A.nu))
     ])
 
@@ -1034,7 +1036,7 @@ def _prepare(A: IFSubset, spec: SampleSpec, patterns: _Patterns, need_variants: 
     """(subject, pattern id, indices of the variants to walk, variants),
     shared by every semigroup of the subject's carrier order. The variants'
     parameters come from the run's ``operands``, or a store of their own."""
-    pid = patterns.pattern(*predicates._scaled(A))
+    pid = patterns.pattern(*A.view[1:])
     variants = (
         _variants_for(A, patterns, operands or _Operands(spec)) if need_variants else ()
     )

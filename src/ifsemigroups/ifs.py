@@ -5,13 +5,29 @@ point. All grades are ``fractions.Fraction``; equality and ordering are
 exact, never tolerance-based, because the properties we check downstream
 are equalities and inequalities of sup/min expressions where any rounding
 would manufacture false counterexamples.
+
+Every subject also carries one exact integer view, ``A.view``:
+(den, mu ints, nu ints) with each grade equal to ``Fraction(k, den)``.
+The theorems only compare grades and never compute with a compared
+result, so the lattice operations, the products and the predicate scans
+decide on the view's ints. It is derived state, not a field: equality,
+hashing, ``repr``, ``fields()`` and ``replace()`` ignore it. A subject
+built from outside data (``IFSubset(...)``, ``validate_ifs``, ``parse_ifs``
+or ``sample_ifs``) computes it from its Fractions on first use, over the
+least common denominator, once per object. The library's own operations
+(``transforms._affine``, ``intersect`` and ``composition.if_product``)
+derive the result's view from their operands' views and pass it to
+``_trusted`` with the grades.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -81,15 +97,44 @@ class IFSubset:
             ):
                 raise SumConstraintViolation(x, m + v)
 
+    @cached_property
+    def view(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(den, mu ints, nu ints): every grade is ``Fraction(k, den)``."""
+        den = math.lcm(*[g.denominator for g in self.mu + self.nu])
+        return (
+            den,
+            tuple([g.numerator * (den // g.denominator) for g in self.mu]),
+            tuple([g.numerator * (den // g.denominator) for g in self.nu]),
+        )
 
-def _trusted(carrier_order: int, mu: tuple, nu: tuple) -> IFSubset:
+
+def _trusted(carrier_order: int, mu: tuple, nu: tuple, view: tuple | None = None) -> IFSubset:
     """An IFSubset built without validation, for results the library derives
     from valid subjects in ways that keep them valid (meets, products,
-    admissible magnifications). Everything built from outside data goes
-    through the validating constructor."""
+    admissible magnifications), with the result's integer view when the
+    caller has it. Everything built from outside data goes through the
+    validating constructor."""
     A = object.__new__(IFSubset)
     vars(A).update(carrier_order=carrier_order, mu=mu, nu=nu)
+    if view is not None:
+        vars(A)["view"] = view
     return A
+
+
+def _common_views(A: IFSubset, B: IFSubset):
+    """(den, mu_A, nu_A, mu_B, nu_B): both views over one denominator."""
+    da, mu_a, nu_a = A.view
+    db, mu_b, nu_b = B.view
+    if da == db:
+        return da, mu_a, nu_a, mu_b, nu_b
+    den = math.lcm(da, db)
+    if den != da:
+        k = den // da
+        mu_a, nu_a = tuple([m * k for m in mu_a]), tuple([v * k for v in nu_a])
+    if den != db:
+        k = den // db
+        mu_b, nu_b = tuple([m * k for m in mu_b]), tuple([v * k for v in nu_b])
+    return den, mu_a, nu_a, mu_b, nu_b
 
 
 def validate_ifs(carrier_order: int, mu, nu) -> IFSubset:
@@ -109,14 +154,14 @@ def _same_carrier(A: IFSubset, B: IFSubset) -> None:
 def ifs_leq(A: IFSubset, B: IFSubset) -> bool:
     """Containment: mu_A <= mu_B and nu_A >= nu_B pointwise."""
     _same_carrier(A, B)
-    return all(a <= b for a, b in zip(A.mu, B.mu)) and all(
-        a >= b for a, b in zip(A.nu, B.nu)
-    )
+    _, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
+    return all(map(operator.le, mu_a, mu_b)) and all(map(operator.ge, nu_a, nu_b))
 
 
 def ifs_eq(A: IFSubset, B: IFSubset) -> bool:
     _same_carrier(A, B)
-    return A.mu == B.mu and A.nu == B.nu
+    _, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
+    return mu_a == mu_b and nu_a == nu_b
 
 
 def complement(A: IFSubset) -> IFSubset:
@@ -127,12 +172,24 @@ def complement(A: IFSubset) -> IFSubset:
 def intersect(A: IFSubset, B: IFSubset) -> IFSubset:
     """Pointwise min on mu, max on nu."""
     _same_carrier(A, B)
+    den, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
+    mu, mu_k, nu, nu_k = [], [], [], []
+    for a, b, f, g in zip(mu_a, mu_b, A.mu, B.mu):
+        if a <= b:
+            mu.append(f)
+            mu_k.append(a)
+        else:
+            mu.append(g)
+            mu_k.append(b)
+    for a, b, f, g in zip(nu_a, nu_b, A.nu, B.nu):
+        if a >= b:
+            nu.append(f)
+            nu_k.append(a)
+        else:
+            nu.append(g)
+            nu_k.append(b)
     # min(a, b) + max(c, d) <= a + c or b + d, so the meet stays valid
-    return _trusted(
-        A.carrier_order,
-        tuple(min(a, b) for a, b in zip(A.mu, B.mu)),
-        tuple(max(a, b) for a, b in zip(A.nu, B.nu)),
-    )
+    return _trusted(A.carrier_order, tuple(mu), tuple(nu), (den, tuple(mu_k), tuple(nu_k)))
 
 
 def union(A: IFSubset, B: IFSubset) -> IFSubset:
@@ -158,12 +215,13 @@ def characteristic_pair(carrier_order: int, A: ElementSubset) -> IFSubset:
 
 def is_nonempty(A: IFSubset) -> bool:
     """Non-empty means the membership map is somewhere positive."""
-    return any(m > 0 for m in A.mu)
+    return any(A.view[1])
 
 
 def is_constant(A: IFSubset) -> bool:
     """Both grade maps take a single value across the carrier."""
-    return len(set(A.mu)) <= 1 and len(set(A.nu)) <= 1
+    _, mu, nu = A.view
+    return len(set(mu)) <= 1 and len(set(nu)) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,16 @@ The scan index keeps, per stage and in lexicographic order of the points,
 only the first points for each (site, argument points): the inequality
 depends on nothing else. Scans test the mu inequality before the nu
 inequality, so the reported violation is the lexicographically first
-one. The scans only compare values, which lets the batch harness run them
-on order-isomorphic integer views of the exact grades; public entry
-points work on the Fractions directly. ``replay_violation`` recomputes a
-reported violation from the formulas above, without ``_STAGES``.
+one. The scans only compare values, so every entry point runs them on
+the subject's exact integer view (``IFSubset.view``); a reported
+violation's sides are read from its Fractions. ``replay_violation``
+recomputes a reported violation from the formulas above, on the
+Fractions and without ``_STAGES``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -173,18 +173,6 @@ def _profile_from(idx, mu, nu) -> tuple[bool, ...]:
     return (sub, bi, one_two, left, right, ideal, semi)
 
 
-def _scaled(A: IFSubset) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Order-isomorphic integer view: all grades over one common denominator."""
-    den = 1
-    for f in A.mu:
-        den = math.lcm(den, f.denominator)
-    for f in A.nu:
-        den = math.lcm(den, f.denominator)
-    mu = tuple(f.numerator * (den // f.denominator) for f in A.mu)
-    nu = tuple(f.numerator * (den // f.denominator) for f in A.nu)
-    return mu, nu
-
-
 def _require_subject(S: Semigroup, A: IFSubset) -> None:
     if A.carrier_order != S.order:
         raise CarrierMismatch("subject carrier does not match semigroup order")
@@ -207,14 +195,14 @@ _KIND_STAGES = {
 def _violation_of(kind, stages, S: Semigroup, A: IFSubset) -> Violation | None:
     """The first violation over the stages in turn, with exact Fraction sides."""
     idx = _scan_index(S)
+    _, mu, nu = A.view
     for stage in stages:
-        hit = _STAGES[stage][0](idx[stage], A.mu, A.nu)
+        hit = _STAGES[stage][0](idx[stage], mu, nu)
         if hit is not None:
             t, component = hit
-            vals = A.mu if component == "mu" else A.nu
-            agg = min if component == "mu" else max
+            vals, ints, agg = (A.mu, mu, min) if component == "mu" else (A.nu, nu, max)
             p = t[0]
-            rhs = agg(vals[a] for a in t[1:])
+            rhs = vals[agg(t[1:], key=ints.__getitem__)]
             return Violation(kind, stage, component, idx[stage][t], p, vals[p], rhs)
     return None
 
@@ -239,7 +227,7 @@ def check(kind: FuzzyStructureKind, S: Semigroup, A: IFSubset) -> bool:
 def profile(S: Semigroup, A: IFSubset) -> dict[FuzzyStructureKind, bool]:
     """All seven properties at once, sharing the scan work."""
     _require_subject(S, A)
-    flags = _profile_from(_scan_index(S), *_scaled(A))
+    flags = _profile_from(_scan_index(S), *A.view[1:])
     return dict(zip(KIND_ORDER, flags))
 
 

@@ -13,18 +13,20 @@ valid subject (nu never goes negative and the pointwise sum stays within
 beta <= 1). Translation and multiplication are the beta = 1 and alpha = 0
 faces of magnify.
 
-All three run one integer kernel, ``_affine``. With beta = p/q,
-alpha = r/s and a grade g = a/b, the images are
+All three run one integer kernel, ``_affine``, on the subject's integer
+view (den, mu ints, nu ints). With beta = p/q, alpha = r/s and a grade
+g = k/den, the images are
 
-  beta * g + alpha = (p*s*a + r*q*b) / (q*s*b)
-  beta * g - alpha = (p*s*a - r*q*b) / (q*s*b)
+  beta * g + alpha = (p*s*k + r*q*den) / (q*s*den)
+  beta * g - alpha = (p*s*k - r*q*den) / (q*s*den)
 
-each built as one ``Fraction`` from ints, which normalises it exactly.
-The denominator q*s*b is positive, so the nu image is negative exactly
-when its numerator is, that is when alpha > beta * g. The kernel's sign
-test on the nu numerators is therefore the exact alpha bound
-alpha <= beta * min(nu), and the bound itself is computed only to report
-a violation.
+so the result's view is (q*s*den, p*s*k + r*q*den, p*s*k - r*q*den), and
+each image grade is one ``Fraction`` built from those ints, which
+normalises it exactly. The denominator q*s*den is positive, so the nu
+image is negative exactly when its numerator is, that is when
+alpha > beta * g. The kernel's sign test on the nu numerators is
+therefore the exact alpha bound alpha <= beta * min(nu), and the bound
+itself is computed only to report a violation.
 """
 
 from __future__ import annotations
@@ -65,23 +67,21 @@ def max_alpha(A: IFSubset, beta: Fraction) -> Fraction:
 def _affine(A: IFSubset, beta: Fraction, alpha: Fraction) -> IFSubset | None:
     """(beta * mu + alpha, beta * nu - alpha) for 0 <= beta <= 1 and
     alpha >= 0, or None when alpha > beta * min(nu)."""
+    den, mu, nu = A.view
     ps = beta.numerator * alpha.denominator
-    rq = alpha.numerator * beta.denominator
-    qs = beta.denominator * alpha.denominator
-    nu = []
-    for g in A.nu:
-        a, b = g.numerator, g.denominator
-        top = ps * a - rq * b
-        if top < 0:
-            return None
-        nu.append(Fraction(top, qs * b))
+    shift = alpha.numerator * beta.denominator * den
+    out_den = beta.denominator * alpha.denominator * den
+    nu_out = [ps * k - shift for k in nu]
+    if min(nu_out, default=0) < 0:
+        return None
+    mu_out = [ps * k + shift for k in mu]
     # with 0 <= alpha <= beta * min(nu) and beta <= 1, nu stays non-negative
     # and mu + nu = beta * (mu + nu) <= 1 pointwise
     return _trusted(
         A.carrier_order,
-        tuple([Fraction(ps * g.numerator + rq * g.denominator, qs * g.denominator)
-               for g in A.mu]),
-        tuple(nu),
+        tuple([Fraction(k, out_den) for k in mu_out]),
+        tuple([Fraction(k, out_den) for k in nu_out]),
+        (out_den, tuple(mu_out), tuple(nu_out)),
     )
 
 

@@ -8,6 +8,7 @@ grade map separately changes no verdict.
 """
 
 import functools
+import math
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -42,6 +43,14 @@ TABLES = [S for n in (1, 2, 3) for S in enumerate_semigroups(n)]
 SPEC = SampleSpec(random_count=64, seed=11)
 
 
+def _own_view(A):
+    """A's grades over their least common denominator, computed here from
+    its Fractions rather than taken from the view it carries."""
+    den = math.lcm(*[g.denominator for g in A.mu + A.nu])
+    return (tuple(g.numerator * (den // g.denominator) for g in A.mu),
+            tuple(g.numerator * (den // g.denominator) for g in A.nu))
+
+
 class _Oracle:
     """The sweep's verdict on one subject, recomputed from its own grades: the
     flags through the public ``profile``, the square and constant tests
@@ -49,7 +58,7 @@ class _Oracle:
 
     def __init__(self, A):
         self.A = A
-        self.mu, self.nu = predicates._scaled(A)
+        self.mu, self.nu = _own_view(A)
         self.constant = is_constant(A)
 
     def on(self, S):

@@ -25,6 +25,7 @@ from ifsemigroups import (
     replay_violation,
     sample_ifs,
     semiprime_inequalities_hold,
+    Violation,
 )
 
 from conftest import small_semigroups, subjects
@@ -254,3 +255,27 @@ def test_deduplicated_scans_match_naive_scan():
             got = v and (v.stage, v.component, v.points, v.site, v.lhs, v.rhs)
             assert got == firsts["semiprime"]
     assert violations > 0 and mutants > 0
+
+
+def test_violations_match_a_fraction_scan():
+    # find_violation scans the subject's integer view and reads the sides
+    # from its Fractions: the whole Violation must equal a Fraction-level scan
+    spec = SampleSpec(grade_grid_step=F(1, 2), random_count=64, seed=29)
+    found = 0
+    for n in (1, 2, 3):
+        subjects_n = list(sample_ifs(n, spec))
+        for S in enumerate_semigroups(n):
+            for A in subjects_n:
+                firsts = {stage: naive_first_violation(S, A, stage) for stage in NAIVE_STAGES}
+                for kind in ALL_KINDS:
+                    expected = next(
+                        (Violation(kind, *firsts[st]) for st in NAIVE_KIND_STAGES[kind]
+                         if firsts[st]), None
+                    )
+                    v = find_violation(kind, S, A)
+                    assert v == expected, (S.table, A, kind)
+                    if v is not None:
+                        assert type(v.lhs) is F and type(v.rhs) is F
+                        assert replay_violation(S, A, v)
+                        found += 1
+    assert found > 0
