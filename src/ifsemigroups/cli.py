@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import AlphaOutOfRange, IfsgError
+from .errors import AlphaOutOfRange, IfsgError, ParseError
 from .harness import SampleSpec, VerificationReport, run_suite
 from .composition import if_product
 from .ifs import as_grade, format_ifs, parse_ifs
@@ -32,8 +32,11 @@ _COUNTEREXAMPLE = 1
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 ({exc.reason} at byte {exc.start}): {path}") from None
 
 
 def _load_cayley(path: str):

@@ -39,10 +39,17 @@ non-membership too, so the sweep's variants and the pairs share one
 parameter store: the parameters of each least non-membership are built once
 per run, and the sweep still magnifies every subject under every one of its
 sampled parameters. ``_TableOperands`` lives while one table's reports are
-built: it computes each meet, each product and each meet's semiprime
-verdict once. Every stored value comes from this module's ``magnify``,
-``intersect``, ``if_product`` and ``check``, looked up at call time, so a
-patched layer still sees every call that is made.
+built: it computes each meet and each product of two operands once. Every
+stored value comes from this module's ``magnify``, ``intersect`` and
+``if_product``, looked up at call time, so a patched layer still sees every
+call that is made.
+
+Each memo pays (lookups / builds on the ``pairs`` workload, seed 10): the
+run's magnified operands 97 664 / 592 and parameters 10 882 / 4, a table's
+meets 59 300 / 27 406 and products 52 300 / 20 062, and the interned
+verdicts 12 842 / 41 (without them ``sweep``'s peak RSS rose from 26.6 to
+29.9 MB). Operand interning builds each magnified operand and product once.
+Interning meets and storing their semiprime verdicts cost more than it saved.
 """
 
 from __future__ import annotations
@@ -579,8 +586,13 @@ class _Operands:
         return self._operands.setdefault(A, A)
 
     def params(self, A: IFSubset, B: IFSubset) -> tuple[TransformParams, ...]:
-        """Each sampled (beta, alpha) admissible for both subjects of a pair."""
-        return self.sampled(min(min(A.nu), min(B.nu)))
+        """Each sampled (beta, alpha) admissible for both subjects of a pair,
+        keyed by the smaller least non-membership, picked on the views."""
+        da, _, nu_a = A.view
+        db, _, nu_b = B.view
+        if min(nu_a) * db > min(nu_b) * da:
+            A, nu_a = B, nu_b
+        return self.sampled(A.nu[nu_a.index(min(nu_a))])
 
     def sampled(self, low: Fraction) -> tuple[TransformParams, ...]:
         """Each sampled (beta, alpha), in sampling order, for a least
@@ -607,33 +619,22 @@ class _Operands:
 
 class _TableOperands:
     """Meets and products of stored operands over one semigroup, each
-    computed once through ``intersect`` and ``if_product``, and the
-    semiprime verdict of each distinct meet, through ``check``. The plain
-    and magnified laws, the empty-meet test and every pair theorem of the
-    table share them; the suite drops them once the table's reports are
-    done. Meets are interned by value, like the operands."""
+    computed once through ``intersect`` and ``if_product``. The plain and
+    magnified laws, the empty-meet test and every pair theorem of the table
+    share them; the suite drops them once the table's reports are done.
+    Meets are not interned: equal meets of two pairs are two objects."""
 
     def __init__(self, S: Semigroup, operands: _Operands):
         self.S = S
         self.operands = operands
         self._meets: dict = {}  # (id(X), id(Y)) -> intersect(X, Y)
-        self._meet_values: dict = {}  # meet -> the stored one equal to it
-        self._semiprime: dict = {}  # id(stored meet) -> its semiprime verdict
         self._products: dict = {}  # (id(X), id(Y)) -> if_product(S, X, Y)
 
     def meet(self, X: IFSubset, Y: IFSubset) -> IFSubset:
         key = (id(X), id(Y))
         found = self._meets.get(key)
         if found is None:
-            I = intersect(X, Y)
-            found = self._meets[key] = self._meet_values.setdefault(I, I)
-        return found
-
-    def semiprime(self, I: IFSubset) -> bool:
-        """``check(SEMIPRIME, S, I)`` for a meet returned by ``meet``."""
-        found = self._semiprime.get(id(I))
-        if found is None:
-            found = self._semiprime[id(I)] = check(K.SEMIPRIME, self.S, I)
+            found = self._meets[key] = intersect(X, Y)
         return found
 
     def product(self, X: IFSubset, Y: IFSubset) -> IFSubset:
@@ -645,7 +646,7 @@ class _TableOperands:
 
 
 def _semiprime_meet(ops: _TableOperands, A: IFSubset, B: IFSubset) -> bool:
-    return ops.semiprime(ops.meet(A, B))
+    return check(K.SEMIPRIME, ops.S, ops.meet(A, B))
 
 
 def _meet_inside_products(ops: _TableOperands, A: IFSubset, B: IFSubset) -> bool:
@@ -916,22 +917,22 @@ class _TaskState:
     S: Semigroup
     cls: Classification
     certs: dict = field(default_factory=dict)  # tid -> first Certificate
-    # pattern id -> verdict on this semigroup (None until first needed), and
-    # the number of swept subjects with that pattern
+    # pattern id -> verdict on this semigroup, and the number of swept subjects
+    # with it (the carrier order's ``_Patterns.counts``, shared by its tables)
     verdicts: list = field(default_factory=list)
-    counts: list = field(default_factory=list)
+    order_counts: list = field(default_factory=list)
     # profile position -> the first subjects passing it, capped, for the pair theorems
     passers: list = field(default_factory=lambda: [[] for _ in KIND_ORDER])
 
     @property
     def subjects(self) -> int:
-        return sum(self.counts)
+        return sum(self.order_counts)
 
     def held(self, *positions: int) -> int:
         """Swept subjects passing any of the given profile positions."""
         return sum(
-            c for c, v in zip(self.counts, self.verdicts)
-            if c and any(v[0][pos] for pos in positions)
+            c for c, v in zip(self.order_counts, self.verdicts)
+            if any(v[0][pos] for pos in positions)
         )
 
 
@@ -986,8 +987,10 @@ class _Patterns:
     A view's pattern is the weak order of its mu and of its nu. The scans
     compare mu only with mu and nu only with nu, so views sharing a pattern
     share their verdict on every semigroup; each pattern keeps the first
-    view seen with it to compute that verdict from. Verdicts are interned
-    here so that the semigroups of one order share the few distinct ones.
+    view seen with it to compute that verdict from, and the number of swept
+    subjects with it, which every semigroup of the order shares. Verdicts
+    are interned here so that the semigroups of one order share the few
+    distinct ones.
 
     Every semigroup of the order meets the subjects in the same order, so
     the walks are the same for all of them: a subject walks only to the
@@ -997,6 +1000,7 @@ class _Patterns:
     def __init__(self):
         self._ids: dict = {}
         self.views: list = []
+        self.counts: list = []  # pattern id -> subjects prepared with it
         self._reached: set = set()
         self._verdicts: dict = {}
 
@@ -1006,6 +1010,7 @@ class _Patterns:
         if pid is None:
             pid = self._ids[key] = len(self.views)
             self.views.append((mu, nu))
+            self.counts.append(0)
         return pid
 
     def walk(self, pid: int, variants) -> tuple[int, ...]:
@@ -1034,9 +1039,11 @@ def _variants_for(A: IFSubset, patterns: _Patterns, operands: _Operands):
 def _prepare(A: IFSubset, spec: SampleSpec, patterns: _Patterns, need_variants: bool,
              operands: _Operands | None = None):
     """(subject, pattern id, indices of the variants to walk, variants),
-    shared by every semigroup of the subject's carrier order. The variants'
+    shared by every semigroup of the subject's carrier order, with the
+    subject tallied under its pattern for all of them. The variants'
     parameters come from the run's ``operands``, or a store of their own."""
     pid = patterns.pattern(*A.view[1:])
+    patterns.counts[pid] += 1
     variants = (
         _variants_for(A, patterns, operands or _Operands(spec)) if need_variants else ()
     )
@@ -1047,12 +1054,13 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
                  patterns: _Patterns) -> None:
     """Process a block of prepared subjects against one semigroup.
 
-    Every subject is tallied under its pattern, and, while the pair
-    theorems need them, kept as a passer of the positions it passes. Only
-    the walks laid out by ``patterns`` run: a pair an earlier walk reached
-    meets the same verdicts, so it cannot record a certificate the earlier
-    one did not. Each step tests the theorems whose hypothesis the
-    semigroup has and whose precondition the subject passes.
+    The semigroup first decides every pattern that is new since its last
+    block. Each subject is then, while the pair theorems need them, kept as
+    a passer of the positions it passes. Only the walks laid out by
+    ``patterns`` run: a pair an earlier walk reached meets the same
+    verdicts, so it cannot record a certificate the earlier one did not.
+    Each step tests the theorems whose hypothesis the semigroup has and
+    whose precondition the subject passes.
     """
     S, cls, T = state.S, state.cls, state.S.table
     idx = predicates._scan_index(S)
@@ -1068,16 +1076,13 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
         if (pair := _PAIR_THEOREMS.get(tid)) is not None and pair.holds(cls)
         for pos in pair.positions if len(passers[pos]) < cap
     }
-    verdicts, counts, certs = state.verdicts, state.counts, state.certs
-    grow = len(patterns.views) - len(verdicts)
-    verdicts.extend([None] * grow)
-    counts.extend([0] * grow)
+    state.order_counts = patterns.counts
+    verdicts, certs = state.verdicts, state.certs
+    verdicts.extend([patterns.verdict(idx, pid)
+                     for pid in range(len(verdicts), len(patterns.views))])
 
     for A, pid, walk, variants in chunk:
         v = verdicts[pid]
-        if v is None:
-            v = verdicts[pid] = patterns.verdict(idx, pid)
-        counts[pid] += 1
         for pos in filling:
             if v[0][pos] and len(passers[pos]) < cap:
                 passers[pos].append(A)
@@ -1085,8 +1090,6 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
         for i in walk:
             beta, alpha, vid = variants[i]
             w = verdicts[vid]
-            if w is None:
-                w = verdicts[vid] = patterns.verdict(idx, vid)
             for th in active:
                 if th.tid in certs or (
                     th.precondition is not None and not v[0][th.precondition]

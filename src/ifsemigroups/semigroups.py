@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -323,7 +323,9 @@ _ALL_REGULAR_BAND = _flags(True, True, True, True, True, False, None)
 _NOWHERE_REGULAR = _flags(False, False, False, False, True, False, None)
 
 
-def _catalog() -> tuple[LibraryEntry, ...]:
+@cache
+def builtin_library() -> tuple[LibraryEntry, ...]:
+    """Curated named semigroups, each with classification verified on build."""
     entries = [
         ("leftzero2", _left_zero(2), _ALL_REGULAR_BAND),
         ("leftzero3", _left_zero(3), _ALL_REGULAR_BAND),
@@ -346,17 +348,6 @@ def _catalog() -> tuple[LibraryEntry, ...]:
             raise AssertionError(f"catalog entry {name}: classify gave {got}, expected {expected}")
         out.append(LibraryEntry(name, S, got))
     return tuple(out)
-
-
-_LIBRARY: tuple[LibraryEntry, ...] | None = None
-
-
-def builtin_library() -> tuple[LibraryEntry, ...]:
-    """Curated named semigroups, each with classification verified on build."""
-    global _LIBRARY
-    if _LIBRARY is None:
-        _LIBRARY = _catalog()
-    return _LIBRARY
 
 
 def library_entry(name: str) -> LibraryEntry:

@@ -55,6 +55,19 @@ class TestClassify:
         assert capsys.readouterr().err == f"error: Is a directory: {tmp_path}\n"
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("classify", []),
+    ("transform", ["--beta", "1", "--alpha", "0"]),
+], ids=["classify", "transform"])
+def test_non_utf8_file_names_reason_and_path(tmp_path, capsys, command, flags):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(b"\xff2\n0 0\n0 0\n")
+    assert main([command, str(p), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not UTF-8 (invalid start byte at byte 0): {p}\n"
+
+
 class TestTransform:
     def test_worked_example_grades(self, worked_file, capsys):
         assert main(["transform", worked_file, "--beta", "0.2", "--alpha", "0.04"]) == 0

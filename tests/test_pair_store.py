@@ -3,8 +3,8 @@
 The pair core takes its operands from a store: each subject and each
 magnified operand is interned by value, each (subject, TransformParams) is
 magnified once per run, a pair's sampled parameters are keyed by its least
-non-membership, and each table computes each meet, product and semiprime
-verdict of a meet once. The sweep takes each subject's variant parameters
+non-membership, and each table computes each meet and product of a pair of
+operands once. The sweep takes each subject's variant parameters
 from the same store, keyed by the subject's least non-membership. These
 tests pin the call counts that sharing promises, check that a store which
 shares nothing gives the same reports, and reach the non-regular product
@@ -16,6 +16,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ifsemigroups import (
     ElementSubset,
@@ -29,8 +31,9 @@ from ifsemigroups import (
     sample_ifs,
 )
 from ifsemigroups import harness
-from ifsemigroups.predicates import FuzzyStructureKind as K
-from ifsemigroups.transforms import TransformParams, max_alpha
+from ifsemigroups.transforms import TransformParams, magnify, max_alpha
+
+from conftest import subjects
 
 PAIR_IDS = ["semiprime_intersection", "product_bi_ideal", "product_one_two_ideal",
             "regular_product"]
@@ -88,7 +91,7 @@ class _FreshOperands:
 
 
 class _FreshTable:
-    """Each meet, product and semiprime verdict computed at every use."""
+    """Each meet and product computed at every use."""
 
     def __init__(self, S, operands):
         self.S = S
@@ -97,11 +100,47 @@ class _FreshTable:
     def meet(self, X, Y):
         return harness.intersect(X, Y)
 
-    def semiprime(self, I):
-        return harness.check(K.SEMIPRIME, self.S, I)
-
     def product(self, X, Y):
         return harness.if_product(self.S, X, Y)
+
+
+@st.composite
+def _operands(draw):
+    """A two-point subject, or one of its sampled magnifications, whose view
+    is over ``q*s*den`` and often not over its grades' least denominator."""
+    A = draw(subjects(order=2))
+    if draw(st.booleans()):
+        beta = draw(st.sampled_from([F(1, 4), F(1, 2), F(3, 4), F(1)]))
+        alpha = draw(st.sampled_from(harness.alpha_samples(A, beta)))
+        A = magnify(A, TransformParams(beta, alpha))
+    return A
+
+
+# a view over 128 for grades over 16
+_UNREDUCED = magnify(IFSubset(2, (F(1, 2), F(1, 2)), (F(1, 2), F(1, 4))),
+                     TransformParams(F(1, 2), F(1, 16)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(_operands(), _operands()), st.sampled_from(harness.ALPHA_STRATEGIES))
+# 1/16 over 128 against 1/8 over 8
+@example((_UNREDUCED, IFSubset(2, (F(1, 2), F(0)), (F(1, 8), F(1, 2)))), "grid")
+# equal least non-memberships: 1/16 over 128 and over 16, 1/3 over 6 and over 3
+@example((_UNREDUCED, IFSubset(2, (F(1, 2), F(0)), (F(1, 16), F(1, 2)))), "grid")
+@example((IFSubset(2, (F(1, 2), F(0)), (F(1, 3), F(1, 2))),
+          IFSubset(2, (F(1, 3), F(1, 3)), (F(1, 3), F(2, 3)))), "grid")
+# a least non-membership of zero
+@example((IFSubset(2, (F(1, 2), F(1)), (F(1, 2), F(0))),
+          IFSubset(2, (F(1, 4), F(1, 4)), (F(1, 4), F(1, 4)))), "grid")
+def test_pair_params_match_max_alpha_reference(pair, strategy):
+    """A pair's parameters, picked on the views, are those of the smaller
+    ``max_alpha`` of its subjects, in either order."""
+    spec = SampleSpec(alpha_strategy=strategy)
+    A, B = pair
+    want = tuple(_FreshOperands(spec).params(A, B))
+    store = harness._Operands(spec)
+    assert store.params(A, B) == want
+    assert store.params(B, A) == want
 
 
 def _store_free(patch):

@@ -8,6 +8,7 @@ grade map separately changes no verdict.
 """
 
 import functools
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -130,6 +131,22 @@ def test_suite_certificates_match_single_case_checks(monkeypatch):
         assert rep.certificate == first
         refuted += first is not None
     assert refuted > 0
+
+
+def test_tables_of_one_order_share_their_verdict_objects():
+    # the verdicts are interned per carrier order: the 113 order-3 tables
+    # hold one object per distinct verdict, not one per table and pattern
+    spec = SampleSpec()
+    patterns = harness._Patterns()
+    chunk = [harness._prepare(A, spec, patterns, True)
+             for A in itertools.islice(sample_ifs(3, spec), harness._SUBJECT_CHUNK)]
+    states = [harness._TaskState("t", S, classify(S)) for S in enumerate_semigroups(3)]
+    assert len(states) == 113
+    for state in states:
+        harness._sweep_chunk(state, chunk, harness.THEOREM_IDS, spec, patterns)
+    verdicts = [v for state in states for v in state.verdicts]
+    assert len(verdicts) == 113 * len(patterns.views)
+    assert len({id(v) for v in verdicts}) == len(set(verdicts)) < len(verdicts)
 
 
 def test_order3_grid_has_169_patterns():
