@@ -8,8 +8,9 @@ element with no factorization gets membership 0 and non-membership 1.
 Factorizations are indexed once per semigroup and shared; the harness
 calls the product thousands of times per table. The product compares
 grades and never computes with them, so it runs on the operands' integer
-views over one common denominator; each result grade is one of the
-operands' grades, or 0 or 1 where an element has no factorization.
+views over one common denominator and returns a subject that carries only
+its view: each result int is one of the operands' ints, or 0 or den where
+an element has no factorization.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CarrierMismatch
-from .ifs import IFSubset, ONE, ZERO, _common_views, _trusted
+from .ifs import IFSubset, _common_views, _trusted
 from .semigroups import Semigroup
 
 
@@ -45,29 +46,21 @@ def if_product(S: Semigroup, A: IFSubset, B: IFSubset) -> IFSubset:
     if A.carrier_order != S.order or B.carrier_order != S.order:
         raise CarrierMismatch("subject carrier does not match semigroup order")
     den, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
-    grades_a, co_grades_a, grades_b, co_grades_b = A.mu, A.nu, B.mu, B.nu
-    mu, mu_k, nu, nu_k = [], [], [], []
+    mu, nu = [], []
     for pairs in build_factorizations(S).pairs_for:
-        # the running sup and inf, as ints over den and as grades; the empty
-        # sup is 0 and the empty inf is 1
-        best, high, least, low = 0, ZERO, den, ONE
+        # the running sup and inf over den; the empty sup is 0, the empty inf 1
+        best, least = 0, den
         for u, v in pairs:
             a, b = mu_a[u], mu_b[v]
-            if a < b:
-                if a > best:
-                    best, high = a, grades_a[u]
-            elif b > best:
-                best, high = b, grades_b[v]
+            a = a if a < b else b
+            if a > best:
+                best = a
             a, b = nu_a[u], nu_b[v]
-            if a > b:
-                if a < least:
-                    least, low = a, co_grades_a[u]
-            elif b < least:
-                least, low = b, co_grades_b[v]
-        mu.append(high)
-        mu_k.append(best)
-        nu.append(low)
-        nu_k.append(least)
+            a = a if a > b else b
+            if a < least:
+                least = a
+        mu.append(best)
+        nu.append(least)
     # valid by construction: where min(mu_a(u), mu_b(v)) attains mu(x), nu(x)
     # is at most max(nu_a(u), nu_b(v)), so mu(x) + nu(x) <= 1
-    return _trusted(S.order, tuple(mu), tuple(nu), (den, tuple(mu_k), tuple(nu_k)))
+    return _trusted(S.order, view=(den, tuple(mu), tuple(nu)))

@@ -29,20 +29,12 @@ predicate compares mu only with mu and nu only with nu, so a view's
 verdicts depend only on the weak order of each grade map: each semigroup
 decides each such pattern once.
 
-The pair theorems take their operands from a store with two scopes.
-``_Operands`` lives for one run (a ``run_suite`` call, or one public pair
-check or ``check_characterization``): it interns operands by value,
-magnifies each (operand, sampled parameters) once, and keys each pair's
-parameters by its least non-membership; nothing in it depends on a
-semigroup. The sampled parameters of a subject depend only on its least
-non-membership too, so the sweep's variants and the pairs share one
-parameter store: the parameters of each least non-membership are built once
-per run, and the sweep still magnifies every subject under every one of its
-sampled parameters. ``_TableOperands`` lives while one table's reports are
-built: it computes each meet and each product of two operands once. Every
-stored value comes from this module's ``magnify``, ``intersect`` and
-``if_product``, looked up at call time, so a patched layer still sees every
-call that is made.
+The pair theorems and the sweep's variants take their operands and
+sampled parameters from a store with two scopes: ``_Operands`` for one run
+and ``_TableOperands`` while one table's reports are built (their
+docstrings say what each keeps). Every stored value comes from this
+module's ``magnify``, ``intersect`` and ``if_product``, looked up at call
+time, so a patched layer still sees every call that is made.
 
 Each memo pays (lookups / builds on the ``pairs`` workload, seed 10): the
 run's magnified operands 97 664 / 592 and parameters 10 882 / 4, a table's
@@ -171,6 +163,18 @@ def grid_grade_pairs(step: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
     count = int(1 / step)
     values = [step * i for i in range(count + 1)]
     return tuple((m, v) for m in values for v in values if m + v <= 1)
+
+
+# the most subjects a sweep takes from one carrier order: 20 times the
+# default spec's largest order (order 4 at the 1/4 grid, 50 000 subjects)
+MAX_SUBJECTS_PER_ORDER = 10**6
+
+
+def subject_count(carrier_order: int, spec: SampleSpec) -> int:
+    """How many subjects ``sample_ifs`` yields: a 1/k grid has (k+1)(k+2)/2
+    (mu, nu) pairs and k+1 values of nu, and all-zero memberships are skipped."""
+    k = int(1 / spec.grade_grid_step)
+    return ((k + 1) * (k + 2) // 2) ** carrier_order - (k + 1) ** carrier_order + spec.random_count
 
 
 def _random_subject(n: int, rng: random.Random) -> IFSubset:
@@ -566,7 +570,9 @@ class _Operands:
     Operands are interned by value, so equal subjects (a subject and its
     magnification by (1, 0), say) are one object and the identity keys
     here and in ``_TableOperands`` stand for values; the store holds every
-    object it keys by identity. Each (operand, TransformParams) is
+    object it keys by identity. Interning hashes and compares ``Fraction``
+    grades, so it materialises the grades of every view-only operand it
+    stores (each magnified operand). Each (operand, TransformParams) is
     magnified once, through ``magnify``. A subject's sampled parameters
     depend only on its least non-membership, and a pair's on the smaller
     least non-membership of its two subjects, since
@@ -1169,11 +1175,16 @@ def run_suite(
     given orders plus the curated library, against the sampled subjects.
 
     Reports come out sorted by (semigroup position, theorem id position)
-    and are a pure function of the arguments.
+    and are a pure function of the arguments. A carrier order with more
+    than ``MAX_SUBJECTS_PER_ORDER`` subjects is refused before any sweep.
     """
     spec = spec or SampleSpec()
     tids = _normalize_theorems(theorems)
     tasks = _suite_tasks(orders, include_library)
+    for n in sorted({S.order for _, S in tasks}):
+        if subject_count(n, spec) > MAX_SUBJECTS_PER_ORDER:
+            raise ValueError(f"order {n} has more than {MAX_SUBJECTS_PER_ORDER} sampled "
+                             "subjects; use a coarser grid step or fewer random subjects")
     states = [_TaskState(label, S, classify(S)) for label, S in tasks]
 
     by_order: dict[int, list[_TaskState]] = {}

@@ -10,14 +10,13 @@ Every subject also carries one exact integer view, ``A.view``:
 (den, mu ints, nu ints) with each grade equal to ``Fraction(k, den)``.
 The theorems only compare grades and never compute with a compared
 result, so the lattice operations, the products and the predicate scans
-decide on the view's ints. It is derived state, not a field: equality,
-hashing, ``repr``, ``fields()`` and ``replace()`` ignore it. A subject
-built from outside data (``IFSubset(...)``, ``validate_ifs``, ``parse_ifs``
-or ``sample_ifs``) computes it from its Fractions on first use, over the
-least common denominator, once per object. The library's own operations
-(``transforms._affine``, ``intersect`` and ``composition.if_product``)
-derive the result's view from their operands' views and pass it to
-``_trusted`` with the grades.
+decide on the view's ints. A subject built from outside data
+(``IFSubset(...)``, ``validate_ifs``, ``parse_ifs``, ``sample_ifs``)
+computes its view from its Fractions on first use. A subject the library
+builds (``transforms._affine``, ``intersect``, ``composition.if_product``)
+carries only the view derived from its operands' views, and makes its
+Fractions on first read of ``mu`` or ``nu``. The view is not a field:
+equality, hashing, ``repr``, ``fields()`` and ``replace()`` ignore it.
 """
 
 from __future__ import annotations
@@ -107,17 +106,31 @@ class IFSubset:
             tuple([g.numerator * (den // g.denominator) for g in self.nu]),
         )
 
+    def __getattr__(self, name):
+        # reached only when normal lookup fails: the grades of a view-only subject
+        view = vars(self).get("view") if name in ("mu", "nu") else None
+        if view is None:
+            raise AttributeError(f"'IFSubset' object has no attribute {name!r}")
+        den, mu, nu = view
+        object.__setattr__(self, "mu", tuple([Fraction(k, den) for k in mu]))
+        object.__setattr__(self, "nu", tuple([Fraction(k, den) for k in nu]))
+        return vars(self)[name]
 
-def _trusted(carrier_order: int, mu: tuple, nu: tuple, view: tuple | None = None) -> IFSubset:
+
+def _trusted(carrier_order: int, mu: tuple | None = None, nu: tuple | None = None,
+             view: tuple | None = None) -> IFSubset:
     """An IFSubset built without validation, for results the library derives
     from valid subjects in ways that keep them valid (meets, products,
-    admissible magnifications), with the result's integer view when the
-    caller has it. Everything built from outside data goes through the
-    validating constructor."""
+    admissible magnifications), from its grades or from its integer view
+    alone. A view-only subject makes its Fractions on first read. Everything
+    built from outside data goes through the validating constructor."""
     A = object.__new__(IFSubset)
-    vars(A).update(carrier_order=carrier_order, mu=mu, nu=nu)
+    object.__setattr__(A, "carrier_order", carrier_order)
+    if mu is not None:
+        object.__setattr__(A, "mu", mu)
+        object.__setattr__(A, "nu", nu)
     if view is not None:
-        vars(A)["view"] = view
+        object.__setattr__(A, "view", view)
     return A
 
 
@@ -173,23 +186,9 @@ def intersect(A: IFSubset, B: IFSubset) -> IFSubset:
     """Pointwise min on mu, max on nu."""
     _same_carrier(A, B)
     den, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
-    mu, mu_k, nu, nu_k = [], [], [], []
-    for a, b, f, g in zip(mu_a, mu_b, A.mu, B.mu):
-        if a <= b:
-            mu.append(f)
-            mu_k.append(a)
-        else:
-            mu.append(g)
-            mu_k.append(b)
-    for a, b, f, g in zip(nu_a, nu_b, A.nu, B.nu):
-        if a >= b:
-            nu.append(f)
-            nu_k.append(a)
-        else:
-            nu.append(g)
-            nu_k.append(b)
     # min(a, b) + max(c, d) <= a + c or b + d, so the meet stays valid
-    return _trusted(A.carrier_order, tuple(mu), tuple(nu), (den, tuple(mu_k), tuple(nu_k)))
+    return _trusted(A.carrier_order,
+                    view=(den, tuple(map(min, mu_a, mu_b)), tuple(map(max, nu_a, nu_b))))
 
 
 def union(A: IFSubset, B: IFSubset) -> IFSubset:

@@ -20,9 +20,9 @@ g = k/den, the images are
   beta * g + alpha = (p*s*k + r*q*den) / (q*s*den)
   beta * g - alpha = (p*s*k - r*q*den) / (q*s*den)
 
-so the result's view is (q*s*den, p*s*k + r*q*den, p*s*k - r*q*den), and
-each image grade is one ``Fraction`` built from those ints, which
-normalises it exactly. The denominator q*s*den is positive, so the nu
+so the result's view is (q*s*den, p*s*k + r*q*den, p*s*k - r*q*den). The
+result carries only that view; its ``Fraction`` grades are made from those
+ints on first read. The denominator q*s*den is positive, so the nu
 image is negative exactly when its numerator is, that is when
 alpha > beta * g. The kernel's sign test on the nu numerators is
 therefore the exact alpha bound alpha <= beta * min(nu), and the bound
@@ -74,15 +74,10 @@ def _affine(A: IFSubset, beta: Fraction, alpha: Fraction) -> IFSubset | None:
     nu_out = [ps * k - shift for k in nu]
     if min(nu_out, default=0) < 0:
         return None
-    mu_out = [ps * k + shift for k in mu]
     # with 0 <= alpha <= beta * min(nu) and beta <= 1, nu stays non-negative
     # and mu + nu = beta * (mu + nu) <= 1 pointwise
-    return _trusted(
-        A.carrier_order,
-        tuple([Fraction(k, out_den) for k in mu_out]),
-        tuple([Fraction(k, out_den) for k in nu_out]),
-        (out_den, tuple(mu_out), tuple(nu_out)),
-    )
+    return _trusted(A.carrier_order,
+                    view=(out_den, tuple([ps * k + shift for k in mu]), tuple(nu_out)))
 
 
 def translate(A: IFSubset, alpha: Fraction) -> IFSubset:
