@@ -22,9 +22,10 @@ their gates.
 The suite runner shares work but never changes what is evaluated. Subject
 profiles evaluate through the same scan code as the public predicates, on
 the exact integer view each subject carries (``IFSubset.view``: a
-magnified variant gets its view from ``magnify``, a sampled subject
-computes its own once). The sweep builds each subject's magnified variants
-once and hands them to every semigroup of that carrier order. Every
+magnified variant gets its view from ``magnify``, a grid subject from the
+grid's integers, a random subject computes its own once). The sweep
+builds each subject's magnified variants once and hands them to every
+semigroup of that carrier order. Every
 predicate compares mu only with mu and nu only with nu, so a view's
 verdicts depend only on the weak order of each grade map: each semigroup
 decides each such pattern once.
@@ -51,6 +52,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from . import predicates
@@ -158,11 +160,16 @@ class SampleSpec:
             raise ValueError("max_pair_subjects must be positive")
 
 
+def _grid(step: Fraction) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(k, the numerators (i, j) of the grid points (i/k, j/k)) for a step of 1/k."""
+    k = int(1 / step)
+    return k, tuple((i, j) for i in range(k + 1) for j in range(k + 1 - i))
+
+
 def grid_grade_pairs(step: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
     """All (mu, nu) grid points with mu + nu <= 1, in lexicographic order."""
-    count = int(1 / step)
-    values = [step * i for i in range(count + 1)]
-    return tuple((m, v) for m in values for v in values if m + v <= 1)
+    k, pairs = _grid(step)
+    return tuple((Fraction(i, k), Fraction(j, k)) for i, j in pairs)
 
 
 # the most subjects a sweep takes from one carrier order: 20 times the
@@ -175,6 +182,14 @@ def subject_count(carrier_order: int, spec: SampleSpec) -> int:
     (mu, nu) pairs and k+1 values of nu, and all-zero memberships are skipped."""
     k = int(1 / spec.grade_grid_step)
     return ((k + 1) * (k + 2) // 2) ** carrier_order - (k + 1) ** carrier_order + spec.random_count
+
+
+def _refuse_costly(carrier_order: int, spec: SampleSpec) -> None:
+    """Raise when a sweep of this order would take more than
+    ``MAX_SUBJECTS_PER_ORDER`` subjects, without building any of them."""
+    if subject_count(carrier_order, spec) > MAX_SUBJECTS_PER_ORDER:
+        raise ValueError(f"order {carrier_order} has more than {MAX_SUBJECTS_PER_ORDER} "
+                         "sampled subjects; use a coarser grid step or fewer random subjects")
 
 
 def _random_subject(n: int, rng: random.Random) -> IFSubset:
@@ -196,17 +211,21 @@ def sample_ifs(carrier_order: int, spec: SampleSpec) -> Iterator[IFSubset]:
     """Deterministic subject stream: full grid first, then seeded randoms.
 
     Subjects with identically zero membership are skipped (they fail the
-    non-emptiness precondition of every predicate).
+    non-emptiness precondition of every predicate). A grid subject carries
+    only its integer view over the grid's denominator and makes its
+    Fractions on first read. An order with more than
+    ``MAX_SUBJECTS_PER_ORDER`` subjects is refused before the grid is built.
     """
     if carrier_order < 1:
         raise ValueError(f"carrier order {carrier_order} must be at least 1")
-    pairs = grid_grade_pairs(spec.grade_grid_step)
+    _refuse_costly(carrier_order, spec)
+    k, pairs = _grid(spec.grade_grid_step)
     for combo in itertools.product(pairs, repeat=carrier_order):
-        mu = tuple(p[0] for p in combo)
+        mu = tuple([p[0] for p in combo])
         if not any(mu):
             continue
-        # grid pairs have m + v <= 1
-        yield _trusted(carrier_order, mu, tuple(p[1] for p in combo))
+        # grid pairs have i + j <= k
+        yield _trusted(carrier_order, view=(k, mu, tuple([p[1] for p in combo])))
     rng = random.Random(spec.seed)
     for _ in range(spec.random_count):
         yield _random_subject(carrier_order, rng)
@@ -896,15 +915,15 @@ _BREAK_STAGES = {
 def break_property(S: Semigroup, A: IFSubset, kind: FuzzyStructureKind) -> IFSubset | None:
     """Mutate one membership grade so the property's mu-inequality fails.
 
-    Picks the first tuple (in scan order) whose site is disjoint from the
-    tuple's argument points and whose required minimum is positive, then
-    lowers the membership at the site to at most half that minimum.
-    Returns None when no such tuple exists for this subject.
+    Picks the first tuple in scan order (whose site is never among its
+    argument points) with a positive required minimum, then lowers the
+    membership at the site to at most half that minimum. Returns None when
+    no such tuple exists for this subject.
     """
     mu = A.mu
     for p, *args in predicates._scan_index(S)[_BREAK_STAGES[kind]]:
         required = min(mu[a] for a in args)
-        if required > 0 and p not in args:
+        if required > 0:
             new_mu = list(mu)
             new_mu[p] = min(mu[p], required / 2)
             return IFSubset(A.carrier_order, tuple(new_mu), A.nu)
@@ -967,8 +986,7 @@ def _suite_tasks(orders, include_library) -> list[tuple[str, Semigroup]]:
 
 def _weak_order(values) -> tuple[int, ...]:
     """Each value's rank among the distinct values."""
-    rank = {v: i for i, v in enumerate(sorted(set(values)))}
-    return tuple([rank[v] for v in values])
+    return tuple(map(sorted(set(values)).index, values))
 
 
 def _verdict(idx: dict, mu, nu) -> tuple:
@@ -976,7 +994,7 @@ def _verdict(idx: dict, mu, nu) -> tuple:
     (profile flags, first x whose grades differ from those of x*x, whether
     both maps are constant, first x breaking a semiprime square inequality),
     with None where there is no such x."""
-    squares = idx["semiprime"]  # (x, x*x) for each x
+    squares = idx["semiprime"]  # (x, x*x) for each x that is not idempotent
     fixed = next((x for x, x2 in squares if mu[x] != mu[x2] or nu[x] != nu[x2]), None)
     hit = predicates._scan1(squares, mu, nu)
     return (
@@ -1035,10 +1053,11 @@ class _Patterns:
 
 def _variants_for(A: IFSubset, patterns: _Patterns, operands: _Operands):
     """(beta, alpha, pattern id) of each magnified variant, in sampling order."""
+    den, _, nu = A.view
     return tuple([
         (params.beta, params.alpha,
          patterns.pattern(*magnify(A, params).view[1:]))
-        for params in operands.sampled(min(A.nu))
+        for params in operands.sampled(Fraction(min(nu), den))
     ])
 
 
@@ -1061,12 +1080,13 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
     """Process a block of prepared subjects against one semigroup.
 
     The semigroup first decides every pattern that is new since its last
-    block. Each subject is then, while the pair theorems need them, kept as
-    a passer of the positions it passes. Only the walks laid out by
-    ``patterns`` run: a pair an earlier walk reached meets the same
-    verdicts, so it cannot record a certificate the earlier one did not.
-    Each step tests the theorems whose hypothesis the semigroup has and
-    whose precondition the subject passes.
+    block. Each position the pair theorems still need passers for then
+    takes the block's first subjects passing it, up to the cap. Only the
+    walks laid out by ``patterns`` run, on the subjects that have one: a
+    pair an earlier walk reached meets the same verdicts, so it cannot
+    record a certificate the earlier one did not. Each step tests the
+    theorems whose hypothesis the semigroup has and whose precondition the
+    subject passes.
     """
     S, cls, T = state.S, state.cls, state.S.table
     idx = predicates._scan_index(S)
@@ -1087,12 +1107,13 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
     verdicts.extend([patterns.verdict(idx, pid)
                      for pid in range(len(verdicts), len(patterns.views))])
 
-    for A, pid, walk, variants in chunk:
-        v = verdicts[pid]
-        for pos in filling:
-            if v[0][pos] and len(passers[pos]) < cap:
-                passers[pos].append(A)
+    for pos in filling:
+        passers[pos].extend(itertools.islice(
+            (A for A, pid, _, _ in chunk if verdicts[pid][0][pos]), cap - len(passers[pos])
+        ))
 
+    for A, pid, walk, variants in filter(itemgetter(2), chunk):
+        v = verdicts[pid]
         for i in walk:
             beta, alpha, vid = variants[i]
             w = verdicts[vid]
@@ -1182,9 +1203,7 @@ def run_suite(
     tids = _normalize_theorems(theorems)
     tasks = _suite_tasks(orders, include_library)
     for n in sorted({S.order for _, S in tasks}):
-        if subject_count(n, spec) > MAX_SUBJECTS_PER_ORDER:
-            raise ValueError(f"order {n} has more than {MAX_SUBJECTS_PER_ORDER} sampled "
-                             "subjects; use a coarser grid step or fewer random subjects")
+        _refuse_costly(n, spec)
     states = [_TaskState(label, S, classify(S)) for label, S in tasks]
 
     by_order: dict[int, list[_TaskState]] = {}

@@ -10,13 +10,14 @@ Every subject also carries one exact integer view, ``A.view``:
 (den, mu ints, nu ints) with each grade equal to ``Fraction(k, den)``.
 The theorems only compare grades and never compute with a compared
 result, so the lattice operations, the products and the predicate scans
-decide on the view's ints. A subject built from outside data
-(``IFSubset(...)``, ``validate_ifs``, ``parse_ifs``, ``sample_ifs``)
-computes its view from its Fractions on first use. A subject the library
-builds (``transforms._affine``, ``intersect``, ``composition.if_product``)
-carries only the view derived from its operands' views, and makes its
-Fractions on first read of ``mu`` or ``nu``. The view is not a field:
-equality, hashing, ``repr``, ``fields()`` and ``replace()`` ignore it.
+decide on the view's ints. A subject built from Fractions
+(``IFSubset(...)``, ``validate_ifs``, ``parse_ifs``, the random subjects of
+``sample_ifs``) computes its view from them on first use. A subject the
+library builds (``transforms._affine``, ``intersect``,
+``composition.if_product``, the grid subjects of ``sample_ifs``) carries
+only its view, derived from its operands' views or from the grid's
+integers, and makes its Fractions on first read of ``mu`` or ``nu``. The
+view is not a field: equality, hashing, ``repr``, ``fields()`` and ``replace()`` ignore it.
 """
 
 from __future__ import annotations
@@ -121,9 +122,10 @@ def _trusted(carrier_order: int, mu: tuple | None = None, nu: tuple | None = Non
              view: tuple | None = None) -> IFSubset:
     """An IFSubset built without validation, for results the library derives
     from valid subjects in ways that keep them valid (meets, products,
-    admissible magnifications), from its grades or from its integer view
-    alone. A view-only subject makes its Fractions on first read. Everything
-    built from outside data goes through the validating constructor."""
+    admissible magnifications) and for sampled subjects valid by
+    construction, from its grades or from its integer view alone. A
+    view-only subject makes its Fractions on first read. Everything built
+    from outside data goes through the validating constructor."""
     A = object.__new__(IFSubset)
     object.__setattr__(A, "carrier_order", carrier_order)
     if mu is not None:

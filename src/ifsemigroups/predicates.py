@@ -20,13 +20,16 @@ once, in ``_STAGES``: how many points it quantifies over, and the tuple
 on the left side and the argument points are those on the right side.
 The scan index keeps, per stage and in lexicographic order of the points,
 only the first points for each (site, argument points): the inequality
-depends on nothing else. Scans test the mu inequality before the nu
-inequality, so the reported violation is the lexicographically first
-one. The scans only compare values, so every entry point runs them on
-the subject's exact integer view (``IFSubset.view``); a reported
-violation's sides are read from its Fractions. ``replay_violation``
-recomputes a reported violation from the formulas above, on the
-Fractions and without ``_STAGES``.
+depends on nothing else. It drops every tuple whose site is one of its
+argument points: mu(p) >= min(..., mu(p), ...) and nu(p) <= max(..., nu(p),
+...) always hold, so such a tuple never fails, and dropping it leaves the
+first failing tuple, and hence the reported violation, unchanged. Scans
+test the mu inequality before the nu inequality, so the reported
+violation is the lexicographically first one. The scans only compare
+values, so every entry point runs them on the subject's exact integer view
+(``IFSubset.view``); a reported violation's sides are read from its
+Fractions. ``replay_violation`` recomputes a reported violation from the
+formulas above, on the Fractions and without ``_STAGES``.
 """
 
 from __future__ import annotations
@@ -150,12 +153,16 @@ _STAGES = {
 def _scan_index(S: Semigroup) -> dict[str, dict[tuple, tuple]]:
     """stage -> {tuple: its first points}, in lexicographic order of the
     points. Points sharing a tuple impose the same inequality, so scanning
-    one per tuple finds the same first violating points."""
+    one per tuple finds the same first violating points. A tuple whose site
+    is among its argument points is a tautology and is left out: it cannot
+    be the first violating one."""
     index = {}
     for stage, (_, k, at) in _STAGES.items():
         first: dict[tuple, tuple] = {}
         for points in itertools.product(range(S.order), repeat=k):
-            first.setdefault(at(S.table, *points), points)
+            t = at(S.table, *points)
+            if t[0] not in t[1:]:
+                first.setdefault(t, points)
         index[stage] = first
     return index
 

@@ -259,18 +259,44 @@ def classify(S: Semigroup) -> Classification:
 
 def enumerate_semigroups(order: int) -> Iterator[Semigroup]:
     """Yield every labeled associative table of the given order, in
-    lexicographic order of the flattened table. Hard-capped at order 3
-    (order 4 already has 4**16 raw tables)."""
+    lexicographic order of the flattened table. Hard-capped at order 3.
+
+    A backtracking search fills the cells row by row, trying the values of
+    each cell in ascending order, so complete tables come out in
+    lexicographic order: the same tables, in the same order, as a filter
+    over all n**(n*n) tables. A partial table is abandoned as soon as one
+    associativity triple (x, y, z) fails whose four cells (x, y), (y, z),
+    (xy, z) and (x, yz) are all filled; every completion of it would fail
+    the same way.
+    """
     if order < 1:
         raise OrderTooSmall(order)
     if order > ENUMERATION_CAP:
         raise OrderTooLarge(order, ENUMERATION_CAP)
-    elems = range(order)
-    triples = list(itertools.product(elems, elems, elems))
-    for flat in itertools.product(elems, repeat=order * order):
-        rows = tuple(flat[i * order : (i + 1) * order] for i in range(order))
-        if all(rows[rows[x][y]][z] == rows[x][rows[y][z]] for x, y, z in triples):
-            yield Semigroup(order, rows)
+    n, cells = order, order * order
+    flat = [0] * cells  # flat[x*n + y] = xy
+    triples = [(x * n + y, y * n + z, x, z) for x, y, z in itertools.product(range(n), repeat=3)]
+    # cell d -> the triples whose cells xy and yz are filled once d is
+    known = [[t for t in triples if max(t[:2]) <= d] for d in range(cells)]
+
+    def fails(d: int) -> bool:
+        # every triple that cells 0..d define; only those that d completes can fail
+        for xy, yz, x, z in known[d]:
+            left, right = flat[xy] * n + z, x * n + flat[yz]
+            if left <= d and right <= d and flat[left] != flat[right]:
+                return True
+        return False
+
+    def fill(d: int) -> Iterator[Semigroup]:
+        if d == cells:
+            yield Semigroup(n, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
+            return
+        for v in range(n):
+            flat[d] = v
+            if not fails(d):
+                yield from fill(d + 1)
+
+    yield from fill(0)
 
 
 # ---------------------------------------------------------------------------

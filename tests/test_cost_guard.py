@@ -1,8 +1,9 @@
 """The sweep's cost guard: subject counts in closed form, refused above a cap.
 
-``run_suite`` counts each carrier order's subjects before sweeping
-(|grid pairs|^n - |nu values|^n + random_count, without building the grid)
-and refuses any order above ``MAX_SUBJECTS_PER_ORDER``.
+``run_suite`` and ``sample_ifs`` count each carrier order's subjects before
+sweeping or sampling (|grid pairs|^n - |nu values|^n + random_count, without
+building the grid) and refuse any order above ``MAX_SUBJECTS_PER_ORDER``;
+the one-table checks draw their subjects from ``sample_ifs``.
 """
 
 import time
@@ -10,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ifsemigroups import SampleSpec, run_suite, sample_ifs
+from ifsemigroups import SampleSpec, check_characterization, library_entry, run_suite, sample_ifs
 from ifsemigroups.cli import main
 from ifsemigroups.harness import MAX_SUBJECTS_PER_ORDER, subject_count
 
@@ -49,3 +50,18 @@ def test_refusal_comes_before_any_sweep(monkeypatch):
     for n in (1, 3):
         with pytest.raises(ValueError, match=f"order {n} has more than"):
             run_suite([n], huge, include_library=False)
+
+
+def test_one_table_check_is_refused_within_a_second():
+    S = library_entry("cyclic3").semigroup  # a group: intra-regular, so it sweeps
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="order 3 has more than 1000000 sampled subjects"):
+        check_characterization("intra_regular", S, SampleSpec(grade_grid_step=F(1, 100)))
+    assert time.perf_counter() - start < 1
+
+
+def test_direct_sampling_is_refused_before_the_grid_is_built():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="order 1 has more than 1000000 sampled subjects"):
+        next(sample_ifs(1, SampleSpec(grade_grid_step=F(1, 10**6))))
+    assert time.perf_counter() - start < 1

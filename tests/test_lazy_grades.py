@@ -1,15 +1,17 @@
 """View-only subjects: the library's own results make their grades lazily.
 
-``magnify`` (and its faces ``translate`` and ``multiply``), ``intersect``
-and ``if_product`` return subjects that carry only their carrier order and
-their integer view; ``IFSubset.__getattr__`` makes the ``mu``/``nu``
-Fractions on first read. These tests pin the lazy grades to a Fraction
-reference computed here, check that a view-only subject behaves like its
-validated twin (equality, hashing, ``repr``, ``copy``, ``pickle``), and that
-the theorem sweep never reads the grades of the variants it builds.
+``magnify`` (and its faces ``translate`` and ``multiply``), ``intersect``,
+``if_product`` and the grid part of ``sample_ifs`` return subjects that
+carry only their carrier order and their integer view;
+``IFSubset.__getattr__`` makes the ``mu``/``nu`` Fractions on first read.
+These tests pin the lazy grades to a Fraction reference computed here,
+check that a view-only subject behaves like its validated twin (equality,
+hashing, ``repr``, ``copy``, ``pickle``), and that the theorem sweep never
+reads the grades of the variants it builds.
 """
 
 import copy
+import itertools
 import pickle
 import sys
 from fractions import Fraction as F
@@ -24,12 +26,14 @@ from ifsemigroups import (
     TransformParams,
     builtin_library,
     enumerate_semigroups,
+    grid_grade_pairs,
     harness,
     if_product,
     intersect,
     magnify,
     max_alpha,
     multiply,
+    sample_ifs,
     translate,
 )
 from ifsemigroups.harness import THEOREM_IDS, _PAIR_THEOREMS, run_suite
@@ -182,3 +186,18 @@ def test_sweep_variants_never_materialise_grades(monkeypatch):
         assert "_sweep" not in frames
         assert "replay_certificate" in frames or X in reach
     assert len(made) * 1000 < variants
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_subjects_make_their_grades_on_first_read(k, n):
+    spec = SampleSpec(grade_grid_step=F(1, k))  # no random subjects
+    grid = list(sample_ifs(n, spec))
+    reference = [
+        IFSubset(n, tuple(m for m, _ in combo), tuple(v for _, v in combo))
+        for combo in itertools.product(grid_grade_pairs(spec.grade_grid_step), repeat=n)
+        if any(m for m, _ in combo)
+    ]
+    assert all("mu" not in vars(X) and "nu" not in vars(X) for X in grid)
+    assert [(X.mu, X.nu) for X in grid] == [(R.mu, R.nu) for R in reference]
+    assert grid == reference

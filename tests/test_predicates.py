@@ -279,3 +279,19 @@ def test_violations_match_a_fraction_scan():
                         assert replay_violation(S, A, v)
                         found += 1
     assert found > 0
+
+
+def test_scan_index_holds_no_tautologies():
+    # a tuple whose site is one of its argument points can never fail
+    # (mu(p) >= min(..., mu(p), ...)), so the index must not scan it
+    from ifsemigroups.predicates import _scan_index
+
+    tables = [S for n in (1, 2, 3) for S in enumerate_semigroups(n)]
+    tables += [e.semigroup for e in builtin_library()]
+    kept = 0
+    for S in tables:
+        for stage, first in _scan_index(S).items():
+            for site, *args in first:
+                assert site not in args, (S.table, stage, site, args)
+                kept += 1
+    assert kept > 0

@@ -205,6 +205,19 @@ class TestEnumeration:
         flats = [sum(S.table, ()) for S in enumerate_semigroups(2)]
         assert flats == sorted(flats)
 
+    def test_order_three_matches_a_brute_force_filter_in_order(self):
+        # the reference: every raw table in lexicographic order, kept when
+        # all 27 triples associate
+        n = 3
+        reference = []
+        for flat in itertools.product(range(n), repeat=n * n):
+            t = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+            if all(t[t[x][y]][z] == t[x][t[y][z]]
+                   for x, y, z in itertools.product(range(n), repeat=3)):
+                reference.append(t)
+        assert [S.table for S in enumerate_semigroups(n)] == reference
+        assert len(reference) == 113
+
     def test_order_cap(self):
         with pytest.raises(OrderTooLarge):
             list(enumerate_semigroups(4))
