@@ -28,9 +28,8 @@ class OrderTooLarge(IfsgError):
 
 class OrderTooSmall(OrderTooLarge):
     """Requested enumeration order below 1: no semigroup has an empty
-    carrier. A subclass of ``OrderTooLarge``, which used to cover every
-    order outside the enumerable range, so handlers of that error still
-    catch it."""
+    carrier. A subclass of ``OrderTooLarge``, so handlers of that error
+    catch every order outside the enumerable range."""
 
     def __init__(self, order: int):
         IfsgError.__init__(

@@ -23,12 +23,15 @@ The suite runner shares work but never changes what is evaluated. Subject
 profiles evaluate through the same scan code as the public predicates, on
 the exact integer view each subject carries (``IFSubset.view``: a
 magnified variant gets its view from ``magnify``, a grid subject from the
-grid's integers, a random subject computes its own once). The sweep
-builds each subject's magnified variants once and hands them to every
-semigroup of that carrier order. Every
+grid's integers, a random subject computes its own once). Every
 predicate compares mu only with mu and nu only with nu, so a view's
 verdicts depend only on the weak order of each grade map: each semigroup
-decides each such pattern once.
+decides each such pattern once. The sweep magnifies each subject under
+each of its sampled parameters once, for every semigroup of its carrier
+order, and hands them one record per subject: its pattern and the walk
+to the variants whose pattern pair no earlier walk step reached. When the
+order's stream ends each semigroup keeps one tally, swept subjects per
+profile, from which its reports count checked and skipped subjects.
 
 The pair theorems and the sweep's variants take their operands and
 sampled parameters from a store with two scopes: ``_Operands`` for one run
@@ -36,13 +39,6 @@ and ``_TableOperands`` while one table's reports are built (their
 docstrings say what each keeps). Every stored value comes from this
 module's ``magnify``, ``intersect`` and ``if_product``, looked up at call
 time, so a patched layer still sees every call that is made.
-
-Each memo pays (lookups / builds on the ``pairs`` workload, seed 10): the
-run's magnified operands 97 664 / 592 and parameters 10 882 / 4, a table's
-meets 59 300 / 27 406 and products 52 300 / 20 062, and the interned
-verdicts 12 842 / 41 (without them ``sweep``'s peak RSS rose from 26.6 to
-29.9 MB). Operand interning builds each magnified operand and product once.
-Interning meets and storing their semiprime verdicts cost more than it saved.
 """
 
 from __future__ import annotations
@@ -203,8 +199,7 @@ def _random_subject(n: int, rng: random.Random) -> IFSubset:
             nu.append(Fraction(rng.randint(0, e), e) * (1 - m))
             mu.append(m)
         if any(mu):
-            # m in [0, 1] and nu = t * (1 - m) with t in [0, 1], so m + nu <= 1
-            return _trusted(n, tuple(mu), tuple(nu))
+            return IFSubset(n, tuple(mu), tuple(nu))
 
 
 def sample_ifs(carrier_order: int, spec: SampleSpec) -> Iterator[IFSubset]:
@@ -542,7 +537,6 @@ def check_characterization(
     kind: str,
     S: Semigroup,
     spec: SampleSpec | None = None,
-    subjects: Sequence[IFSubset] | None = None,
     label: str | None = None,
 ) -> VerificationReport:
     """Two-sided regularity characterization via magnified ideals.
@@ -555,25 +549,19 @@ def check_characterization(
     """
     if kind not in _CHAR_RELEVANT:
         raise ValueError(f"unknown characterization kind {kind!r}")
-    return _one_table(f"char_{kind}", kind, S, spec, subjects, label)
+    return _one_table(f"char_{kind}", kind, S, spec, label)
 
 
 def _one_table(tid: str, flag: str, S: Semigroup, spec: SampleSpec | None,
-               subjects: Sequence[IFSubset] | None, label: str | None) -> VerificationReport:
-    """The suite over one semigroup and one theorem, on the sampled subjects
-    or the given ones (each checked against S first); the sweep runs only
-    when the semigroup has ``flag``, the theorem's hypothesis."""
+               label: str | None) -> VerificationReport:
+    """The suite over one semigroup and one theorem on the sampled
+    subjects; the sweep runs only when the semigroup has ``flag``, the
+    theorem's hypothesis."""
     spec = spec or SampleSpec()
-    if subjects is None:
-        subjects = sample_ifs(S.order, spec)
-    else:
-        subjects = list(subjects)
-        for A in subjects:
-            predicates._require_subject(S, A)
     state = _TaskState(_label(S, label), S, classify(S))
     operands = _Operands(spec)
     if getattr(state.cls, flag):
-        _sweep([state], subjects, (tid,), spec, operands)
+        _sweep([state], sample_ifs(S.order, spec), (tid,), spec, operands)
     (report,) = _finish_task(state, (tid,), _TableOperands(S, operands))
     return report
 
@@ -616,8 +604,8 @@ class _Operands:
         da, _, nu_a = A.view
         db, _, nu_b = B.view
         if min(nu_a) * db > min(nu_b) * da:
-            A, nu_a = B, nu_b
-        return self.sampled(A.nu[nu_a.index(min(nu_a))])
+            da, nu_a = db, nu_b
+        return self.sampled(Fraction(min(nu_a), da))
 
     def sampled(self, low: Fraction) -> tuple[TransformParams, ...]:
         """Each sampled (beta, alpha), in sampling order, for a least
@@ -810,7 +798,6 @@ def _crisp_one_sided_ideals(S: Semigroup) -> tuple[list[ElementSubset], list[Ele
 def check_regular_iff_product(
     S: Semigroup,
     spec: SampleSpec | None = None,
-    subjects: Sequence[IFSubset] | None = None,
     label: str | None = None,
 ) -> VerificationReport:
     """Regularity against the product laws, at three levels.
@@ -822,7 +809,7 @@ def check_regular_iff_product(
     breaks the equality. Level 3 repeats level 2 on magnified subjects
     (the witness pins alpha to zero because its nu vanishes on the ideal).
     """
-    return _one_table("regular_product", "regular", S, spec, subjects, label)
+    return _one_table("regular_product", "regular", S, spec, label)
 
 
 def _regular_product(state: _TaskState, ops: _TableOperands) -> VerificationReport:
@@ -936,29 +923,31 @@ def break_property(S: Semigroup, A: IFSubset, kind: FuzzyStructureKind) -> IFSub
 
 @dataclass
 class _TaskState:
-    """Accumulators for one semigroup across the shared subject sweep."""
+    """Accumulators for one semigroup across the shared subject sweep.
+
+    Report assembly reads the certificates, the passers and the tally, which
+    ``_sweep`` fills in once the carrier order's stream ends: the number of
+    swept subjects per profile flag tuple. A subject's profile is its
+    pattern's, so the tally has one entry per distinct profile among the
+    order's patterns, and a count of the subjects passing some positions
+    sums over those few entries."""
 
     label: str
     S: Semigroup
     cls: Classification
     certs: dict = field(default_factory=dict)  # tid -> first Certificate
-    # pattern id -> verdict on this semigroup, and the number of swept subjects
-    # with it (the carrier order's ``_Patterns.counts``, shared by its tables)
-    verdicts: list = field(default_factory=list)
-    order_counts: list = field(default_factory=list)
+    verdicts: list = field(default_factory=list)  # pattern id -> verdict on this semigroup
+    tally: dict = field(default_factory=dict)  # profile flags -> swept subjects with them
     # profile position -> the first subjects passing it, capped, for the pair theorems
     passers: list = field(default_factory=lambda: [[] for _ in KIND_ORDER])
 
     @property
     def subjects(self) -> int:
-        return sum(self.order_counts)
+        return sum(self.tally.values())
 
     def held(self, *positions: int) -> int:
         """Swept subjects passing any of the given profile positions."""
-        return sum(
-            c for c, v in zip(self.order_counts, self.verdicts)
-            if any(v[0][pos] for pos in positions)
-        )
+        return sum(c for flags, c in self.tally.items() if any(flags[p] for p in positions))
 
 
 def _normalize_theorems(theorems) -> tuple[str, ...]:
@@ -1014,18 +1003,15 @@ class _Patterns:
     view seen with it to compute that verdict from, and the number of swept
     subjects with it, which every semigroup of the order shares. Verdicts
     are interned here so that the semigroups of one order share the few
-    distinct ones.
-
-    Every semigroup of the order meets the subjects in the same order, so
-    the walks are the same for all of them: a subject walks only to the
-    variants whose (pattern, variant pattern) pair no earlier walk reached.
+    distinct ones. ``reached`` holds the (pattern, variant pattern) pairs
+    that some subject's walk already steps on (see ``_prepare``).
     """
 
     def __init__(self):
         self._ids: dict = {}
         self.views: list = []
         self.counts: list = []  # pattern id -> subjects prepared with it
-        self._reached: set = set()
+        self.reached: set = set()
         self._verdicts: dict = {}
 
     def pattern(self, mu, nu) -> int:
@@ -1037,42 +1023,31 @@ class _Patterns:
             self.counts.append(0)
         return pid
 
-    def walk(self, pid: int, variants) -> tuple[int, ...]:
-        """Indices of the variants whose pair with ``pid`` is reached first here."""
-        fresh = []
-        for i, (_, _, vid) in enumerate(variants):
-            if (pid, vid) not in self._reached:
-                self._reached.add((pid, vid))
-                fresh.append(i)
-        return tuple(fresh)
-
     def verdict(self, idx: dict, pid: int) -> tuple:
         v = _verdict(idx, *self.views[pid])
         return self._verdicts.setdefault(v, v)
 
 
-def _variants_for(A: IFSubset, patterns: _Patterns, operands: _Operands):
-    """(beta, alpha, pattern id) of each magnified variant, in sampling order."""
-    den, _, nu = A.view
-    return tuple([
-        (params.beta, params.alpha,
-         patterns.pattern(*magnify(A, params).view[1:]))
-        for params in operands.sampled(Fraction(min(nu), den))
-    ])
-
-
-def _prepare(A: IFSubset, spec: SampleSpec, patterns: _Patterns, need_variants: bool,
-             operands: _Operands | None = None):
-    """(subject, pattern id, indices of the variants to walk, variants),
-    shared by every semigroup of the subject's carrier order, with the
-    subject tallied under its pattern for all of them. The variants'
-    parameters come from the run's ``operands``, or a store of their own."""
+def _prepare(A: IFSubset, patterns: _Patterns, operands: _Operands, need_variants: bool):
+    """The record (subject, pattern id, walk) that every semigroup of the
+    subject's carrier order sweeps, with the subject counted under its
+    pattern for all of them. When ``need_variants``, A is magnified under
+    each (beta, alpha) that ``operands`` samples for its least
+    non-membership, in sampling order, and the walk lists (beta, alpha,
+    variant pattern id) of each variant whose (pattern, variant pattern)
+    pair no earlier walk step reached. Every semigroup meets the subjects
+    in the same order, so the walks are the same for all of them."""
     pid = patterns.pattern(*A.view[1:])
     patterns.counts[pid] += 1
-    variants = (
-        _variants_for(A, patterns, operands or _Operands(spec)) if need_variants else ()
-    )
-    return A, pid, patterns.walk(pid, variants), variants
+    walk = []
+    if need_variants:
+        den, _, nu = A.view
+        for params in operands.sampled(Fraction(min(nu), den)):
+            step = (pid, patterns.pattern(*magnify(A, params).view[1:]))
+            if step not in patterns.reached:
+                patterns.reached.add(step)
+                walk.append((params.beta, params.alpha, step[1]))
+    return A, pid, walk
 
 
 def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
@@ -1082,9 +1057,9 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
     The semigroup first decides every pattern that is new since its last
     block. Each position the pair theorems still need passers for then
     takes the block's first subjects passing it, up to the cap. Only the
-    walks laid out by ``patterns`` run, on the subjects that have one: a
-    pair an earlier walk reached meets the same verdicts, so it cannot
-    record a certificate the earlier one did not. Each step tests the
+    records' walks run, on the subjects that have one: a pair an earlier
+    walk reached meets the same verdicts, so it cannot record a
+    certificate the earlier one did not. Each step tests the
     theorems whose hypothesis the semigroup has and whose precondition the
     subject passes.
     """
@@ -1102,20 +1077,18 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
         if (pair := _PAIR_THEOREMS.get(tid)) is not None and pair.holds(cls)
         for pos in pair.positions if len(passers[pos]) < cap
     }
-    state.order_counts = patterns.counts
     verdicts, certs = state.verdicts, state.certs
     verdicts.extend([patterns.verdict(idx, pid)
                      for pid in range(len(verdicts), len(patterns.views))])
 
     for pos in filling:
         passers[pos].extend(itertools.islice(
-            (A for A, pid, _, _ in chunk if verdicts[pid][0][pos]), cap - len(passers[pos])
+            (A for A, pid, _ in chunk if verdicts[pid][0][pos]), cap - len(passers[pos])
         ))
 
-    for A, pid, walk, variants in filter(itemgetter(2), chunk):
+    for A, pid, walk in filter(itemgetter(2), chunk):
         v = verdicts[pid]
-        for i in walk:
-            beta, alpha, vid = variants[i]
+        for beta, alpha, vid in walk:
             w = verdicts[vid]
             for th in active:
                 if th.tid in certs or (
@@ -1129,16 +1102,19 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
 
 def _sweep(group: list[_TaskState], subjects, tids, spec: SampleSpec,
            operands: _Operands) -> None:
-    """Sweep a stream of subjects of one carrier order past its semigroups;
-    magnified variants are built only for the single-subject theorems, with
-    parameters from the run's ``operands``."""
+    """Sweep a stream of subjects of one carrier order past its semigroups,
+    then give each its tally; magnified variants are built only for the
+    single-subject theorems, with parameters from the run's ``operands``."""
     patterns = _Patterns()
     need_variants = any(tid in _THEOREMS for tid in tids)
     subjects = iter(subjects)
     while block := list(itertools.islice(subjects, _SUBJECT_CHUNK)):
-        chunk = [_prepare(A, spec, patterns, need_variants, operands) for A in block]
+        chunk = [_prepare(A, patterns, operands, need_variants) for A in block]
         for st in group:
             _sweep_chunk(st, chunk, tids, spec, patterns)
+    for st in group:
+        for count, v in zip(patterns.counts, st.verdicts):
+            st.tally[v[0]] = st.tally.get(v[0], 0) + count
 
 
 def _theorem_report(th: _Theorem, state: _TaskState, ops: _TableOperands) -> VerificationReport:

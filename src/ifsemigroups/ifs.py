@@ -12,8 +12,8 @@ The theorems only compare grades and never compute with a compared
 result, so the lattice operations, the products and the predicate scans
 decide on the view's ints. A subject built from Fractions
 (``IFSubset(...)``, ``validate_ifs``, ``parse_ifs``, the random subjects of
-``sample_ifs``) computes its view from them on first use. A subject the
-library builds (``transforms._affine``, ``intersect``,
+``sample_ifs``) is validated and computes its view from them on first use.
+A subject the library builds (``transforms._affine``, ``intersect``,
 ``composition.if_product``, the grid subjects of ``sample_ifs``) carries
 only its view, derived from its operands' views or from the grid's
 integers, and makes its Fractions on first read of ``mu`` or ``nu``. The
@@ -118,21 +118,15 @@ class IFSubset:
         return vars(self)[name]
 
 
-def _trusted(carrier_order: int, mu: tuple | None = None, nu: tuple | None = None,
-             view: tuple | None = None) -> IFSubset:
-    """An IFSubset built without validation, for results the library derives
-    from valid subjects in ways that keep them valid (meets, products,
-    admissible magnifications) and for sampled subjects valid by
-    construction, from its grades or from its integer view alone. A
-    view-only subject makes its Fractions on first read. Everything built
-    from outside data goes through the validating constructor."""
+def _trusted(carrier_order: int, view: tuple) -> IFSubset:
+    """An IFSubset built without validation from its integer view alone, for
+    results the library derives from valid subjects in ways that keep them
+    valid (meets, products, admissible magnifications) and for grid subjects
+    valid by construction. It makes its Fractions on first read. Everything
+    else goes through the validating constructor."""
     A = object.__new__(IFSubset)
     object.__setattr__(A, "carrier_order", carrier_order)
-    if mu is not None:
-        object.__setattr__(A, "mu", mu)
-        object.__setattr__(A, "nu", nu)
-    if view is not None:
-        object.__setattr__(A, "view", view)
+    object.__setattr__(A, "view", view)
     return A
 
 

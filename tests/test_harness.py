@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from ifsemigroups import (
-    CarrierMismatch,
     Certificate,
     ElementSubset,
     FuzzyStructureKind as K,
@@ -297,16 +296,6 @@ class TestRegularIffProduct:
         assert rep.outcome == "verified"
         assert rep.witnesses
         assert replay_certificate(rep.witnesses[0])
-
-
-def test_given_subjects_are_checked_with_or_without_the_flag(null2, leftzero2):
-    # null2 lacks regularity and left regularity, leftzero2 has both
-    wrong_carrier = [IFSubset(3, (F(1), F(0), F(0)), (F(0), F(0), F(0)))]
-    for S in (null2, leftzero2):
-        with pytest.raises(CarrierMismatch):
-            check_regular_iff_product(S, subjects=wrong_carrier)
-        with pytest.raises(CarrierMismatch):
-            check_characterization("left_regular", S, subjects=wrong_carrier)
 
 
 class TestBreakProperty:

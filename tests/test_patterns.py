@@ -79,18 +79,19 @@ def test_memoised_verdicts_match_value_level_oracle():
     for n in (1, 2, 3):
         # prepared once per carrier order and swept by each table, as in run_suite
         patterns = harness._Patterns()
-        chunk = [harness._prepare(A, SPEC, patterns, True) for A in sample_ifs(n, SPEC)]
-        subjects = [(pid, _Oracle(A)) for A, pid, _, _ in chunk]
-        # the grid's variants share the grid's patterns; the randoms' are checked too
+        store = harness._Operands(SPEC)
+        chunk = [harness._prepare(A, patterns, store, True) for A in sample_ifs(n, SPEC)]
+        subjects = [(pid, _Oracle(A)) for A, pid, _ in chunk]
+        # the grid's variants share the grid's patterns; the randoms' walks are checked too
         variants = [
             (vid, _Oracle(magnify(A, TransformParams(beta, alpha))))
-            for A, _, _, vs in chunk[-SPEC.random_count:]
-            for beta, alpha, vid in vs
+            for A, _, walk in chunk[-SPEC.random_count:]
+            for beta, alpha, vid in walk
         ]
         for S in enumerate_semigroups(n):
             state = harness._TaskState("t", S, classify(S))
             harness._sweep_chunk(state, chunk, harness.THEOREM_IDS, SPEC, patterns)
-            assert state.subjects == len(chunk)
+            assert sum(patterns.counts) == len(chunk)
             for pid, oracle in subjects + variants:
                 assert state.verdicts[pid] == oracle.on(S)
             checked += len(subjects)
@@ -138,7 +139,7 @@ def test_tables_of_one_order_share_their_verdict_objects():
     # hold one object per distinct verdict, not one per table and pattern
     spec = SampleSpec()
     patterns = harness._Patterns()
-    chunk = [harness._prepare(A, spec, patterns, True)
+    chunk = [harness._prepare(A, patterns, harness._Operands(spec), True)
              for A in itertools.islice(sample_ifs(3, spec), harness._SUBJECT_CHUNK)]
     states = [harness._TaskState("t", S, classify(S)) for S in enumerate_semigroups(3)]
     assert len(states) == 113
@@ -152,7 +153,7 @@ def test_tables_of_one_order_share_their_verdict_objects():
 def test_order3_grid_has_169_patterns():
     patterns = harness._Patterns()
     for A in sample_ifs(3, SampleSpec()):
-        harness._prepare(A, SampleSpec(), patterns, False)
+        harness._prepare(A, patterns, harness._Operands(SampleSpec()), False)
     # 13 weak orders (Fubini(3)) of mu times 13 of nu
     assert len(patterns.views) == 13 * 13
 

@@ -147,7 +147,7 @@ def test_products_on_every_small_table_carry_their_view():
 def test_view_is_invisible_to_equality_hash_and_repr(A, scale):
     den, mu, nu = A.view
     # the same grades over a larger denominator: another view, one value
-    B = _trusted(A.carrier_order, A.mu, A.nu,
+    B = _trusted(A.carrier_order,
                  (den * scale, tuple(k * scale for k in mu), tuple(k * scale for k in nu)))
     C = IFSubset(A.carrier_order, A.mu, A.nu)  # no view yet
     for X in (B, C):
