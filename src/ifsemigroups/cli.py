@@ -151,6 +151,9 @@ def cmd_check(args) -> int:
     except ValueError:
         print(f"error: bad orders {args.orders!r}", file=sys.stderr)
         return _USAGE_ERROR
+    if not orders:
+        print(f"error: no orders in {args.orders!r}", file=sys.stderr)
+        return _USAGE_ERROR
     theorems = None if args.all or not args.theorem else args.theorem
     reports = run_suite(orders, _spec_from(args), theorems)
     failures = sum(1 for r in reports if r.outcome == "counterexample")

@@ -29,8 +29,13 @@ verdicts depend only on the weak order of each grade map: each semigroup
 decides each such pattern once. The sweep magnifies each subject under
 each of its sampled parameters once, for every semigroup of its carrier
 order, and hands them one record per subject: its pattern and the walk
-to the variants whose pattern pair no earlier walk step reached. When the
-order's stream ends each semigroup keeps one tally, swept subjects per
+to the variants whose pattern pair no earlier walk step reached. Two
+steps reuse what the sweep already knows: a variant whose ints equal its
+subject's takes the subject's pattern, since equal ints have one weak
+order, and each semigroup tests each (subject verdict, variant verdict)
+pair once, since a theorem's test reads only the table and those two
+verdicts; neither changes a walk or which certificate comes first. When
+the order's stream ends each semigroup keeps one tally, swept subjects per
 profile, from which its reports count checked and skipped subjects.
 
 The pair theorems and the sweep's variants take their operands and
@@ -592,7 +597,7 @@ class _Operands:
         self.spec = spec or SampleSpec()
         self._operands: dict = {}  # IFSubset -> the stored one equal to it
         self._transforms: dict = {}  # TransformParams -> the stored one equal to it
-        self._params: dict = {}  # least nu of a subject or pair -> its TransformParams
+        self._params: dict = {}  # (least nu numerator, den) -> its TransformParams
         self._magnified: dict = {}  # (id(operand), id(params)) -> (magnified, params)
 
     def operand(self, A: IFSubset) -> IFSubset:
@@ -603,20 +608,24 @@ class _Operands:
         keyed by the smaller least non-membership, picked on the views."""
         da, _, nu_a = A.view
         db, _, nu_b = B.view
-        if min(nu_a) * db > min(nu_b) * da:
-            da, nu_a = db, nu_b
-        return self.sampled(Fraction(min(nu_a), da))
+        low_a, low_b = min(nu_a), min(nu_b)
+        if low_a * db > low_b * da:
+            return self.sampled(low_b, db)
+        return self.sampled(low_a, da)
 
-    def sampled(self, low: Fraction) -> tuple[TransformParams, ...]:
+    def sampled(self, low: int, den: int) -> tuple[TransformParams, ...]:
         """Each sampled (beta, alpha), in sampling order, for a least
-        non-membership ``low``: a subject's variants, or a pair's."""
-        found = self._params.get(low)
+        non-membership ``low / den``: a subject's variants, or a pair's.
+        Keyed by the view's raw ints, so the ``Fraction`` is made only on a
+        miss; equal values under two keys get equal tuples of the same
+        interned parameters."""
+        found = self._params.get((low, den))
         if found is None:
-            spec = self.spec
-            found = self._params[low] = tuple(
+            spec, least = self.spec, Fraction(low, den)
+            found = self._params[low, den] = tuple(
                 self._transforms.setdefault(p, p) for p in (
                     TransformParams(beta, alpha) for beta in spec.beta_grid
-                    for alpha in _shifts(beta * low, spec.alpha_strategy)
+                    for alpha in _shifts(beta * least, spec.alpha_strategy)
                 )
             )
         return found
@@ -937,6 +946,7 @@ class _TaskState:
     cls: Classification
     certs: dict = field(default_factory=dict)  # tid -> first Certificate
     verdicts: list = field(default_factory=list)  # pattern id -> verdict on this semigroup
+    tested: set = field(default_factory=set)  # (id(v), id(w)) of the verdict pairs tested
     tally: dict = field(default_factory=dict)  # profile flags -> swept subjects with them
     # profile position -> the first subjects passing it, capped, for the pair theorems
     passers: list = field(default_factory=lambda: [[] for _ in KIND_ORDER])
@@ -1036,14 +1046,20 @@ def _prepare(A: IFSubset, patterns: _Patterns, operands: _Operands, need_variant
     non-membership, in sampling order, and the walk lists (beta, alpha,
     variant pattern id) of each variant whose (pattern, variant pattern)
     pair no earlier walk step reached. Every semigroup meets the subjects
-    in the same order, so the walks are the same for all of them."""
-    pid = patterns.pattern(*A.view[1:])
+    in the same order, so the walks are the same for all of them. A variant
+    whose mu and nu ints both equal the subject's (with a correct
+    ``magnify``, each beta = 1/q, alpha = 0 variant) has the subject's weak
+    order and takes its pattern id without computing it; a variant with
+    other ints, a sabotaged one among them, gets its own, so the walk and
+    its first certificate are those that computing every pattern gives."""
+    den, mu, nu = A.view
+    pid = patterns.pattern(mu, nu)
     patterns.counts[pid] += 1
     walk = []
     if need_variants:
-        den, _, nu = A.view
-        for params in operands.sampled(Fraction(min(nu), den)):
-            step = (pid, patterns.pattern(*magnify(A, params).view[1:]))
+        for params in operands.sampled(min(nu), den):
+            _, vmu, vnu = magnify(A, params).view
+            step = (pid, pid if vmu == mu and vnu == nu else patterns.pattern(vmu, vnu))
             if step not in patterns.reached:
                 patterns.reached.add(step)
                 walk.append((params.beta, params.alpha, step[1]))
@@ -1061,7 +1077,11 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
     walk reached meets the same verdicts, so it cannot record a
     certificate the earlier one did not. Each step tests the
     theorems whose hypothesis the semigroup has and whose precondition the
-    subject passes.
+    subject passes. A test reads only the table and the two verdicts, and
+    verdicts are interned per carrier order, so each (subject verdict,
+    variant verdict) pair is tested once per table (``state.tested``): a
+    later step with that pair fails only theorems its first step already
+    certified, so the first failing step stays first.
     """
     S, cls, T = state.S, state.cls, state.S.table
     idx = predicates._scan_index(S)
@@ -1077,7 +1097,7 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
         if (pair := _PAIR_THEOREMS.get(tid)) is not None and pair.holds(cls)
         for pos in pair.positions if len(passers[pos]) < cap
     }
-    verdicts, certs = state.verdicts, state.certs
+    verdicts, certs, tested = state.verdicts, state.certs, state.tested
     verdicts.extend([patterns.verdict(idx, pid)
                      for pid in range(len(verdicts), len(patterns.views))])
 
@@ -1090,6 +1110,9 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
         v = verdicts[pid]
         for beta, alpha, vid in walk:
             w = verdicts[vid]
+            if (pair := (id(v), id(w))) in tested:
+                continue
+            tested.add(pair)
             for th in active:
                 if th.tid in certs or (
                     th.precondition is not None and not v[0][th.precondition]

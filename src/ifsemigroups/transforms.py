@@ -27,6 +27,11 @@ image is negative exactly when its numerator is, that is when
 alpha > beta * g. The kernel's sign test on the nu numerators is
 therefore the exact alpha bound alpha <= beta * min(nu), and the bound
 itself is computed only to report a violation.
+
+With alpha = 0 the nu numerators p*k cannot be negative, so the kernel
+skips the sign test; with beta = 1/q as well (p = 1) the numerators are
+the subject's own, and the result's view (q*den, mu ints, nu ints) shares
+the subject's int tuples instead of making new ones.
 """
 
 from __future__ import annotations
@@ -69,8 +74,12 @@ def _affine(A: IFSubset, beta: Fraction, alpha: Fraction) -> IFSubset | None:
     alpha >= 0, or None when alpha > beta * min(nu)."""
     den, mu, nu = A.view
     ps = beta.numerator * alpha.denominator
-    shift = alpha.numerator * beta.denominator * den
     out_den = beta.denominator * alpha.denominator * den
+    if not alpha:
+        if ps != 1:
+            mu, nu = tuple([ps * k for k in mu]), tuple([ps * k for k in nu])
+        return _trusted(A.carrier_order, view=(out_den, mu, nu))
+    shift = alpha.numerator * beta.denominator * den
     nu_out = [ps * k - shift for k in nu]
     if min(nu_out, default=0) < 0:
         return None

@@ -151,6 +151,13 @@ class TestCheck:
         assert main(["check", "--orders", "x"]) == 2
         assert main(["check", "--orders", "5"]) == 2
 
+    @pytest.mark.parametrize("orders", [",", "", ",,"])
+    def test_empty_orders_is_a_one_line_error(self, orders, capsys):
+        assert main(["check", "--orders", orders]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "no orders" in err
+
     def test_random_count_flag(self, capsys):
         code = main(["check", "--orders", "1", "--theorem", "equiv_semiprime",
                      "--grid-step", "1/2", "--random-count", "7", "--seed", "3"])

@@ -181,7 +181,7 @@ def test_sweep_variants_never_materialise_grades(monkeypatch):
         for mu, nu in ((cert.mu_a, cert.nu_a), (cert.mu_b, cert.nu_b)):
             if mu is not None:
                 C = IFSubset(len(cert.table), mu, nu)
-                reach.update(magnify(C, p) for p in store.sampled(min(C.nu)))
+                reach.update(magnify(C, p) for p in store.sampled(min(C.view[2]), C.view[0]))
     for frames, X in made:
         assert "_sweep" not in frames
         assert "replay_certificate" in frames or X in reach

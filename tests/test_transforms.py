@@ -203,3 +203,14 @@ def test_translate_outside_its_bound_raises_with_the_least_nonmembership(A, exce
         with pytest.raises(AlphaOutOfRange) as exc:
             translate(A, alpha)
         assert exc.value.bound == min(A.nu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(subjects(nonempty=False), st.integers(min_value=1, max_value=12))
+def test_zero_shift_by_a_unit_fraction_shares_the_subject_ints(A, q):
+    # beta = 1/q, alpha = 0: the view is the subject's own ints over q*den
+    den, mu, nu = A.view
+    out = magnify(A, TransformParams(F(1, q), F(0)))
+    assert out.view[0] == q * den
+    assert out.view[1] is mu and out.view[2] is nu
+    assert (out.mu, out.nu) == _reference(A, F(1, q), F(0))
