@@ -39,11 +39,12 @@ the order's stream ends each semigroup keeps one tally, swept subjects per
 profile, from which its reports count checked and skipped subjects.
 
 The pair theorems and the sweep's variants take their operands and
-sampled parameters from a store with two scopes: ``_Operands`` for one run
-and ``_TableOperands`` while one table's reports are built (their
-docstrings say what each keeps). Every stored value comes from this
-module's ``magnify``, ``intersect`` and ``if_product``, looked up at call
-time, so a patched layer still sees every call that is made.
+sampled parameters from a store keyed by value (``IFSubset.key``), with
+two scopes: ``_Operands`` for one run and ``_TableOperands`` while one
+table's reports are built (their docstrings say what each keeps). Every
+stored value comes from this module's ``magnify``, ``intersect`` and
+``if_product``, looked up at call time, so a patched layer still sees
+every call that is made.
 """
 
 from __future__ import annotations
@@ -155,6 +156,9 @@ class SampleSpec:
             raise ValueError(
                 f"alpha strategy {self.alpha_strategy!r} not in {ALPHA_STRATEGIES}"
             )
+        for name in ("random_count", "max_pair_subjects"):
+            if type(getattr(self, name)) is not int:  # bool is no count either
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.random_count < 0:
             raise ValueError("random_count must be non-negative")
         if self.max_pair_subjects < 1:
@@ -576,32 +580,28 @@ def _one_table(tid: str, flag: str, S: Semigroup, spec: SampleSpec | None,
 
 
 class _Operands:
-    """The sampled parameters and pair operands of one run, shared by the
-    sweep, every table and every pair theorem.
+    """The sampled parameters and magnified operands of one run, shared by
+    the sweep, every table and every pair theorem.
 
-    Operands are interned by value, so equal subjects (a subject and its
-    magnification by (1, 0), say) are one object and the identity keys
-    here and in ``_TableOperands`` stand for values; the store holds every
-    object it keys by identity. Interning hashes and compares ``Fraction``
-    grades, so it materialises the grades of every view-only operand it
-    stores (each magnified operand). Each (operand, TransformParams) is
+    Operands are keyed by value, through ``IFSubset.key``, so equal
+    subjects (a subject and its magnification by (1, 0), say) share every
+    entry here and in ``_TableOperands``. Each (operand, TransformParams) is
     magnified once, through ``magnify``. A subject's sampled parameters
     depend only on its least non-membership, and a pair's on the smaller
     least non-membership of its two subjects, since
     max_alpha(X, beta) = beta * min(X.nu) with beta > 0, so the subjects
     and pairs with one least non-membership share one tuple of parameters.
-    Nothing here depends on a semigroup.
+    Parameters are interned and keyed by identity, which spares hashing
+    their ``Fraction``s at each lookup: ``_transforms`` holds each one the
+    run samples, and a public check's caller the one it passes, so no
+    identity key outlives its object. Nothing here depends on a semigroup.
     """
 
     def __init__(self, spec: SampleSpec | None = None):
         self.spec = spec or SampleSpec()
-        self._operands: dict = {}  # IFSubset -> the stored one equal to it
         self._transforms: dict = {}  # TransformParams -> the stored one equal to it
         self._params: dict = {}  # (least nu numerator, den) -> its TransformParams
-        self._magnified: dict = {}  # (id(operand), id(params)) -> (magnified, params)
-
-    def operand(self, A: IFSubset) -> IFSubset:
-        return self._operands.setdefault(A, A)
+        self._magnified: dict = {}  # (operand key, id(params)) -> magnified operand
 
     def params(self, A: IFSubset, B: IFSubset) -> tuple[TransformParams, ...]:
         """Each sampled (beta, alpha) admissible for both subjects of a pair,
@@ -631,36 +631,35 @@ class _Operands:
         return found
 
     def magnified(self, A: IFSubset, params: TransformParams) -> IFSubset:
-        """``magnify(A, params)`` as a stored operand; A must be stored."""
-        key = (id(A), id(params))
+        """``magnify(A, params)``, built once per operand value."""
+        key = (A.key, id(params))
         found = self._magnified.get(key)
         if found is None:
-            found = self._magnified[key] = (self.operand(magnify(A, params)), params)
-        return found[0]
+            found = self._magnified[key] = magnify(A, params)
+        return found
 
 
 class _TableOperands:
-    """Meets and products of stored operands over one semigroup, each
-    computed once through ``intersect`` and ``if_product``. The plain and
-    magnified laws, the empty-meet test and every pair theorem of the table
-    share them; the suite drops them once the table's reports are done.
-    Meets are not interned: equal meets of two pairs are two objects."""
+    """Meets and products of operands over one semigroup, each computed once
+    through ``intersect`` and ``if_product``. The plain and magnified laws,
+    the empty-meet test and every pair theorem of the table share them; the
+    suite drops them once the table's reports are done."""
 
     def __init__(self, S: Semigroup, operands: _Operands):
         self.S = S
         self.operands = operands
-        self._meets: dict = {}  # (id(X), id(Y)) -> intersect(X, Y)
-        self._products: dict = {}  # (id(X), id(Y)) -> if_product(S, X, Y)
+        self._meets: dict = {}  # (X.key, Y.key) -> intersect(X, Y)
+        self._products: dict = {}  # (X.key, Y.key) -> if_product(S, X, Y)
 
     def meet(self, X: IFSubset, Y: IFSubset) -> IFSubset:
-        key = (id(X), id(Y))
+        key = (X.key, Y.key)
         found = self._meets.get(key)
         if found is None:
             found = self._meets[key] = intersect(X, Y)
         return found
 
     def product(self, X: IFSubset, Y: IFSubset) -> IFSubset:
-        key = (id(X), id(Y))
+        key = (X.key, Y.key)
         found = self._products.get(key)
         if found is None:
             found = self._products[key] = if_product(self.S, X, Y)
@@ -701,20 +700,20 @@ class _PairTheorem:
     def holds(self, cls: Classification) -> bool:
         return all(getattr(cls, flag) for flag in self.flags)
 
-    def pairs(self, passers: list, operands: _Operands) -> Iterator[tuple[IFSubset, IFSubset]]:
-        """The pairs of stored passers the theorem tests."""
-        lists = [[operands.operand(A) for A in passers[pos]] for pos in self.positions]
+    def pairs(self, passers: list) -> Iterator[tuple[IFSubset, IFSubset]]:
+        """The pairs of passers the theorem tests."""
+        lists = [passers[pos] for pos in self.positions]
         if len(lists) == 2:
             return itertools.product(*lists)
         return itertools.combinations_with_replacement(lists[0], 2)
 
     def failure(self, ops: _TableOperands, A: IFSubset, B: IFSubset, params_list,
                 name: str) -> Certificate | None:
-        """The first failure of the law on a pair of stored operands, plain,
-        then magnified under each given (beta, alpha)."""
-        cert = functools.partial(
-            Certificate, self.tid, name, ops.S.table, A.mu, A.nu, B.mu, B.nu
-        )
+        """The first failure of the law on a pair of operands, plain, then
+        magnified under each given (beta, alpha). Only a failure reads the
+        pair's grades."""
+        def cert(**fields):
+            return Certificate(self.tid, name, ops.S.table, A.mu, A.nu, B.mu, B.nu, **fields)
         if self.plain is not None and not self.law(ops, A, B):
             return cert(**self.plain)
         magnified = ops.operands.magnified
@@ -756,7 +755,6 @@ def check_semiprime_intersection(
     if not (check(K.SEMIPRIME, S, A) and check(K.SEMIPRIME, S, B)):
         raise PreconditionNotMet("both subjects must be semiprime ideals")
     ops = _TableOperands(S, _Operands(spec))
-    A, B = ops.operands.operand(A), ops.operands.operand(B)
     if not is_nonempty(ops.meet(A, B)):
         raise PreconditionNotMet("intersection is empty")
     th = _PAIR_THEOREMS["semiprime_intersection"]
@@ -788,7 +786,6 @@ def check_product_inclusions(
         raise HypothesisNotMet(f"subjects are not both {pk.value}s")
     name = _label(S, label)
     ops = _TableOperands(S, _Operands())
-    A, B = ops.operands.operand(A), ops.operands.operand(B)
     return _report(th.tid, name, 1, 0, th.failure(ops, A, B, (params,), name))
 
 
@@ -874,7 +871,6 @@ def _exhibit(ops: _TableOperands, chis: tuple[IFSubset, ...], breaks: Callable,
     a failure's certificate claims ``exhibit_failed``. The witness is the
     first case tested; ``_report`` replays it."""
     store = ops.operands
-    chis = tuple(store.operand(X) for X in chis)
     failed = functools.partial(cert, exhibit_failed=True)
     sampled = store.params(chis[0], chis[-1])
     if plain is not None and not breaks(*chis):
@@ -1174,7 +1170,7 @@ def _pairs_report(state: _TaskState, ops: _TableOperands, tid: str,
     if not th.holds(state.cls):
         return _report(tid, label, 0, state.subjects)
     skipped = state.subjects - state.held(*th.positions)
-    for A, B in th.pairs(state.passers, operands):
+    for A, B in th.pairs(state.passers):
         if th.skip_empty and not is_nonempty(ops.meet(A, B)):
             skipped += 1
             continue

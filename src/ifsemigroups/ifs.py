@@ -16,8 +16,10 @@ decide on the view's ints. A subject built from Fractions
 A subject the library builds (``transforms._affine``, ``intersect``,
 ``composition.if_product``, the grid subjects of ``sample_ifs``) carries
 only its view, derived from its operands' views or from the grid's
-integers, and makes its Fractions on first read of ``mu`` or ``nu``. The
-view is not a field: equality, hashing, ``repr``, ``fields()`` and ``replace()`` ignore it.
+integers, and makes its Fractions on first read of ``mu`` or ``nu``.
+``A.key``, the view over the least common denominator, is equal exactly
+for equal subjects and is read without making Fractions. Neither is a
+field: equality, hashing, ``repr``, ``fields()`` and ``replace()`` ignore them.
 """
 
 from __future__ import annotations
@@ -106,6 +108,15 @@ class IFSubset:
             tuple([g.numerator * (den // g.denominator) for g in self.mu]),
             tuple([g.numerator * (den // g.denominator) for g in self.nu]),
         )
+
+    @cached_property
+    def key(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """The view over the least denominator: equal exactly for equal subjects."""
+        den, mu, nu = self.view
+        g = math.gcd(den, *mu, *nu)
+        if g == 1:
+            return self.view
+        return den // g, tuple([m // g for m in mu]), tuple([v // g for v in nu])
 
     def __getattr__(self, name):
         # reached only when normal lookup fails: the grades of a view-only subject

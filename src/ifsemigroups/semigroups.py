@@ -227,16 +227,8 @@ def classify(S: Semigroup) -> Classification:
         for kind in ("regular", "intra_regular", "left_regular", "right_regular")
     )
 
-    archimedean = True
-    for a in elems:
-        if not archimedean:
-            break
-        pows = set(_powers(S, a))
-        for b in elems:
-            SbS = {T[T[x][b]][y] for x in elems for y in elems}
-            if not pows & SbS:
-                archimedean = False
-                break
+    ideals = [{T[T[x][b]][y] for x in elems for y in elems} for b in elems]  # each SbS
+    archimedean = all(P & I for P in [set(_powers(S, a)) for a in elems] for I in ideals)
 
     identity = None
     for e in elems:

@@ -75,6 +75,16 @@ class TestSampleIfs:
         with pytest.raises(ValueError):
             SampleSpec(beta_grid=(F(0),))
 
+    @pytest.mark.parametrize("name, value", [
+        ("max_pair_subjects", 2.5), ("max_pair_subjects", F(3)), ("max_pair_subjects", True),
+        ("random_count", 1.5), ("random_count", "2"), ("random_count", False),
+    ])
+    def test_non_integer_counts_rejected(self, name, value):
+        # either would otherwise fail mid-sweep: islice wants an integer
+        # stop, sample_ifs an integer range
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SampleSpec(**{name: value})
+
     def test_carrier_order_below_one_rejected(self):
         for order in (0, -1):
             with pytest.raises(ValueError, match=f"carrier order {order} must be at least 1"):

@@ -1,10 +1,9 @@
 """The run's operand store against a store-free reference.
 
-The pair core takes its operands from a store: each subject and each
-magnified operand is interned by value, each (subject, TransformParams) is
-magnified once per run, a pair's sampled parameters are keyed by its least
-non-membership, and each table computes each meet and product of a pair of
-operands once. The sweep takes each subject's variant parameters
+The pair core takes its operands from a store keyed by value
+(``IFSubset.key``): each (subject, TransformParams) is magnified once per
+run, a pair's sampled parameters are keyed by its least non-membership,
+and each table computes each meet and product of a pair of operands once. The sweep takes each subject's variant parameters
 from the same store, keyed by the subject's least non-membership. These
 tests pin the call counts that sharing promises, check that a store which
 shares nothing gives the same reports, and reach the non-regular product
