@@ -44,7 +44,8 @@ two scopes: ``_Operands`` for one run and ``_TableOperands`` while one
 table's reports are built (their docstrings say what each keeps). Every
 stored value comes from this module's ``magnify``, ``intersect`` and
 ``if_product``, looked up at call time, so a patched layer still sees
-every call that is made.
+every call that is made. A pair law reads only its table and the values
+of its operands, so each table decides each (law, operand pair) once.
 """
 
 from __future__ import annotations
@@ -590,11 +591,13 @@ class _Operands:
     depend only on its least non-membership, and a pair's on the smaller
     least non-membership of its two subjects, since
     max_alpha(X, beta) = beta * min(X.nu) with beta > 0, so the subjects
-    and pairs with one least non-membership share one tuple of parameters.
-    Parameters are interned and keyed by identity, which spares hashing
-    their ``Fraction``s at each lookup: ``_transforms`` holds each one the
-    run samples, and a public check's caller the one it passes, so no
-    identity key outlives its object. Nothing here depends on a semigroup.
+    and pairs with one least non-membership share one tuple of parameters,
+    and each operand's variants under that tuple are fetched as one tuple.
+    Parameters and their tuples are interned and keyed by identity, which
+    spares hashing their ``Fraction``s at each lookup: ``_transforms`` and
+    ``_params`` hold each one the run samples, and a public check the one
+    it passes for the length of the call, so no identity key outlives its
+    object. Nothing here depends on a semigroup.
     """
 
     def __init__(self, spec: SampleSpec | None = None):
@@ -602,6 +605,7 @@ class _Operands:
         self._transforms: dict = {}  # TransformParams -> the stored one equal to it
         self._params: dict = {}  # (least nu numerator, den) -> its TransformParams
         self._magnified: dict = {}  # (operand key, id(params)) -> magnified operand
+        self._variants: dict = {}  # (operand key, id(params tuple)) -> its magnified operands
 
     def params(self, A: IFSubset, B: IFSubset) -> tuple[TransformParams, ...]:
         """Each sampled (beta, alpha) admissible for both subjects of a pair,
@@ -638,11 +642,21 @@ class _Operands:
             found = self._magnified[key] = magnify(A, params)
         return found
 
+    def variants(self, A: IFSubset, params_list) -> tuple[IFSubset, ...]:
+        """``magnified(A, params)`` for each params of an interned tuple, in
+        its order: a pair operand's variants, fetched once per operand value."""
+        key = (A.key, id(params_list))
+        found = self._variants.get(key)
+        if found is None:
+            found = self._variants[key] = tuple([self.magnified(A, p) for p in params_list])
+        return found
+
 
 class _TableOperands:
-    """Meets and products of operands over one semigroup, each computed once
-    through ``intersect`` and ``if_product``. The plain and magnified laws,
-    the empty-meet test and every pair theorem of the table share them; the
+    """Meets, products and pair-law verdicts of operands over one semigroup,
+    each computed once, through ``intersect``, ``if_product`` and the law.
+    The plain and magnified laws, the empty-meet test and every pair theorem
+    of the table share them (the two product theorems share a law); the
     suite drops them once the table's reports are done."""
 
     def __init__(self, S: Semigroup, operands: _Operands):
@@ -650,6 +664,14 @@ class _TableOperands:
         self.operands = operands
         self._meets: dict = {}  # (X.key, Y.key) -> intersect(X, Y)
         self._products: dict = {}  # (X.key, Y.key) -> if_product(S, X, Y)
+        self._verdicts: dict = {}  # (law, X.key, Y.key) -> law(self, X, Y)
+
+    def holds(self, law: Callable, X: IFSubset, Y: IFSubset) -> bool:
+        key = (law, X.key, Y.key)
+        found = self._verdicts.get(key)
+        if found is None:
+            found = self._verdicts[key] = law(self, X, Y)
+        return found
 
     def meet(self, X: IFSubset, Y: IFSubset) -> IFSubset:
         key = (X.key, Y.key)
@@ -710,15 +732,17 @@ class _PairTheorem:
     def failure(self, ops: _TableOperands, A: IFSubset, B: IFSubset, params_list,
                 name: str) -> Certificate | None:
         """The first failure of the law on a pair of operands, plain, then
-        magnified under each given (beta, alpha). Only a failure reads the
-        pair's grades."""
+        magnified under each given (beta, alpha), with every verdict read
+        through the table's store. Only a failure reads the pair's grades."""
         def cert(**fields):
             return Certificate(self.tid, name, ops.S.table, A.mu, A.nu, B.mu, B.nu, **fields)
-        if self.plain is not None and not self.law(ops, A, B):
+        holds, law = ops.holds, self.law
+        if self.plain is not None and not holds(law, A, B):
             return cert(**self.plain)
-        magnified = ops.operands.magnified
-        for params in params_list:
-            if not self.law(ops, magnified(A, params), magnified(B, params)):
+        variants = ops.operands.variants
+        for params, X, Y in zip(params_list, variants(A, params_list),
+                                variants(B, params_list)):
+            if not holds(law, X, Y):
                 return cert(beta=params.beta, alpha=params.alpha, **self.magnified)
         return None
 

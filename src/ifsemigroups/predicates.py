@@ -222,9 +222,10 @@ def find_violation(kind: FuzzyStructureKind, S: Semigroup, A: IFSubset) -> Viola
     right; semiprime checks ideal-ness before the squares.
     """
     _require_subject(S, A)
-    if kind not in _KIND_STAGES:
+    stages = _KIND_STAGES.get(kind)
+    if stages is None:
         raise ValueError(f"unknown kind {kind!r}")
-    return _violation_of(kind, _KIND_STAGES[kind], S, A)
+    return _violation_of(kind, stages, S, A)
 
 
 def check(kind: FuzzyStructureKind, S: Semigroup, A: IFSubset) -> bool:

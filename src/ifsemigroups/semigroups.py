@@ -52,9 +52,11 @@ def _table_violation(order: int, table) -> None:
                     raise AssociativityViolation(x, y, z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Semigroup:
-    """A finite carrier {0..n-1} with an associativity-checked Cayley table."""
+    """A finite carrier {0..n-1} with an associativity-checked Cayley table,
+    equal by value. Its hash, not a field, is computed once, at construction:
+    every kernel call looks the table up in a cache keyed by it."""
 
     order: int
     table: tuple[tuple[int, ...], ...]
@@ -65,6 +67,17 @@ class Semigroup:
         if len(self.table) != self.order:
             raise ParseError(f"expected {self.order} rows, got {len(self.table)}")
         _table_violation(self.order, self.table)
+        object.__setattr__(self, "_hash", hash((self.order, self.table)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.table) == (other.order, other.table)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]

@@ -2,15 +2,19 @@
 
 The pair core takes its operands from a store keyed by value
 (``IFSubset.key``): each (subject, TransformParams) is magnified once per
-run, a pair's sampled parameters are keyed by its least non-membership,
-and each table computes each meet and product of a pair of operands once. The sweep takes each subject's variant parameters
-from the same store, keyed by the subject's least non-membership. These
-tests pin the call counts that sharing promises, check that a store which
-shares nothing gives the same reports, and reach the non-regular product
-witness's branch for a witness that satisfies the product law, which no
-correct run reaches.
+run, an operand's variants under a pair's parameters are fetched as one
+tuple, a pair's sampled parameters are keyed by its least non-membership,
+and each table computes each meet, product and pair-law verdict of a pair
+of operands once. The sweep takes each subject's variant parameters from
+the same store, keyed by the subject's least non-membership. These tests
+pin the call counts that sharing promises, check that a store which shares
+nothing (it magnifies, meets, multiplies and decides a law at every use)
+gives the same reports, and reach the non-regular product witness's branch
+for a witness that satisfies the product law, which no correct run
+reaches.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction as F
 
@@ -73,9 +77,6 @@ class _FreshOperands:
     def __init__(self, spec=None):
         self.spec = spec or SampleSpec()
 
-    def operand(self, A):
-        return A
-
     def params(self, A, B):
         return [
             TransformParams(beta, alpha)
@@ -88,9 +89,12 @@ class _FreshOperands:
     def magnified(self, A, params):
         return harness.magnify(A, params)
 
+    def variants(self, A, params_list):
+        return [harness.magnify(A, params) for params in params_list]
+
 
 class _FreshTable:
-    """Each meet and product computed at every use."""
+    """Each meet, product and law verdict computed at every use."""
 
     def __init__(self, S, operands):
         self.S = S
@@ -101,6 +105,9 @@ class _FreshTable:
 
     def product(self, X, Y):
         return harness.if_product(self.S, X, Y)
+
+    def holds(self, law, X, Y):
+        return law(self, X, Y)
 
 
 @st.composite
@@ -179,6 +186,51 @@ def test_store_matches_store_free_reference(orders, spec, sabotage):
     assert stored == reports(sabotage, _store_free)
     if sabotage is not None:
         assert any(r.outcome == "counterexample" for r in stored)
+
+
+def _law_calls(patch, calls):
+    """Make every pair theorem's law record (table position, law, operand keys)."""
+    tables: dict = {}
+    wrapped: dict = {}
+
+    def recording(law):
+        def recorded(ops, X, Y):
+            table = tables.setdefault(id(ops.S), len(tables))
+            calls.append((table, law.__name__, X.key, Y.key))
+            return law(ops, X, Y)
+        return recorded
+
+    patch(harness, "_PAIR_THEOREMS", {
+        tid: dataclasses.replace(th, law=wrapped.setdefault(th.law, recording(th.law)))
+        for tid, th in harness._PAIR_THEOREMS.items()
+    })
+
+
+def test_each_table_decides_each_pair_law_once():
+    """No table evaluates a law twice on one pair of operand values, and the
+    store decides every (law, operands) that a store-free run decides."""
+    spec = SampleSpec(grade_grid_step=F(1, 2), max_pair_subjects=4)
+
+    def run(*patches):
+        laws, magnified, products = [], [], []
+        with pytest.MonkeyPatch.context() as mp:
+            for p in patches:
+                p(mp.setattr)
+            _law_calls(mp.setattr, laws)
+            _counting(mp.setattr, "magnify", magnified)
+            _counting(mp.setattr, "if_product", products)
+            reports = run_suite([1, 2, 3], spec, PAIR_IDS)
+        return reports, laws, magnified, products
+
+    reports, laws, magnified, products = run()
+    fresh_reports, fresh_laws, _, _ = run(_store_free)
+    assert reports == fresh_reports
+    assert all(r.outcome == "verified" for r in reports)
+    assert len(laws) == len(set(laws))
+    assert set(laws) == set(fresh_laws)
+    assert len(fresh_laws) > len(laws)
+    assert len(magnified) == len(set(magnified))
+    assert len(products) == len({(id(S), A, B) for S, A, B in products})
 
 
 # the default sampling plan, and each other alpha strategy on the 1/2 grid,

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +75,48 @@ class TestValidateCayley:
         with pytest.raises(OutOfRangeEntry) as exc:
             validate_cayley(2, [[0, 2], [1, 1]])
         assert (exc.value.x, exc.value.y, exc.value.value) == (0, 1, 2)
+
+
+def _copy(S: Semigroup) -> Semigroup:
+    """An equal table built from fresh row tuples."""
+    return Semigroup(S.order, tuple(tuple(list(row)) for row in S.table))
+
+
+class TestValueSemantics:
+    """A table is equal and hashed by value; its hash, computed once at
+    construction, is that of (order, table)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_semigroups(), small_semigroups())
+    def test_equality_and_hash_follow_the_table(self, S, R):
+        C = _copy(S)
+        assert C is not S and C.table[0] is not S.table[0]
+        assert C == S and not C != S
+        assert hash(C) == hash(S) == hash((S.order, S.table))
+        same = (S.order, S.table) == (R.order, R.table)
+        assert (S == R) is same and (S != R) is not same
+
+    def test_unequal_and_foreign_comparisons(self):
+        left_zero = Semigroup(2, ((0, 0), (1, 1)))
+        right_zero = Semigroup(2, ((0, 1), (0, 1)))
+        assert left_zero != right_zero and right_zero != Semigroup(1, ((0,),))
+        for other in ((2, ((0, 0), (1, 1))), left_zero.table, None, "x"):
+            assert not left_zero == other and left_zero != other
+
+    def test_pickle_and_replace_round_trip(self):
+        S = Semigroup(2, ((0, 0), (1, 1)))
+        R = Semigroup(2, ((0, 1), (0, 1)))
+        for T in (pickle.loads(pickle.dumps(S)), dataclasses.replace(S), copy.deepcopy(S)):
+            assert T == S and hash(T) == hash(S)
+        swapped = dataclasses.replace(S, table=R.table)
+        assert swapped == R and hash(swapped) == hash(R)
+
+    def test_repr_and_fields_are_the_dataclass_ones(self):
+        S = Semigroup(2, ((0, 0), (1, 1)))
+        assert repr(S) == "Semigroup(order=2, table=((0, 0), (1, 1)))"
+        assert [f.name for f in dataclasses.fields(S)] == ["order", "table"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            S.order = 3
 
 
 class TestMultiplySubsets:
