@@ -8,44 +8,21 @@ the public predicate and transform APIs. The converse exhibits of the
 characterizations and of the product law share one helper: a witness
 that breaks its law, plainly and magnified, is attached to the verified
 report; one that does not is a counterexample claiming ``exhibit_failed``,
-a certificate field that ``--machine`` does not print. ``_report`` replays
-every certificate and witness.
+a certificate field that ``--machine`` does not print.
 
-Each single-subject theorem is one ``_THEOREMS`` entry, run by both the
-suite sweep and the public check (its gates, then the entry's test). Each
-pair theorem is one ``_PAIR_THEOREMS`` entry: its hypothesis flags, the
-profile positions of its operands, its law and its certificate fields.
-One core tests a pair against that law, plainly and magnified; the suite
-runs it on the subjects its sweep already gated, the public checks after
-their gates.
+Each theorem is one entry of ``_ENTRIES``, in report order: a
+single-subject ``_Theorem``, tested on a subject and one magnified variant,
+or a ``_PairTheorem``, whose law is tested on pairs of subjects, plainly and
+magnified. The suite and the public checks run the same entry, and read its
+gates from it: where the semigroup lacks the entry's flags (``holds``) or a
+subject fails its profile position, the suite tallies a skip and the public
+check raises the entry's ``refusal``.
 
-The suite runner shares work but never changes what is evaluated. Subject
-profiles evaluate through the same scan code as the public predicates, on
-the exact integer view each subject carries (``IFSubset.view``: a
-magnified variant gets its view from ``magnify``, a grid subject from the
-grid's integers, a random subject computes its own once). Every
-predicate compares mu only with mu and nu only with nu, so a view's
-verdicts depend only on the weak order of each grade map: each semigroup
-decides each such pattern once. The sweep magnifies each subject under
-each of its sampled parameters once, for every semigroup of its carrier
-order, and hands them one record per subject: its pattern and the walk
-to the variants whose pattern pair no earlier walk step reached. Two
-steps reuse what the sweep already knows: a variant whose ints equal its
-subject's takes the subject's pattern, since equal ints have one weak
-order, and each semigroup tests each (subject verdict, variant verdict)
-pair once, since a theorem's test reads only the table and those two
-verdicts; neither changes a walk or which certificate comes first. When
-the order's stream ends each semigroup keeps one tally, swept subjects per
-profile, from which its reports count checked and skipped subjects.
-
-The pair theorems and the sweep's variants take their operands and
-sampled parameters from a store keyed by value (``IFSubset.key``), with
-two scopes: ``_Operands`` for one run and ``_TableOperands`` while one
-table's reports are built (their docstrings say what each keeps). Every
-stored value comes from this module's ``magnify``, ``intersect`` and
-``if_product``, looked up at call time, so a patched layer still sees
-every call that is made. A pair law reads only its table and the values
-of its operands, so each table decides each (law, operand pair) once.
+Reports are a pure function of the arguments, and every certificate and
+witness replays before it is reported. The suite shares work but never
+changes what is evaluated: every stored value comes from this module's
+``magnify``, ``intersect`` and ``if_product``, looked up at call time, so a
+patched layer still sees every call that is made.
 """
 
 from __future__ import annotations
@@ -93,19 +70,6 @@ from .transforms import TransformParams, magnify, max_alpha
 K = FuzzyStructureKind
 
 EQUIV_THEOREMS = {f"equiv_{kind.value}": kind for kind in KIND_ORDER}
-
-THEOREM_IDS = tuple(EQUIV_THEOREMS) + (
-    "group_constant",
-    "semiprime_intersection",
-    "fixedpoint",
-    "char_intra_regular",
-    "char_left_regular",
-    "char_right_regular",
-    "archimedean_constant",
-    "product_bi_ideal",
-    "product_one_two_ideal",
-    "regular_product",
-)
 
 ALPHA_STRATEGIES = ("zero", "max", "midpoint", "grid")
 
@@ -397,22 +361,24 @@ def _label(S: Semigroup, label: str | None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the single-subject theorems: one table, run by the suite and the public checks
+# the single-subject theorems and the gates of the public checks
 
 
 @dataclass(frozen=True)
 class _Theorem:
     """One single-subject theorem. ``test(table, v, w)`` maps the verdicts
     (see ``_verdict``) of a subject and of one magnified variant to the
-    certificate fields of a failure, or None. Without the hypothesis, the
-    suite tallies a skip (or exhibits the converse witness of a regularity
-    flag) and the public check raises ``refusal``."""
+    certificate fields of a failure, or None. Where a regularity flag is its
+    hypothesis and fails, the suite exhibits the flag's converse witness."""
 
     tid: str
     test: Callable
     hypothesis: str | None = None  # Classification flag the semigroup needs
-    refusal: tuple = ()  # (error type, message)
-    precondition: int | None = None  # profile position the subject must pass
+    positions: tuple[int, ...] = ()  # the profile position, if any, the subject must pass
+    refusal: type = PreconditionNotMet  # raised by the public check at a gate
+
+    def holds(self, cls: Classification) -> bool:
+        return self.hypothesis is None or getattr(cls, self.hypothesis)
 
     def failure(self, label, T, A, beta, alpha, v, w) -> Certificate | None:
         fields = self.test(T, v, w)
@@ -456,35 +422,26 @@ def _char_test(relevant: str) -> Callable:
     return test
 
 
-_THEOREMS = {th.tid: th for th in (
-    *(_Theorem(tid, _equiv_test(pos, kind.value))
-      for pos, (tid, kind) in enumerate(EQUIV_THEOREMS.items())),
-    _Theorem("group_constant", _group_constant_test, "is_group",
-             (NotAGroup, "the constant-function equivalence requires a group")),
-    _Theorem("fixedpoint", _fixedpoint_test, precondition=_SEMIPRIME),
-    *(_Theorem(f"char_{kind}", _char_test(relevant.value), kind,
-               precondition=KIND_ORDER.index(relevant))
-      for kind, (relevant, _) in _CHAR_RELEVANT.items()),
-    _Theorem("archimedean_constant", _archimedean_constant_test, "archimedean",
-             (PreconditionNotMet, "semigroup is not archimedean"), _SEMIPRIME),
-)}
+def _gate(th: _Theorem | _PairTheorem, S: Semigroup, *subjects: IFSubset) -> None:
+    """Raise the entry's refusal where the suite would tally a skip: the
+    semigroup lacks its flags, or a subject fails its profile position (a
+    pair's first subject the first position, its second the last)."""
+    if not th.holds(classify(S)):
+        raise th.refusal(f"semigroup does not meet the hypothesis of {th.tid}")
+    for X in subjects:
+        predicates._require_subject(S, X)
+    for X, pos in zip(subjects, th.positions * 2):
+        if not check(KIND_ORDER[pos], S, X):
+            raise th.refusal(f"subject fails the {KIND_ORDER[pos].value} precondition of {th.tid}")
 
 
 def _check_single(tid: str, S: Semigroup, A: IFSubset, params: TransformParams,
                   label: str | None) -> VerificationReport:
-    """Gate, then test: the suite's step on one subject and one variant, with
-    gates that raise where the suite would tally a skip."""
+    """Gate, then test: the suite's step on one subject and one variant."""
     th = _THEOREMS[tid]
-    if th.hypothesis is not None and not getattr(classify(S), th.hypothesis):
-        raise th.refusal[0](th.refusal[1])
-    predicates._require_subject(S, A)
+    _gate(th, S, A)
     idx = predicates._scan_index(S)
-    v = _verdict(idx, *A.view[1:])
-    if th.precondition is not None and not v[0][th.precondition]:
-        raise PreconditionNotMet(
-            f"subject is not a {KIND_ORDER[th.precondition].value} ideal"
-        )
-    w = _verdict(idx, *magnify(A, params).view[1:])
+    v, w = (_verdict(idx, *X.view[1:]) for X in (A, magnify(A, params)))
     name = _label(S, label)
     return _report(tid, name, 1, 0, th.failure(name, S.table, A, params.beta, params.alpha, v, w))
 
@@ -559,25 +516,25 @@ def check_characterization(
     """
     if kind not in _CHAR_RELEVANT:
         raise ValueError(f"unknown characterization kind {kind!r}")
-    return _one_table(f"char_{kind}", kind, S, spec, label)
+    return _one_table(f"char_{kind}", S, spec, label)
 
 
-def _one_table(tid: str, flag: str, S: Semigroup, spec: SampleSpec | None,
+def _one_table(tid: str, S: Semigroup, spec: SampleSpec | None,
                label: str | None) -> VerificationReport:
     """The suite over one semigroup and one theorem on the sampled
-    subjects; the sweep runs only when the semigroup has ``flag``, the
-    theorem's hypothesis."""
+    subjects; the sweep runs only when the semigroup meets the theorem's
+    hypothesis."""
     spec = spec or SampleSpec()
     state = _TaskState(_label(S, label), S, classify(S))
     operands = _Operands(spec)
-    if getattr(state.cls, flag):
+    if (_THEOREMS.get(tid) or _PAIR_THEOREMS[tid]).holds(state.cls):
         _sweep([state], sample_ifs(S.order, spec), (tid,), spec, operands)
     (report,) = _finish_task(state, (tid,), _TableOperands(S, operands))
     return report
 
 
 # ---------------------------------------------------------------------------
-# the pair theorems: one table, run by the suite and the public checks
+# the pair theorems, then the one table of every theorem
 
 
 class _Operands:
@@ -655,9 +612,9 @@ class _Operands:
 class _TableOperands:
     """Meets, products and pair-law verdicts of operands over one semigroup,
     each computed once, through ``intersect``, ``if_product`` and the law.
-    The plain and magnified laws, the empty-meet test and every pair theorem
-    of the table share them (the two product theorems share a law); the
-    suite drops them once the table's reports are done."""
+    The plain and magnified laws and every pair theorem of the table share
+    them (the two product theorems share a law); the suite drops them once
+    the table's reports are done."""
 
     def __init__(self, S: Semigroup, operands: _Operands):
         self.S = S
@@ -717,7 +674,7 @@ class _PairTheorem:
     law: Callable
     plain: dict | None
     magnified: dict
-    skip_empty: bool = False  # pairs with an empty intersection are skipped
+    refusal: type = PreconditionNotMet  # raised by the public check at a gate
 
     def holds(self, cls: Classification) -> bool:
         return all(getattr(cls, flag) for flag in self.flags)
@@ -749,22 +706,47 @@ class _PairTheorem:
 
 _INCLUSION_FAILURE = {"detail": "magnified intersection escapes a magnified product"}
 
-_PAIR_THEOREMS = {th.tid: th for th in (
+# every theorem, in report order
+_ENTRIES = (
+    *(_Theorem(tid, _equiv_test(pos, kind.value))
+      for pos, (tid, kind) in enumerate(EQUIV_THEOREMS.items())),
+    _Theorem("group_constant", _group_constant_test, "is_group", refusal=NotAGroup),
     _PairTheorem("semiprime_intersection", (), (_SEMIPRIME,), _semiprime_meet,
                  {"detail": "plain intersection is not semiprime"},
-                 {"detail": "magnified intersection is not semiprime"}, skip_empty=True),
+                 {"detail": "magnified intersection is not semiprime"}),
+    _Theorem("fixedpoint", _fixedpoint_test, positions=(_SEMIPRIME,)),
+    *(_Theorem(f"char_{kind}", _char_test(relevant.value), kind, (KIND_ORDER.index(relevant),))
+      for kind, (relevant, _) in _CHAR_RELEVANT.items()),
+    _Theorem("archimedean_constant", _archimedean_constant_test, "archimedean", (_SEMIPRIME,)),
     _PairTheorem("product_bi_ideal", ("regular", "intra_regular"), (_BI,),
-                 _meet_inside_products, None, _INCLUSION_FAILURE),
+                 _meet_inside_products, None, _INCLUSION_FAILURE, HypothesisNotMet),
     _PairTheorem("product_one_two_ideal", ("regular", "intra_regular", "left_regular"),
-                 (_ONE_TWO,), _meet_inside_products, None, _INCLUSION_FAILURE),
+                 (_ONE_TWO,), _meet_inside_products, None, _INCLUSION_FAILURE,
+                 HypothesisNotMet),
     _PairTheorem("regular_product", ("regular",), (_RIGHT, _LEFT), _product_is_meet,
                  {"kind": "fuzzy",
                   "detail": "product differs from intersection on a regular semigroup"},
                  {"kind": "magnified",
                   "detail": "magnified product differs from magnified intersection"}),
-)}
+)
+THEOREM_IDS = tuple(th.tid for th in _ENTRIES)
+_THEOREMS = {th.tid: th for th in _ENTRIES if isinstance(th, _Theorem)}
+_PAIR_THEOREMS = {th.tid: th for th in _ENTRIES if isinstance(th, _PairTheorem)}
 
 _PAIR_KINDS = {"bi_ideal_pair": "product_bi_ideal", "one_two_pair": "product_one_two_ideal"}
+
+
+def _check_pair(tid: str, S: Semigroup, A: IFSubset, B: IFSubset, label: str | None,
+                spec: SampleSpec | None = None,
+                params: TransformParams | None = None) -> VerificationReport:
+    """Gate, then the pair core on (A, B): magnified under ``params``, or
+    under each (beta, alpha) that ``spec`` samples for the pair."""
+    th = _PAIR_THEOREMS[tid]
+    _gate(th, S, A, B)
+    name = _label(S, label)
+    ops = _TableOperands(S, _Operands(spec))
+    params_list = ops.operands.params(A, B) if params is None else (params,)
+    return _report(tid, name, 1, 0, th.failure(ops, A, B, params_list, name))
 
 
 def check_semiprime_intersection(
@@ -775,15 +757,7 @@ def check_semiprime_intersection(
     label: str | None = None,
 ) -> VerificationReport:
     """Intersections of semiprime ideals are semiprime, before and after magnifying."""
-    name = _label(S, label)
-    if not (check(K.SEMIPRIME, S, A) and check(K.SEMIPRIME, S, B)):
-        raise PreconditionNotMet("both subjects must be semiprime ideals")
-    ops = _TableOperands(S, _Operands(spec))
-    if not is_nonempty(ops.meet(A, B)):
-        raise PreconditionNotMet("intersection is empty")
-    th = _PAIR_THEOREMS["semiprime_intersection"]
-    cert = th.failure(ops, A, B, ops.operands.params(A, B), name)
-    return _report(th.tid, name, 1, 0, cert)
+    return _check_pair("semiprime_intersection", S, A, B, label, spec)
 
 
 def check_product_inclusions(
@@ -802,15 +776,7 @@ def check_product_inclusions(
     """
     if kind not in _PAIR_KINDS:
         raise ValueError(f"unknown pair kind {kind!r}")
-    th = _PAIR_THEOREMS[_PAIR_KINDS[kind]]
-    if not th.holds(classify(S)):
-        raise HypothesisNotMet(f"semigroup lacks the flags required for {kind}")
-    (pk,) = (KIND_ORDER[pos] for pos in th.positions)
-    if not (check(pk, S, A) and check(pk, S, B)):
-        raise HypothesisNotMet(f"subjects are not both {pk.value}s")
-    name = _label(S, label)
-    ops = _TableOperands(S, _Operands())
-    return _report(th.tid, name, 1, 0, th.failure(ops, A, B, (params,), name))
+    return _check_pair(_PAIR_KINDS[kind], S, A, B, label, params=params)
 
 
 def _crisp_one_sided_ideals(S: Semigroup) -> tuple[list[ElementSubset], list[ElementSubset]]:
@@ -839,7 +805,7 @@ def check_regular_iff_product(
     breaks the equality. Level 3 repeats level 2 on magnified subjects
     (the witness pins alpha to zero because its nu vanishes on the ideal).
     """
-    return _one_table("regular_product", "regular", S, spec, label)
+    return _one_table("regular_product", S, spec, label)
 
 
 def _regular_product(state: _TaskState, ops: _TableOperands) -> VerificationReport:
@@ -1106,11 +1072,7 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
     S, cls, T = state.S, state.cls, state.S.table
     idx = predicates._scan_index(S)
     cap = spec.max_pair_subjects
-    active = [
-        th for tid in tids
-        if (th := _THEOREMS.get(tid)) is not None
-        and (th.hypothesis is None or getattr(cls, th.hypothesis))
-    ]
+    active = [th for tid in tids if (th := _THEOREMS.get(tid)) is not None and th.holds(cls)]
     passers = state.passers
     filling = {
         pos for tid in tids
@@ -1134,9 +1096,7 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
                 continue
             tested.add(pair)
             for th in active:
-                if th.tid in certs or (
-                    th.precondition is not None and not v[0][th.precondition]
-                ):
+                if th.tid in certs or not all([v[0][p] for p in th.positions]):
                     continue
                 cert = th.failure(state.label, T, A, beta, alpha, v, w)
                 if cert is not None:
@@ -1163,12 +1123,12 @@ def _sweep(group: list[_TaskState], subjects, tids, spec: SampleSpec,
 def _theorem_report(th: _Theorem, state: _TaskState, ops: _TableOperands) -> VerificationReport:
     """A single-subject theorem's report from one table's sweep, or its converse exhibit."""
     label, n = state.label, state.subjects
-    if th.hypothesis is not None and not getattr(state.cls, th.hypothesis):
+    if not th.holds(state.cls):
         if th.hypothesis not in _CHAR_RELEVANT:
             return _report(th.tid, label, 0, n)
         witnesses, bad, _ = _converse_witness(th.hypothesis, ops, label)
         return _report(th.tid, label, 1, 0, bad, witnesses)
-    held = n if th.precondition is None else state.held(th.precondition)
+    held = state.held(*th.positions) if th.positions else n
     return _report(th.tid, label, held, n - held, state.certs.get(th.tid))
 
 
@@ -1195,9 +1155,6 @@ def _pairs_report(state: _TaskState, ops: _TableOperands, tid: str,
         return _report(tid, label, 0, state.subjects)
     skipped = state.subjects - state.held(*th.positions)
     for A, B in th.pairs(state.passers):
-        if th.skip_empty and not is_nonempty(ops.meet(A, B)):
-            skipped += 1
-            continue
         checked += 1
         cert = th.failure(ops, A, B, operands.params(A, B), label)
         if cert is not None:

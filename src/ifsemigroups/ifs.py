@@ -89,6 +89,9 @@ class IFSubset:
             )
         for x in range(n):
             m, v = self.mu[x], self.nu[x]
+            for name, g in (("mu", m), ("nu", v)):
+                if not isinstance(g, (int, Fraction)):
+                    raise ParseError(f"{name}[{x}] = {g!r} is not exact: pass an int or Fraction")
             if m < 0 or m > 1:
                 raise GradeOutOfRange(x, m)
             if v < 0 or v > 1:

@@ -8,6 +8,7 @@ concern. Tables are validated for associativity on construction, so a
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Iterator, Sequence
@@ -88,8 +89,13 @@ class Semigroup:
 
 def validate_cayley(order: int, raw_table: Sequence[Sequence[int]]) -> Semigroup:
     """Build a Semigroup from untrusted rows, raising a precise error on failure."""
-    rows = tuple(tuple(int(v) for v in row) for row in raw_table)
-    return Semigroup(order, rows)
+    rows = []
+    for x, row in enumerate(raw_table):
+        for y, v in enumerate(row):
+            if not (isinstance(v, numbers.Rational) and v.denominator == 1):
+                raise ParseError(f"table[{x}][{y}] = {v!r} is not an integer")
+        rows.append(tuple(map(int, row)))
+    return Semigroup(order, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -272,12 +278,18 @@ def enumerate_semigroups(order: int) -> Iterator[Semigroup]:
     over all n**(n*n) tables. A partial table is abandoned as soon as one
     associativity triple (x, y, z) fails whose four cells (x, y), (y, z),
     (xy, z) and (x, yz) are all filled; every completion of it would fail
-    the same way.
+    the same way. Each table is built once per process, so every cache
+    keyed by a table finds it by identity.
     """
     if order < 1:
         raise OrderTooSmall(order)
     if order > ENUMERATION_CAP:
         raise OrderTooLarge(order, ENUMERATION_CAP)
+    yield from _enumerated(order)
+
+
+@cache
+def _enumerated(order: int) -> tuple[Semigroup, ...]:
     n, cells = order, order * order
     flat = [0] * cells  # flat[x*n + y] = xy
     triples = [(x * n + y, y * n + z, x, z) for x, y, z in itertools.product(range(n), repeat=3)]
@@ -301,7 +313,7 @@ def enumerate_semigroups(order: int) -> Iterator[Semigroup]:
             if not fails(d):
                 yield from fill(d + 1)
 
-    yield from fill(0)
+    return tuple(fill(0))
 
 
 # ---------------------------------------------------------------------------

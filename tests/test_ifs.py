@@ -73,6 +73,13 @@ class TestValidateIfs:
         assert exc.value.point == 0
         assert exc.value.total == F(6, 5)
 
+    def test_float_grades_are_refused(self):
+        with pytest.raises(ParseError, match=r"mu\[0\] = 0.5"):
+            IFSubset(2, (0.5, F(1, 2)), (0, 0))
+        with pytest.raises(ParseError, match=r"nu\[1\] = 0.25"):
+            IFSubset(2, (F(1, 2), 0), (0, 0.25))
+        assert IFSubset(2, (1, F(1, 2)), (0, 0)).mu == (1, F(1, 2))
+
     def test_length_mismatch(self):
         with pytest.raises(CarrierMismatch):
             IFSubset(3, (F(0),), (F(0),))

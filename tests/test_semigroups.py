@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from ifsemigroups import (
     AssociativityViolation,
+    SampleSpec,
     ElementSubset,
     EmptySubset,
     CarrierMismatch,
@@ -31,6 +34,9 @@ from ifsemigroups import (
     run_suite,
     validate_cayley,
 )
+
+from ifsemigroups.composition import build_factorizations
+from ifsemigroups.predicates import _scan_index
 
 from conftest import small_semigroups
 
@@ -75,6 +81,12 @@ class TestValidateCayley:
         with pytest.raises(OutOfRangeEntry) as exc:
             validate_cayley(2, [[0, 2], [1, 1]])
         assert (exc.value.x, exc.value.y, exc.value.value) == (0, 1, 2)
+
+    def test_non_integer_entries_are_refused_not_truncated(self):
+        for bad, text in ((1.7, "1.7"), (Fraction(1, 2), "Fraction(1, 2)")):
+            with pytest.raises(ParseError, match=rf"table\[0\]\[1\] = {re.escape(text)}"):
+                validate_cayley(2, [[0, bad], [1, 0]])
+        assert validate_cayley(2, [[0, Fraction(1)], [1, 0]]).table == ((0, 1), (1, 0))
 
 
 def _copy(S: Semigroup) -> Semigroup:
@@ -262,6 +274,25 @@ class TestEnumeration:
                 reference.append(t)
         assert [S.table for S in enumerate_semigroups(n)] == reference
         assert len(reference) == 113
+
+    def test_a_second_suite_compares_no_more_tables(self, monkeypatch):
+        """Every enumeration hands out the same table objects, so the caches
+        keyed by a table find the second run's tables by identity."""
+        for cached in (classify, _scan_index, build_factorizations):
+            cached.cache_clear()
+        calls = []
+        true_eq = Semigroup.__eq__
+        monkeypatch.setattr(Semigroup, "__eq__",
+                            lambda S, other: calls.append(1) or true_eq(S, other))
+        spec = SampleSpec(grade_grid_step=Fraction(1, 2), max_pair_subjects=4)
+        pair_ids = ["semiprime_intersection", "product_bi_ideal",
+                    "product_one_two_ideal", "regular_product"]
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            run_suite([1, 2, 3], spec, pair_ids, include_library=False)
+            counts.append(len(calls))
+        assert counts[1] <= counts[0]
 
     def test_order_cap(self):
         with pytest.raises(OrderTooLarge):
