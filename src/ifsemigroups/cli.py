@@ -23,7 +23,7 @@ from .semigroups import (
     library_entry,
     parse_cayley,
 )
-from .transforms import TransformParams, magnify, max_alpha
+from .transforms import TransformParams, magnify
 
 MACHINE_HEADER = "# ifsg-reports v1"
 
@@ -77,9 +77,8 @@ def cmd_transform(args) -> int:
     alpha = as_grade(args.alpha, "alpha")
     try:
         out = magnify(A, TransformParams(beta, alpha))
-    except AlphaOutOfRange:
-        print(f"error: alpha {alpha} too large; max alpha = {max_alpha(A, beta)}",
-              file=sys.stderr)
+    except AlphaOutOfRange as exc:
+        print(f"error: alpha {alpha} too large; max alpha = {exc.bound}", file=sys.stderr)
         return _USAGE_ERROR
     sys.stdout.write(format_ifs(out))
     return 0

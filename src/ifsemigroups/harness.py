@@ -154,12 +154,14 @@ def subject_count(carrier_order: int, spec: SampleSpec) -> int:
     return ((k + 1) * (k + 2) // 2) ** carrier_order - (k + 1) ** carrier_order + spec.random_count
 
 
-def _refuse_costly(carrier_order: int, spec: SampleSpec) -> None:
-    """Raise when a sweep of this order would take more than
-    ``MAX_SUBJECTS_PER_ORDER`` subjects, without building any of them."""
-    if subject_count(carrier_order, spec) > MAX_SUBJECTS_PER_ORDER:
+def _refuse_costly(carrier_order: int, spec: SampleSpec) -> int:
+    """The order's ``subject_count``; raise when a sweep of it would take more
+    than ``MAX_SUBJECTS_PER_ORDER`` subjects, without building any of them."""
+    count = subject_count(carrier_order, spec)
+    if count > MAX_SUBJECTS_PER_ORDER:
         raise ValueError(f"order {carrier_order} has more than {MAX_SUBJECTS_PER_ORDER} "
                          "sampled subjects; use a coarser grid step or fewer random subjects")
+    return count
 
 
 def _random_subject(n: int, rng: random.Random) -> IFSubset:
@@ -454,6 +456,8 @@ def check_transform_equivalence(
     label: str | None = None,
 ) -> VerificationReport:
     """Property holds on A iff it holds on the magnified A."""
+    if not isinstance(kind, FuzzyStructureKind):
+        raise ValueError(f"unknown kind {kind!r}")
     return _check_single(f"equiv_{kind.value}", S, A, params, label)
 
 
@@ -516,21 +520,7 @@ def check_characterization(
     """
     if kind not in _CHAR_RELEVANT:
         raise ValueError(f"unknown characterization kind {kind!r}")
-    return _one_table(f"char_{kind}", S, spec, label)
-
-
-def _one_table(tid: str, S: Semigroup, spec: SampleSpec | None,
-               label: str | None) -> VerificationReport:
-    """The suite over one semigroup and one theorem on the sampled
-    subjects; the sweep runs only when the semigroup meets the theorem's
-    hypothesis."""
-    spec = spec or SampleSpec()
-    state = _TaskState(_label(S, label), S, classify(S))
-    operands = _Operands(spec)
-    if (_THEOREMS.get(tid) or _PAIR_THEOREMS[tid]).holds(state.cls):
-        _sweep([state], sample_ifs(S.order, spec), (tid,), spec, operands)
-    (report,) = _finish_task(state, (tid,), _TableOperands(S, operands))
-    return report
+    return _run([(_label(S, label), S)], spec, (f"char_{kind}",))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -550,18 +540,17 @@ class _Operands:
     max_alpha(X, beta) = beta * min(X.nu) with beta > 0, so the subjects
     and pairs with one least non-membership share one tuple of parameters,
     and each operand's variants under that tuple are fetched as one tuple.
-    Parameters and their tuples are interned and keyed by identity, which
-    spares hashing their ``Fraction``s at each lookup: ``_transforms`` and
-    ``_params`` hold each one the run samples, and a public check the one
+    Single parameters are keyed by value. Parameter tuples are keyed by
+    identity, which spares hashing their ``Fraction``s at each lookup:
+    ``_params`` holds each tuple the run samples, and a public check the one
     it passes for the length of the call, so no identity key outlives its
     object. Nothing here depends on a semigroup.
     """
 
     def __init__(self, spec: SampleSpec | None = None):
         self.spec = spec or SampleSpec()
-        self._transforms: dict = {}  # TransformParams -> the stored one equal to it
         self._params: dict = {}  # (least nu numerator, den) -> its TransformParams
-        self._magnified: dict = {}  # (operand key, id(params)) -> magnified operand
+        self._magnified: dict = {}  # (operand key, params) -> magnified operand
         self._variants: dict = {}  # (operand key, id(params tuple)) -> its magnified operands
 
     def params(self, A: IFSubset, B: IFSubset) -> tuple[TransformParams, ...]:
@@ -578,30 +567,27 @@ class _Operands:
         """Each sampled (beta, alpha), in sampling order, for a least
         non-membership ``low / den``: a subject's variants, or a pair's.
         Keyed by the view's raw ints, so the ``Fraction`` is made only on a
-        miss; equal values under two keys get equal tuples of the same
-        interned parameters."""
+        miss; equal values under two keys get equal tuples."""
         found = self._params.get((low, den))
         if found is None:
             spec, least = self.spec, Fraction(low, den)
             found = self._params[low, den] = tuple(
-                self._transforms.setdefault(p, p) for p in (
-                    TransformParams(beta, alpha) for beta in spec.beta_grid
-                    for alpha in _shifts(beta * least, spec.alpha_strategy)
-                )
+                TransformParams(beta, alpha) for beta in spec.beta_grid
+                for alpha in _shifts(beta * least, spec.alpha_strategy)
             )
         return found
 
     def magnified(self, A: IFSubset, params: TransformParams) -> IFSubset:
         """``magnify(A, params)``, built once per operand value."""
-        key = (A.key, id(params))
+        key = (A.key, params)
         found = self._magnified.get(key)
         if found is None:
             found = self._magnified[key] = magnify(A, params)
         return found
 
     def variants(self, A: IFSubset, params_list) -> tuple[IFSubset, ...]:
-        """``magnified(A, params)`` for each params of an interned tuple, in
-        its order: a pair operand's variants, fetched once per operand value."""
+        """``magnified(A, params)`` for each params of a tuple ``_params`` holds,
+        in its order: a pair operand's variants, fetched once per operand value."""
         key = (A.key, id(params_list))
         found = self._variants.get(key)
         if found is None:
@@ -805,7 +791,7 @@ def check_regular_iff_product(
     breaks the equality. Level 3 repeats level 2 on magnified subjects
     (the witness pins alpha to zero because its nu vanishes on the ideal).
     """
-    return _one_table("regular_product", S, spec, label)
+    return _run([(_label(S, label), S)], spec, ("regular_product",))[0]
 
 
 def _regular_product(state: _TaskState, ops: _TableOperands) -> VerificationReport:
@@ -920,26 +906,24 @@ def break_property(S: Semigroup, A: IFSubset, kind: FuzzyStructureKind) -> IFSub
 class _TaskState:
     """Accumulators for one semigroup across the shared subject sweep.
 
-    Report assembly reads the certificates, the passers and the tally, which
-    ``_sweep`` fills in once the carrier order's stream ends: the number of
-    swept subjects per profile flag tuple. A subject's profile is its
-    pattern's, so the tally has one entry per distinct profile among the
-    order's patterns, and a count of the subjects passing some positions
-    sums over those few entries."""
+    Report assembly reads the certificates, the passers, the subject total
+    (the carrier order's ``subject_count``) and, through ``held``, the tally,
+    which ``_sweep`` fills in once the carrier order's stream ends: the
+    number of swept subjects per profile flag tuple. A subject's
+    profile is its pattern's, so the tally has one entry per distinct
+    profile among the order's patterns, and a count of the subjects passing
+    some positions sums over those few entries."""
 
     label: str
     S: Semigroup
     cls: Classification
+    total: int = 0  # the carrier order's subject_count, which _run passes
     certs: dict = field(default_factory=dict)  # tid -> first Certificate
     verdicts: list = field(default_factory=list)  # pattern id -> verdict on this semigroup
     tested: set = field(default_factory=set)  # (id(v), id(w)) of the verdict pairs tested
     tally: dict = field(default_factory=dict)  # profile flags -> swept subjects with them
     # profile position -> the first subjects passing it, capped, for the pair theorems
     passers: list = field(default_factory=lambda: [[] for _ in KIND_ORDER])
-
-    @property
-    def subjects(self) -> int:
-        return sum(self.tally.values())
 
     def held(self, *positions: int) -> int:
         """Swept subjects passing any of the given profile positions."""
@@ -1122,7 +1106,7 @@ def _sweep(group: list[_TaskState], subjects, tids, spec: SampleSpec,
 
 def _theorem_report(th: _Theorem, state: _TaskState, ops: _TableOperands) -> VerificationReport:
     """A single-subject theorem's report from one table's sweep, or its converse exhibit."""
-    label, n = state.label, state.subjects
+    label, n = state.label, state.total
     if not th.holds(state.cls):
         if th.hypothesis not in _CHAR_RELEVANT:
             return _report(th.tid, label, 0, n)
@@ -1152,8 +1136,8 @@ def _pairs_report(state: _TaskState, ops: _TableOperands, tid: str,
     gated for it, counted on top of ``checked``."""
     th, label, operands = _PAIR_THEOREMS[tid], state.label, ops.operands
     if not th.holds(state.cls):
-        return _report(tid, label, 0, state.subjects)
-    skipped = state.subjects - state.held(*th.positions)
+        return _report(tid, label, 0, state.total)
+    skipped = state.total - state.held(*th.positions)
     for A, B in th.pairs(state.passers):
         checked += 1
         cert = th.failure(ops, A, B, operands.params(A, B), label)
@@ -1175,16 +1159,26 @@ def run_suite(
     and are a pure function of the arguments. A carrier order with more
     than ``MAX_SUBJECTS_PER_ORDER`` subjects is refused before any sweep.
     """
-    spec = spec or SampleSpec()
     tids = _normalize_theorems(theorems)
-    tasks = _suite_tasks(orders, include_library)
-    for n in sorted({S.order for _, S in tasks}):
-        _refuse_costly(n, spec)
-    states = [_TaskState(label, S, classify(S)) for label, S in tasks]
+    return _run(_suite_tasks(orders, include_library), spec, tids)
+
+
+def _run(tasks: list[tuple[str, Semigroup]], spec: SampleSpec | None,
+         tids) -> list[VerificationReport]:
+    """The suite driver of ``run_suite`` and the one-table checks: the reports
+    of theorems ``tids`` on each (label, semigroup) task, in task order. Each
+    carrier order's ``subject_count`` is its tables' subject total, refused
+    above ``MAX_SUBJECTS_PER_ORDER`` before any sweep. A table joins its
+    order's sweep only where some requested theorem's hypothesis holds: a
+    theorem's report reads no subject where its hypothesis fails."""
+    spec = spec or SampleSpec()
+    totals = {n: _refuse_costly(n, spec) for n in sorted({S.order for _, S in tasks})}
+    states = [_TaskState(label, S, classify(S), totals[S.order]) for label, S in tasks]
 
     by_order: dict[int, list[_TaskState]] = {}
     for st in states:
-        by_order.setdefault(st.S.order, []).append(st)
+        if any((_THEOREMS.get(tid) or _PAIR_THEOREMS[tid]).holds(st.cls) for tid in tids):
+            by_order.setdefault(st.S.order, []).append(st)
 
     operands = _Operands(spec)
     for n, group in sorted(by_order.items()):

@@ -327,62 +327,32 @@ class LibraryEntry:
     classification: Classification
 
 
-def _left_zero(n: int) -> Semigroup:
-    return Semigroup(n, tuple(tuple(x for _ in range(n)) for x in range(n)))
+def _table(n: int, op) -> Semigroup:
+    return Semigroup(n, tuple(tuple(op(x, y) for y in range(n)) for x in range(n)))
 
 
-def _right_zero(n: int) -> Semigroup:
-    return Semigroup(n, tuple(tuple(range(n)) for _ in range(n)))
-
-
-def _null(n: int) -> Semigroup:
-    return Semigroup(n, tuple(tuple(0 for _ in range(n)) for _ in range(n)))
-
-
-def _cyclic(n: int) -> Semigroup:
-    return Semigroup(n, tuple(tuple((x + y) % n for y in range(n)) for x in range(n)))
-
-
-def _min_semilattice(n: int) -> Semigroup:
-    return Semigroup(n, tuple(tuple(min(x, y) for y in range(n)) for x in range(n)))
-
-
-def _monogenic2() -> Semigroup:
-    # powers of a single generator a with a^3 = a^2; element 0 is a, 1 is a^2
-    return Semigroup(2, ((1, 1), (1, 1)))
-
-
-def _chain4() -> Semigroup:
-    # powers of the transformation t(i) = min(i+1, 4) on a 5-chain: t, t^2,
-    # t^3, t^4 are distinct and t^5 = t^4, so composition truncates at 4
-    return Semigroup(4, tuple(tuple(min(i + j + 1, 3) for j in range(4)) for i in range(4)))
-
-
-def _flags(regular, intra, left, right, arch, group, identity) -> Classification:
-    return Classification(regular, intra, left, right, arch, group, identity)
-
-
-_ALL_REGULAR_BAND = _flags(True, True, True, True, True, False, None)
-_NOWHERE_REGULAR = _flags(False, False, False, False, True, False, None)
+_BAND = Classification(True, True, True, True, True, False, None)
+_NIL = Classification(False, False, False, False, True, False, None)
 
 
 @cache
 def builtin_library() -> tuple[LibraryEntry, ...]:
-    """Curated named semigroups, each with classification verified on build."""
+    """Curated named semigroups, each with classification verified on build.
+
+    monogenic2 is {a, a^2} with a^3 = a^2 (element 0 is a, 1 is a^2); chain4
+    is the powers t..t^4 of t(i) = min(i+1, 4) on a 5-chain, with t^5 = t^4,
+    so composition truncates at 4.
+    """
     entries = [
-        ("leftzero2", _left_zero(2), _ALL_REGULAR_BAND),
-        ("leftzero3", _left_zero(3), _ALL_REGULAR_BAND),
-        ("rightzero2", _right_zero(2), _ALL_REGULAR_BAND),
-        ("rightzero3", _right_zero(3), _ALL_REGULAR_BAND),
-        ("null2", _null(2), _NOWHERE_REGULAR),
-        ("null3", _null(3), _NOWHERE_REGULAR),
-        ("cyclic2", _cyclic(2), _flags(True, True, True, True, True, True, 0)),
-        ("cyclic3", _cyclic(3), _flags(True, True, True, True, True, True, 0)),
-        ("cyclic4", _cyclic(4), _flags(True, True, True, True, True, True, 0)),
-        ("semilattice2", _min_semilattice(2), _flags(True, True, True, True, False, False, 1)),
-        ("semilattice3", _min_semilattice(3), _flags(True, True, True, True, False, False, 2)),
-        ("monogenic2", _monogenic2(), _NOWHERE_REGULAR),
-        ("chain4", _chain4(), _NOWHERE_REGULAR),
+        *((f"leftzero{n}", _table(n, lambda x, y: x), _BAND) for n in (2, 3)),
+        *((f"rightzero{n}", _table(n, lambda x, y: y), _BAND) for n in (2, 3)),
+        *((f"null{n}", _table(n, lambda x, y: 0), _NIL) for n in (2, 3)),
+        *((f"cyclic{n}", _table(n, lambda x, y: (x + y) % n),
+           Classification(True, True, True, True, True, True, 0)) for n in (2, 3, 4)),
+        *((f"semilattice{n}", _table(n, min),
+           Classification(True, True, True, True, False, False, n - 1)) for n in (2, 3)),
+        ("monogenic2", _table(2, lambda x, y: 1), _NIL),
+        ("chain4", _table(4, lambda x, y: min(x + y + 1, 3)), _NIL),
     ]
     out = []
     for name, S, expected in entries:

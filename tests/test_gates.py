@@ -130,3 +130,11 @@ REFUSALS = [
 def test_public_check_refuses_at_each_gate(name, gate, call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("kind", ["ideal", None, 3])
+def test_equivalence_check_refuses_a_kind_that_is_not_a_structure_kind(kind):
+    """Like ``find_violation``, the equivalence check names an unknown kind
+    in a ValueError rather than failing on the kind's missing ``value``."""
+    with pytest.raises(ValueError, match="unknown kind"):
+        check_transform_equivalence(kind, CYCLIC2, CONSTANT, P)

@@ -339,6 +339,51 @@ class TestLibrary:
         with pytest.raises(KeyError):
             library_entry("nosuch")
 
+    def test_entries_match_their_literal_tables_and_listing(self, capsys):
+        """Every entry, in catalog order, with its table, its classification
+        (regular, intra, left, right, archimedean, group, identity) and its
+        line of ``ifsg library``."""
+        band, nil = (True,) * 5 + (False, None), (False,) * 4 + (True, False, None)
+        group, lattice = (True,) * 6, (True,) * 4 + (False, False)
+        expected = [
+            ("leftzero2", ((0, 0), (1, 1)), band),
+            ("leftzero3", ((0, 0, 0), (1, 1, 1), (2, 2, 2)), band),
+            ("rightzero2", ((0, 1), (0, 1)), band),
+            ("rightzero3", ((0, 1, 2), (0, 1, 2), (0, 1, 2)), band),
+            ("null2", ((0, 0), (0, 0)), nil),
+            ("null3", ((0, 0, 0), (0, 0, 0), (0, 0, 0)), nil),
+            ("cyclic2", ((0, 1), (1, 0)), group + (0,)),
+            ("cyclic3", ((0, 1, 2), (1, 2, 0), (2, 0, 1)), group + (0,)),
+            ("cyclic4", ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)), group + (0,)),
+            ("semilattice2", ((0, 0), (0, 1)), lattice + (1,)),
+            ("semilattice3", ((0, 0, 0), (0, 1, 1), (0, 1, 2)), lattice + (2,)),
+            ("monogenic2", ((1, 1), (1, 1)), nil),
+            ("chain4", ((1, 2, 3, 3), (2, 3, 3, 3), (3, 3, 3, 3), (3, 3, 3, 3)), nil),
+        ]
+        got = [(e.name, e.semigroup.table, dataclasses.astuple(e.classification))
+               for e in builtin_library()]
+        assert got == expected
+        assert all(e.semigroup.order == len(e.semigroup.table) for e in builtin_library())
+
+        from ifsemigroups.cli import main
+        assert main(["library"]) == 0
+        regular = "regular intra_regular left_regular right_regular"
+        assert capsys.readouterr().out.splitlines() == [
+            f"leftzero2      order=2 {regular} archimedean",
+            f"leftzero3      order=3 {regular} archimedean",
+            f"rightzero2     order=2 {regular} archimedean",
+            f"rightzero3     order=3 {regular} archimedean",
+            "null2          order=2 archimedean",
+            "null3          order=3 archimedean",
+            f"cyclic2        order=2 {regular} archimedean is_group",
+            f"cyclic3        order=3 {regular} archimedean is_group",
+            f"cyclic4        order=4 {regular} archimedean is_group",
+            f"semilattice2   order=2 {regular}",
+            f"semilattice3   order=3 {regular}",
+            "monogenic2     order=2 archimedean",
+            "chain4         order=4 archimedean",
+        ]
+
 
 class TestCayleyFormat:
     def test_round_trip(self):
