@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from operator import and_, itemgetter
 from typing import Callable, Iterator, Sequence
 
 from . import predicates
@@ -165,27 +166,34 @@ def _refuse_costly(carrier_order: int, spec: SampleSpec) -> int:
 
 
 def _random_subject(n: int, rng: random.Random) -> IFSubset:
+    """A seeded random subject with mu = a/d and nu = (b/e)(1 - mu) at each
+    point (d, e in 1..12, a in 0..d, b in 0..e), drawn until some mu is
+    positive. It carries the view those Fractions give, over their least
+    common denominator, and is valid by construction: 0 <= nu <= 1 - mu."""
     while True:
-        mu = []
-        nu = []
+        points = []
         for _ in range(n):
             d = rng.randint(1, 12)
-            m = Fraction(rng.randint(0, d), d)
+            a = rng.randint(0, d)
             e = rng.randint(1, 12)
-            nu.append(Fraction(rng.randint(0, e), e) * (1 - m))
-            mu.append(m)
-        if any(mu):
-            return IFSubset(n, tuple(mu), tuple(nu))
+            points.append((a, d, rng.randint(0, e), e))
+        if any(a for a, *_ in points):
+            # a*e/(d*e) and b*(d-a)/(d*e) over the lcm of the d*e, then over the
+            # least common denominator (key)
+            den = math.lcm(*[d * e for _, d, _, e in points])
+            mu = tuple([a * (den // d) for a, d, _, _ in points])
+            nu = tuple([b * (d - a) * (den // (d * e)) for a, d, b, e in points])
+            return _trusted(n, view=_trusted(n, view=(den, mu, nu)).key)
 
 
 def sample_ifs(carrier_order: int, spec: SampleSpec) -> Iterator[IFSubset]:
     """Deterministic subject stream: full grid first, then seeded randoms.
 
     Subjects with identically zero membership are skipped (they fail the
-    non-emptiness precondition of every predicate). A grid subject carries
-    only its integer view over the grid's denominator and makes its
-    Fractions on first read. An order with more than
-    ``MAX_SUBJECTS_PER_ORDER`` subjects is refused before the grid is built.
+    non-emptiness precondition of every predicate). A grid or random
+    subject carries only its integer view and makes its Fractions on first
+    read. An order with more than ``MAX_SUBJECTS_PER_ORDER`` subjects is
+    refused before the grid is built.
     """
     if carrier_order < 1:
         raise ValueError(f"carrier order {carrier_order} must be at least 1")
@@ -919,6 +927,7 @@ class _TaskState:
     cls: Classification
     total: int = 0  # the carrier order's subject_count, which _run passes
     certs: dict = field(default_factory=dict)  # tid -> first Certificate
+    halves: list = field(default_factory=list)  # order id -> (mu half, nu half) here
     verdicts: list = field(default_factory=list)  # pattern id -> verdict on this semigroup
     tested: set = field(default_factory=set)  # (id(v), id(w)) of the verdict pairs tested
     tally: dict = field(default_factory=dict)  # profile flags -> swept subjects with them
@@ -962,8 +971,14 @@ def _verdict(idx: dict, mu, nu) -> tuple:
     """Everything the sweep asks of one grade view on one semigroup:
     (profile flags, first x whose grades differ from those of x*x, whether
     both maps are constant, first x breaking a semiprime square inequality),
-    with None where there is no such x."""
-    squares = idx["semiprime"]  # (x, x*x) for each x that is not idempotent
+    with None where there is no such x.
+
+    Every scan compares mu only with mu and nu only with nu, and a constant
+    map breaks no inequality and differs nowhere. So a flag or the
+    constancy holds iff it holds for both (mu, a constant) and (a constant,
+    nu), and a first x is the earlier of those two verdicts' first x:
+    ``_join``."""
+    squares = idx["semiprime"]  # (x, x*x) for each x that is not idempotent, by x
     fixed = next((x for x, x2 in squares if mu[x] != mu[x2] or nu[x] != nu[x2]), None)
     hit = predicates._scan1(squares, mu, nu)
     return (
@@ -974,37 +989,78 @@ def _verdict(idx: dict, mu, nu) -> tuple:
     )
 
 
+def _first(x, y):
+    return y if x is None else x if y is None else min(x, y)
+
+
+def _join(v: tuple, w: tuple) -> tuple:
+    """The verdict of (mu, nu) from those of (mu, a constant) and (a constant, nu)."""
+    return (tuple(map(and_, v[0], w[0])), _first(v[1], w[1]), v[2] and w[2],
+            _first(v[3], w[3]))
+
+
 class _Patterns:
     """Dense ids for the weak-order patterns of one carrier order's views.
 
-    A view's pattern is the weak order of its mu and of its nu. The scans
+    A view's pattern is the pair of ids of the weak orders of its mu and of
+    its nu; each distinct int tuple's weak order is computed once. The scans
     compare mu only with mu and nu only with nu, so views sharing a pattern
-    share their verdict on every semigroup; each pattern keeps the first
-    view seen with it to compute that verdict from, and the number of swept
-    subjects with it, which every semigroup of the order shares. Verdicts
-    are interned here so that the semigroups of one order share the few
-    distinct ones. ``reached`` holds the (pattern, variant pattern) pairs
-    that some subject's walk already steps on (see ``_prepare``).
+    share their verdict on every semigroup, and each semigroup joins it
+    from two halves that each read one weak order (``halves``, ``_join``).
+    Each pattern keeps the number of swept subjects with it, which every
+    semigroup of the order shares. Verdicts are interned here so that the
+    semigroups of one order share the few distinct ones. ``reached`` holds
+    the (pattern, variant pattern) pairs that some subject's walk already
+    steps on (see ``_prepare``).
     """
 
     def __init__(self):
-        self._ids: dict = {}
-        self.views: list = []
+        self._orders: dict = {}  # int tuple -> order id
+        self._order_ids: dict = {}  # weak order -> order id, in id order
+        self._ids: dict = {}  # (mu order id, nu order id) -> pattern id
+        self.pairs: list = []  # pattern id -> (mu order id, nu order id)
         self.counts: list = []  # pattern id -> subjects prepared with it
         self.reached: set = set()
-        self._verdicts: dict = {}
+        self._verdicts: dict = {}  # verdict -> itself: one object per distinct verdict
+        self._joins: dict = {}  # (id(mu half), id(nu half)) -> their interned join
+
+    def _order(self, ints) -> int:
+        oid = self._orders.get(ints)
+        if oid is None:
+            ids = self._order_ids
+            oid = self._orders[ints] = ids.setdefault(_weak_order(ints), len(ids))
+        return oid
 
     def pattern(self, mu, nu) -> int:
-        key = (_weak_order(mu), _weak_order(nu))
+        key = (self._order(mu), self._order(nu))
         pid = self._ids.get(key)
         if pid is None:
-            pid = self._ids[key] = len(self.views)
-            self.views.append((mu, nu))
+            pid = self._ids[key] = len(self.pairs)
+            self.pairs.append(key)
             self.counts.append(0)
         return pid
 
-    def verdict(self, idx: dict, pid: int) -> tuple:
-        v = _verdict(idx, *self.views[pid])
+    def halves(self, idx: dict, start: int) -> list:
+        """(mu half, nu half) on the semigroup of ``idx`` for each order id
+        from ``start`` on: the verdicts of the weak order itself (its ranks
+        are a view with that weak order) as mu beside a constant nu, and as
+        nu beside a constant mu."""
+        found = []
+        for order in itertools.islice(self._order_ids, start, None):
+            flat = (0,) * len(order)
+            found.append((self._intern(_verdict(idx, order, flat)),
+                          self._intern(_verdict(idx, flat, order))))
+        return found
+
+    def join(self, mu_half: tuple, nu_half: tuple) -> tuple:
+        """The interned ``_join`` of two interned halves, joined once per pair."""
+        key = (id(mu_half), id(nu_half))
+        found = self._joins.get(key)
+        if found is None:
+            found = self._joins[key] = self._intern(_join(mu_half, nu_half))
+        return found
+
+    def _intern(self, v: tuple) -> tuple:
         return self._verdicts.setdefault(v, v)
 
 
@@ -1040,9 +1096,10 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
                  patterns: _Patterns) -> None:
     """Process a block of prepared subjects against one semigroup.
 
-    The semigroup first decides every pattern that is new since its last
-    block. Each position the pair theorems still need passers for then
-    takes the block's first subjects passing it, up to the cap. Only the
+    The semigroup first decides the two halves of each order id, and joins
+    the verdict of each pattern, that is new since its last block. Each
+    position the pair theorems still need passers for then takes the
+    block's first subjects passing it, up to the cap. Only the
     records' walks run, on the subjects that have one: a pair an earlier
     walk reached meets the same verdicts, so it cannot record a
     certificate the earlier one did not. Each step tests the
@@ -1063,9 +1120,10 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
         if (pair := _PAIR_THEOREMS.get(tid)) is not None and pair.holds(cls)
         for pos in pair.positions if len(passers[pos]) < cap
     }
-    verdicts, certs, tested = state.verdicts, state.certs, state.tested
-    verdicts.extend([patterns.verdict(idx, pid)
-                     for pid in range(len(verdicts), len(patterns.views))])
+    halves, verdicts, certs, tested = state.halves, state.verdicts, state.certs, state.tested
+    halves.extend(patterns.halves(idx, len(halves)))
+    verdicts.extend([patterns.join(halves[m][0], halves[n][1])
+                     for m, n in patterns.pairs[len(verdicts):]])
 
     for pos in filling:
         passers[pos].extend(itertools.islice(

@@ -11,12 +11,12 @@ Every subject also carries one exact integer view, ``A.view``:
 The theorems only compare grades and never compute with a compared
 result, so the lattice operations, the products and the predicate scans
 decide on the view's ints. A subject built from Fractions
-(``IFSubset(...)``, ``validate_ifs``, ``parse_ifs``, the random subjects of
-``sample_ifs``) is validated and computes its view from them on first use.
-A subject the library builds (``transforms._affine``, ``intersect``,
-``composition.if_product``, the grid subjects of ``sample_ifs``) carries
-only its view, derived from its operands' views or from the grid's
-integers, and makes its Fractions on first read of ``mu`` or ``nu``.
+(``IFSubset(...)``, ``validate_ifs``, ``parse_ifs``) is validated and
+computes its view from them on first use. A subject the library builds
+(``transforms._affine``, ``intersect``, ``composition.if_product``, the grid
+and random subjects of ``sample_ifs``) carries only its view, derived from
+its operands' views or from the grid's or the random draws' integers, and
+makes its Fractions on first read of ``mu`` or ``nu``.
 ``A.key``, the view over the least common denominator, is equal exactly
 for equal subjects and is read without making Fractions. Neither is a
 field: equality, hashing, ``repr``, ``fields()`` and ``replace()`` ignore them.
@@ -135,8 +135,8 @@ class IFSubset:
 def _trusted(carrier_order: int, view: tuple) -> IFSubset:
     """An IFSubset built without validation from its integer view alone, for
     results the library derives from valid subjects in ways that keep them
-    valid (meets, products, admissible magnifications) and for grid subjects
-    valid by construction. It makes its Fractions on first read. Everything
+    valid (meets, products, admissible magnifications) and for grid and
+    random subjects valid by construction. It makes its Fractions on first read. Everything
     else goes through the validating constructor."""
     A = object.__new__(IFSubset)
     object.__setattr__(A, "carrier_order", carrier_order)

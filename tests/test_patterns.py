@@ -1,15 +1,17 @@
 """The suite sweep's pattern-keyed verdicts against the value-level oracle.
 
-The sweep decides each (semigroup, weak-order pattern) once, from the first
-view it meets with that pattern. These tests pin every memoised verdict to
-the public predicates evaluated on each subject's own grades, and check the
-invariance the memo rests on: a strictly increasing map applied to each
-grade map separately changes no verdict.
+The sweep decides each (semigroup, weak-order pattern) once, joined from a
+mu half and a nu half that each semigroup decides once per weak order.
+These tests pin every memoised verdict to the public predicates evaluated
+on each subject's own grades and to the joint scan, count the scans the
+split spares, and check the invariance the memo rests on: a strictly
+increasing map applied to each grade map separately changes no verdict.
 """
 
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -146,7 +148,7 @@ def test_tables_of_one_order_share_their_verdict_objects():
     for state in states:
         harness._sweep_chunk(state, chunk, harness.THEOREM_IDS, spec, patterns)
     verdicts = [v for state in states for v in state.verdicts]
-    assert len(verdicts) == 113 * len(patterns.views)
+    assert len(verdicts) == 113 * len(patterns.counts)
     assert len({id(v) for v in verdicts}) == len(set(verdicts)) < len(verdicts)
 
 
@@ -155,7 +157,70 @@ def test_order3_grid_has_169_patterns():
     for A in sample_ifs(3, SampleSpec()):
         harness._prepare(A, patterns, harness._Operands(SampleSpec()), False)
     # 13 weak orders (Fubini(3)) of mu times 13 of nu
-    assert len(patterns.views) == 13 * 13
+    assert len(patterns.counts) == 13 * 13
+
+
+def _weak_orders(n):
+    """The weak orders of n points: rank tuples that use each rank up to their top."""
+    return [w for w in itertools.product(range(n), repeat=n)
+            if set(w) == set(range(max(w) + 1))]
+
+
+def test_joined_verdicts_match_the_joint_scan():
+    # one view per (mu weak order, nu weak order), every other one over ints
+    # far beyond a machine word; the sweep joins each verdict from its halves
+    big = 10**30
+    for n, count in ((1, 1), (2, 9), (3, 169)):
+        patterns, records = harness._Patterns(), []
+        pairs = itertools.product(_weak_orders(n), repeat=2)
+        for i, (mu_order, nu_order) in enumerate(pairs):
+            scale, shift = (big + i, big * i) if i % 2 else (1, 0)
+            mu = tuple(scale * r + shift for r in mu_order)
+            nu = tuple(scale * r + i for r in nu_order)
+            A = harness._trusted(n, view=(max(mu) + max(nu) + 1, mu, nu))
+            records.append(harness._prepare(A, patterns, harness._Operands(SPEC), False))
+        assert len(patterns.counts) == len(records) == count
+        for S in enumerate_semigroups(n):
+            idx = predicates._scan_index(S)
+            state = harness._TaskState("t", S, classify(S))
+            harness._sweep_chunk(state, records, harness.THEOREM_IDS, SPEC, patterns)
+            for A, pid, _ in records:
+                assert state.verdicts[pid] == harness._verdict(idx, *A.view[1:])
+
+
+def test_each_table_scans_two_halves_per_weak_order(monkeypatch):
+    # the benchmark's sweep at seed 10: each distinct int tuple of an order
+    # gets its weak order once, and each table scans each weak order twice
+    # (as mu, then as nu), where one scan per pattern took up to 13 * 13
+    true_weak_order, true_pattern = harness._weak_order, harness._Patterns.pattern
+    true_verdict = harness._verdict
+    ranked, viewed, scans = [], set(), Counter()
+
+    def weak_order(ints):
+        ranked.append(ints)
+        return true_weak_order(ints)
+
+    def pattern(self, mu, nu):
+        viewed.update((mu, nu))
+        return true_pattern(self, mu, nu)
+
+    def verdict(idx, mu, nu):
+        scans[id(idx), len(mu)] += 1
+        return true_verdict(idx, mu, nu)
+
+    monkeypatch.setattr(harness, "_weak_order", weak_order)
+    monkeypatch.setattr(harness._Patterns, "pattern", pattern)
+    monkeypatch.setattr(harness, "_verdict", verdict)
+    single_subject = [t for t in THEOREM_IDS if t in harness._THEOREMS]
+    run_suite([1, 2, 3], SampleSpec(random_count=256, seed=10), single_subject,
+              include_library=False)
+
+    assert len(ranked) == len(set(ranked))
+    assert set(ranked) == viewed
+    order_ids = Counter(len(order) for order in {true_weak_order(t) for t in viewed})
+    assert order_ids == {1: 1, 2: 3, 3: 13}
+    assert len(scans) == len(TABLES)
+    assert all(count <= 2 * order_ids[n] for (_, n), count in scans.items())
 
 
 @st.composite

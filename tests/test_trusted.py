@@ -8,6 +8,7 @@ validating constructor, and check that the public ways in (``IFSubset(...)``,
 bad grades.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -33,6 +34,7 @@ from ifsemigroups import (
     sample_ifs,
     validate_ifs,
 )
+from ifsemigroups import harness
 
 from conftest import grades, subjects
 
@@ -97,6 +99,34 @@ def test_sampled_subjects_pass_validation(n):
         assert A == _revalidated(A)
         count += 1
     assert count > spec.random_count
+
+
+def _fraction_random_subject(n, rng):
+    """The random subject's formula on Fractions, through the validating
+    constructor: mu = a/d and nu = (b/e)(1 - mu), drawn d, a, e, b."""
+    while True:
+        mu, nu = [], []
+        for _ in range(n):
+            d = rng.randint(1, 12)
+            m = F(rng.randint(0, d), d)
+            e = rng.randint(1, 12)
+            nu.append(F(rng.randint(0, e), e) * (1 - m))
+            mu.append(m)
+        if any(mu):
+            return IFSubset(n, tuple(mu), tuple(nu))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_subjects_match_the_fraction_formula(n):
+    # the same view and grades as the formula's Fractions give, from the
+    # same draws: the generator is left in the same state
+    ours, reference = random.Random(n), random.Random(n)
+    for _ in range(500):
+        A = harness._random_subject(n, ours)
+        B = _fraction_random_subject(n, reference)
+        assert A.view == B.view
+        assert (A.mu, A.nu) == (B.mu, B.nu)
+    assert ours.getstate() == reference.getstate()
 
 
 @settings(max_examples=100, deadline=None)
