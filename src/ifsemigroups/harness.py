@@ -21,8 +21,8 @@ check raises the entry's ``refusal``.
 Reports are a pure function of the arguments, and every certificate and
 witness replays before it is reported. The suite shares work but never
 changes what is evaluated: every stored value comes from this module's
-``magnify``, ``intersect`` and ``if_product``, looked up at call time, so a
-patched layer still sees every call that is made.
+``magnify``, ``intersect``, ``if_product`` and ``check``, looked up at call
+time, so a patched layer still sees every call that is made.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .semigroups import (
     principal_two_sided_ideal,
     regularity_gap,
 )
-from .transforms import TransformParams, magnify, max_alpha
+from .transforms import TransformParams, _exact, magnify, max_alpha
 
 K = FuzzyStructureKind
 
@@ -108,8 +108,10 @@ class SampleSpec:
     max_pair_subjects: int = 16
 
     def __post_init__(self):
-        object.__setattr__(self, "grade_grid_step", Fraction(self.grade_grid_step))
-        object.__setattr__(self, "beta_grid", tuple(Fraction(b) for b in self.beta_grid))
+        object.__setattr__(self, "grade_grid_step",
+                           Fraction(_exact(self.grade_grid_step, "grid step")))
+        object.__setattr__(self, "beta_grid",
+                           tuple(Fraction(_exact(b, "beta")) for b in self.beta_grid))
         step = self.grade_grid_step
         if not 0 < step <= 1 or (1 / step).denominator != 1:
             raise ValueError(f"grid step {step} must divide 1 exactly")
@@ -504,7 +506,7 @@ def _converse_witness(kind: str, ops: _TableOperands, name: str):
         return (), cert(exhibit_failed=True,
                         detail="principal-ideal witness fails the relevant ideal predicate"), 0
     return _exhibit(
-        ops, (W,), lambda X: X.mu[m] < X.mu[m2] or X.nu[m] > X.nu[m2], cert,
+        ops.operands, (W,), lambda X: X.mu[m] < X.mu[m2] or X.nu[m] > X.nu[m2], cert,
         {"detail": f"characteristic pair of the principal ideal of {m2} is a "
                    f"{relevant.value} whose magnified translation breaks "
                    f"semiprimeness at {m}"},
@@ -539,16 +541,14 @@ class _Operands:
     """The sampled parameters and magnified operands of one run, shared by
     the sweep, every table and every pair theorem.
 
-    Operands are keyed by value, through ``IFSubset.key``, so equal
-    subjects (a subject and its magnification by (1, 0), say) share every
-    entry here and in ``_TableOperands``. Each (operand, TransformParams) is
-    magnified once, through ``magnify``. A subject's sampled parameters
-    depend only on its least non-membership, and a pair's on the smaller
-    least non-membership of its two subjects, since
-    max_alpha(X, beta) = beta * min(X.nu) with beta > 0, so the subjects
-    and pairs with one least non-membership share one tuple of parameters,
-    and each operand's variants under that tuple are fetched as one tuple.
-    Single parameters are keyed by value. Parameter tuples are keyed by
+    A subject's sampled parameters depend only on its least
+    non-membership, and a pair's on the smaller least non-membership of its
+    two subjects, since max_alpha(X, beta) = beta * min(X.nu) with
+    beta > 0, so the subjects and pairs with one least non-membership share
+    one tuple of parameters. Each operand's variants under that tuple are
+    built once, through ``magnify``, and kept as one tuple keyed by the
+    operand's value (``IFSubset.key``), so equal subjects (a subject and its
+    magnification by (1, 0), say) share them. Parameter tuples are keyed by
     identity, which spares hashing their ``Fraction``s at each lookup:
     ``_params`` holds each tuple the run samples, and a public check the one
     it passes for the length of the call, so no identity key outlives its
@@ -558,7 +558,6 @@ class _Operands:
     def __init__(self, spec: SampleSpec | None = None):
         self.spec = spec or SampleSpec()
         self._params: dict = {}  # (least nu numerator, den) -> its TransformParams
-        self._magnified: dict = {}  # (operand key, params) -> magnified operand
         self._variants: dict = {}  # (operand key, id(params tuple)) -> its magnified operands
 
     def params(self, A: IFSubset, B: IFSubset) -> tuple[TransformParams, ...]:
@@ -585,78 +584,53 @@ class _Operands:
             )
         return found
 
-    def magnified(self, A: IFSubset, params: TransformParams) -> IFSubset:
-        """``magnify(A, params)``, built once per operand value."""
-        key = (A.key, params)
-        found = self._magnified.get(key)
-        if found is None:
-            found = self._magnified[key] = magnify(A, params)
-        return found
-
     def variants(self, A: IFSubset, params_list) -> tuple[IFSubset, ...]:
-        """``magnified(A, params)`` for each params of a tuple ``_params`` holds,
-        in its order: a pair operand's variants, fetched once per operand value."""
+        """``magnify(A, params)`` for each params of a tuple ``_params`` holds,
+        in its order, built once per operand value."""
         key = (A.key, id(params_list))
         found = self._variants.get(key)
         if found is None:
-            found = self._variants[key] = tuple([self.magnified(A, p) for p in params_list])
+            found = self._variants[key] = tuple([magnify(A, p) for p in params_list])
         return found
 
 
 class _TableOperands:
-    """Meets, products and pair-law verdicts of operands over one semigroup,
-    each computed once, through ``intersect``, ``if_product`` and the law.
-    The plain and magnified laws and every pair theorem of the table share
-    them (the two product theorems share a law); the suite drops them once
-    the table's reports are done."""
+    """The pair-law verdicts of operands over one semigroup, each decided
+    once. Every pair theorem of the table shares them (the two product
+    theorems share a law); the suite drops them once the table's reports
+    are done."""
 
     def __init__(self, S: Semigroup, operands: _Operands):
         self.S = S
         self.operands = operands
-        self._meets: dict = {}  # (X.key, Y.key) -> intersect(X, Y)
-        self._products: dict = {}  # (X.key, Y.key) -> if_product(S, X, Y)
-        self._verdicts: dict = {}  # (law, X.key, Y.key) -> law(self, X, Y)
+        self._verdicts: dict = {}  # (law, X.key, Y.key) -> law(S, X, Y)
 
     def holds(self, law: Callable, X: IFSubset, Y: IFSubset) -> bool:
         key = (law, X.key, Y.key)
         found = self._verdicts.get(key)
         if found is None:
-            found = self._verdicts[key] = law(self, X, Y)
-        return found
-
-    def meet(self, X: IFSubset, Y: IFSubset) -> IFSubset:
-        key = (X.key, Y.key)
-        found = self._meets.get(key)
-        if found is None:
-            found = self._meets[key] = intersect(X, Y)
-        return found
-
-    def product(self, X: IFSubset, Y: IFSubset) -> IFSubset:
-        key = (X.key, Y.key)
-        found = self._products.get(key)
-        if found is None:
-            found = self._products[key] = if_product(self.S, X, Y)
+            found = self._verdicts[key] = law(self.S, X, Y)
         return found
 
 
-def _semiprime_meet(ops: _TableOperands, A: IFSubset, B: IFSubset) -> bool:
-    return check(K.SEMIPRIME, ops.S, ops.meet(A, B))
+def _semiprime_meet(S: Semigroup, A: IFSubset, B: IFSubset) -> bool:
+    return check(K.SEMIPRIME, S, intersect(A, B))
 
 
-def _meet_inside_products(ops: _TableOperands, A: IFSubset, B: IFSubset) -> bool:
-    I = ops.meet(A, B)
-    return ifs_leq(I, ops.product(A, B)) and ifs_leq(I, ops.product(B, A))
+def _meet_inside_products(S: Semigroup, A: IFSubset, B: IFSubset) -> bool:
+    I = intersect(A, B)
+    return ifs_leq(I, if_product(S, A, B)) and ifs_leq(I, if_product(S, B, A))
 
 
-def _product_is_meet(ops: _TableOperands, A: IFSubset, B: IFSubset) -> bool:
-    return ifs_eq(ops.product(A, B), ops.meet(A, B))
+def _product_is_meet(S: Semigroup, A: IFSubset, B: IFSubset) -> bool:
+    return ifs_eq(if_product(S, A, B), intersect(A, B))
 
 
 @dataclass(frozen=True)
 class _PairTheorem:
     """One pair theorem: on a semigroup with every flag in ``flags``, each
     pair of subjects passing the profile ``positions`` satisfies
-    ``law(ops, A, B)``, plainly and under every sampled (beta, alpha). One
+    ``law(S, A, B)``, plainly and under every sampled (beta, alpha). One
     position pairs the unordered pairs of its passers, two pair the first
     position's passers with the second's. ``plain`` and ``magnified`` are
     the certificate fields of a failure; the plain pair is not tested when
@@ -836,7 +810,7 @@ def _regular_product(state: _TaskState, ops: _TableOperands) -> VerificationRepo
 
     # non-regular: the failing crisp pair yields a characteristic-pair witness
     witnesses, bad, tested = _exhibit(
-        ops, (chi_r, chi_l), lambda R, L: not _product_is_meet(ops, R, L), cert,
+        ops.operands, (chi_r, chi_l), lambda R, L: not _product_is_meet(S, R, L), cert,
         {"detail": "characteristic pair of a failing crisp pair breaks the product law"},
         {"kind": "magnified",
          "detail": "magnified witness unexpectedly satisfies the product law"},
@@ -845,28 +819,28 @@ def _regular_product(state: _TaskState, ops: _TableOperands) -> VerificationRepo
     return _report(tid, name, crisp_pairs + tested, 0, bad, witnesses)
 
 
-def _exhibit(ops: _TableOperands, chis: tuple[IFSubset, ...], breaks: Callable,
+def _exhibit(operands: _Operands, chis: tuple[IFSubset, ...], breaks: Callable,
              cert: Callable, witness: dict, magnified: dict, plain: dict | None = None):
     """(witnesses, counterexample, cases tested) of a converse exhibit: the
     characteristic pair(s) ``chis`` must break a law, ``breaks(*chis)``.
     They are tested plainly when ``plain`` gives the fields of that failure,
     then magnified under each (beta, alpha) the run samples for them, whose
-    vanishing nu forces alpha = 0. ``cert`` completes the certificate fields;
-    a failure's certificate claims ``exhibit_failed``. The witness is the
-    first case tested; ``_report`` replays it."""
-    store = ops.operands
+    vanishing nu forces alpha = 0, taken from their variant tuples in
+    ``operands``. ``cert`` completes the certificate fields; a failure's
+    certificate claims ``exhibit_failed``. The witness is the first case
+    tested; ``_report`` replays it."""
     failed = functools.partial(cert, exhibit_failed=True)
-    sampled = store.params(chis[0], chis[-1])
+    sampled = operands.params(chis[0], chis[-1])
     if plain is not None and not breaks(*chis):
         return (), failed(**plain), 0
     tested = int(plain is not None)  # the plain case, which passed
-    for params in sampled:
+    for params, *variants in zip(sampled, *(operands.variants(X, sampled) for X in chis)):
         tested += 1
         shift = min(max_alpha(X, params.beta) for X in chis)
         if shift != 0:
             return (), failed(beta=params.beta, alpha=shift,
                               detail=f"witness admits the non-zero shift {shift}"), tested
-        if not breaks(*(store.magnified(X, params) for X in chis)):
+        if not breaks(*variants):
             return (), failed(beta=params.beta, alpha=params.alpha, **magnified), tested
     first = {} if plain is not None else {"beta": sampled[0].beta, "alpha": sampled[0].alpha}
     return (cert(**first, **witness),), None, tested
@@ -1176,7 +1150,7 @@ def _theorem_report(th: _Theorem, state: _TaskState, ops: _TableOperands) -> Ver
 
 def _finish_task(state: _TaskState, tids, ops: _TableOperands) -> list[VerificationReport]:
     """Report assembly: the swept theorems, then the pair theorems on the
-    passers, sharing one table's meets and products."""
+    passers, sharing one table's pair-law verdicts."""
     reports: list[VerificationReport] = []
     for tid in tids:
         if tid in _THEOREMS:

@@ -55,15 +55,7 @@ class FuzzyStructureKind(Enum):
     SEMIPRIME = "semiprime"
 
 
-KIND_ORDER = (
-    FuzzyStructureKind.SUBSEMIGROUP,
-    FuzzyStructureKind.BI_IDEAL,
-    FuzzyStructureKind.ONE_TWO_IDEAL,
-    FuzzyStructureKind.LEFT_IDEAL,
-    FuzzyStructureKind.RIGHT_IDEAL,
-    FuzzyStructureKind.IDEAL,
-    FuzzyStructureKind.SEMIPRIME,
-)
+KIND_ORDER = tuple(FuzzyStructureKind)
 
 
 @dataclass(frozen=True)
@@ -168,15 +160,15 @@ def _scan_index(S: Semigroup) -> dict[str, dict[tuple, tuple]]:
 
 
 def _profile_from(idx, mu, nu) -> tuple[bool, ...]:
-    """All seven flags in KIND_ORDER, sharing scans across the hierarchy."""
-    pairs, triples, quads, lefts, rights, squares = idx.values()
-    sub = _scan2(pairs, mu, nu) is None
-    bi = sub and _scan2(triples, mu, nu) is None
-    one_two = sub and _scan3(quads, mu, nu) is None
-    left = _scan1(lefts, mu, nu) is None
-    right = _scan1(rights, mu, nu) is None
+    """All seven flags in KIND_ORDER, sharing scans across the hierarchy as
+    ``_KIND_STAGES`` lists them, with each stage read by name."""
+    sub = _scan2(idx["subsemigroup"], mu, nu) is None
+    bi = sub and _scan2(idx["bi_ideal"], mu, nu) is None
+    one_two = sub and _scan3(idx["one_two_ideal"], mu, nu) is None
+    left = _scan1(idx["left_ideal"], mu, nu) is None
+    right = _scan1(idx["right_ideal"], mu, nu) is None
     ideal = left and right
-    semi = ideal and _scan1(squares, mu, nu) is None
+    semi = ideal and _scan1(idx["semiprime"], mu, nu) is None
     return (sub, bi, one_two, left, right, ideal, semi)
 
 

@@ -39,8 +39,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlphaOutOfRange, BetaOutOfRange
+from .errors import AlphaOutOfRange, BetaOutOfRange, ParseError
 from .ifs import IFSubset, ONE, ZERO, _trusted
+
+
+def _exact(value, name: str):
+    """``value``, refused when it is a float: its binary value is usually
+    not the decimal the caller meant, and the kernel reads exact ints."""
+    if isinstance(value, float):
+        raise ParseError(f"{name} = {value!r} is a float: pass an int or Fraction")
+    return value
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,8 @@ class TransformParams:
     alpha: Fraction
 
     def __post_init__(self):
+        _exact(self.beta, "beta")
+        _exact(self.alpha, "alpha")
         if not 0 < self.beta <= 1:
             raise BetaOutOfRange(self.beta, "(0, 1]")
         if not 0 <= self.alpha <= 1:
@@ -64,7 +74,7 @@ class TransformParams:
 
 def max_alpha(A: IFSubset, beta: Fraction) -> Fraction:
     """Inclusive upper bound for the shift: min over the carrier of beta * nu."""
-    if not 0 <= beta <= 1:
+    if not 0 <= _exact(beta, "beta") <= 1:
         raise BetaOutOfRange(beta, "[0, 1]")
     return beta * min(A.nu)
 
@@ -91,7 +101,7 @@ def _affine(A: IFSubset, beta: Fraction, alpha: Fraction) -> IFSubset | None:
 
 def translate(A: IFSubset, alpha: Fraction) -> IFSubset:
     """Shift membership up and non-membership down by alpha."""
-    out = _affine(A, ONE, alpha) if alpha >= 0 else None
+    out = _affine(A, ONE, alpha) if _exact(alpha, "alpha") >= 0 else None
     if out is None:
         raise AlphaOutOfRange(alpha, min(A.nu))
     return out
@@ -99,7 +109,7 @@ def translate(A: IFSubset, alpha: Fraction) -> IFSubset:
 
 def multiply(A: IFSubset, beta: Fraction) -> IFSubset:
     """Scale both grade maps by beta."""
-    if not 0 <= beta <= 1:
+    if not 0 <= _exact(beta, "beta") <= 1:
         raise BetaOutOfRange(beta, "[0, 1]")
     return _affine(A, beta, ZERO)
 

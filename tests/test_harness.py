@@ -12,6 +12,7 @@ from ifsemigroups import (
     IFSubset,
     NotAGroup,
     OrderTooLarge,
+    ParseError,
     PreconditionNotMet,
     SampleSpec,
     THEOREM_IDS,
@@ -95,6 +96,15 @@ class TestSampleIfs:
         # would verify vacuously and the converse witness would have none
         with pytest.raises(ValueError, match="beta grid is empty"):
             SampleSpec(beta_grid=())
+
+    @pytest.mark.parametrize("field, value, name", [
+        ("grade_grid_step", 0.5, "grid step"),
+        ("beta_grid", (F(1, 2), 0.1), "beta"),
+    ])
+    def test_float_spec_fields_refused(self, field, value, name):
+        # Fraction(0.1) would silently sample beta = 3602879701896397/2**55
+        with pytest.raises(ParseError, match=f"^{name} = [0-9.]+ is a float"):
+            SampleSpec(**{field: value})
 
     def test_spec_coerces_numeric_fields(self):
         spec = SampleSpec(grade_grid_step=1, beta_grid=(1,))

@@ -140,9 +140,9 @@ def test_sweep_variants_never_materialise_grades(monkeypatch):
     """Spy on grade materialisation during a run of the 13 single-subject
     theorems: grades are made only for subjects that reach
     ``replay_certificate`` (inside it, or as a magnification of a replayed
-    certificate's subject, which the run's operand store keeps, keyed by the
-    operand's and the parameters' values), never for a variant of the
-    sweep."""
+    certificate's subject, which the run's operand store keeps in the
+    operand's variant tuple, keyed by the operand's value and its parameter
+    tuple), never for a variant of the sweep."""
     spec = SampleSpec()
     made = []  # (names of the calling frames, subject)
     real_getattr = IFSubset.__getattr__

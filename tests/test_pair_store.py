@@ -1,17 +1,15 @@
 """The run's operand store against a store-free reference.
 
 The pair core takes its operands from a store keyed by value
-(``IFSubset.key``): each (subject, TransformParams) is magnified once per
-run, an operand's variants under a pair's parameters are fetched as one
-tuple, a pair's sampled parameters are keyed by its least non-membership,
-and each table computes each meet, product and pair-law verdict of a pair
+(``IFSubset.key``): an operand's variants under a pair's parameters are
+built once per run as one tuple, a pair's sampled parameters are keyed by
+its least non-membership, and each table decides each pair law on a pair
 of operands once. The sweep takes each subject's variant parameters from
 the same store, keyed by the subject's least non-membership. These tests
 pin the call counts that sharing promises, check that a store which shares
-nothing (it magnifies, meets, multiplies and decides a law at every use)
-gives the same reports, and reach the non-regular product witness's branch
-for a witness that satisfies the product law, which no correct run
-reaches.
+nothing (it magnifies and decides a law at every use) gives the same
+reports, and reach the non-regular product witness's branch for a witness
+that satisfies the product law, which no correct run reaches.
 """
 
 import dataclasses
@@ -54,21 +52,6 @@ def _counting(patch, name, calls):
     patch(harness, name, counted)
 
 
-def test_each_magnified_operand_and_product_is_built_once(monkeypatch):
-    magnified, products = [], []
-    _counting(monkeypatch.setattr, "magnify", magnified)
-    _counting(monkeypatch.setattr, "if_product", products)
-    spec = SampleSpec(grade_grid_step=F(1, 2), max_pair_subjects=4)
-    reports = run_suite([1, 2], spec, PAIR_IDS)
-    assert all(r.outcome == "verified" for r in reports)
-    assert magnified and products
-    # operands are distinct by value (a subject and its magnification by
-    # (1, 0) are one operand), tables by identity: a library table may equal
-    # an enumerated one and is still a table of its own
-    assert len(magnified) == len(set(magnified))
-    assert len(products) == len({(id(S), A, B) for S, A, B in products})
-
-
 class _FreshOperands:
     """A store that shares nothing: every operand as given, every magnified
     operand built anew, and each pair's parameters from the bound of each
@@ -86,28 +69,19 @@ class _FreshOperands:
             )
         ]
 
-    def magnified(self, A, params):
-        return harness.magnify(A, params)
-
     def variants(self, A, params_list):
         return [harness.magnify(A, params) for params in params_list]
 
 
 class _FreshTable:
-    """Each meet, product and law verdict computed at every use."""
+    """Each law verdict decided at every use."""
 
     def __init__(self, S, operands):
         self.S = S
         self.operands = operands
 
-    def meet(self, X, Y):
-        return harness.intersect(X, Y)
-
-    def product(self, X, Y):
-        return harness.if_product(self.S, X, Y)
-
     def holds(self, law, X, Y):
-        return law(self, X, Y)
+        return law(self.S, X, Y)
 
 
 @st.composite
@@ -194,10 +168,10 @@ def _law_calls(patch, calls):
     wrapped: dict = {}
 
     def recording(law):
-        def recorded(ops, X, Y):
-            table = tables.setdefault(id(ops.S), len(tables))
+        def recorded(S, X, Y):
+            table = tables.setdefault(id(S), len(tables))
             calls.append((table, law.__name__, X.key, Y.key))
-            return law(ops, X, Y)
+            return law(S, X, Y)
         return recorded
 
     patch(harness, "_PAIR_THEOREMS", {
@@ -212,25 +186,21 @@ def test_each_table_decides_each_pair_law_once():
     spec = SampleSpec(grade_grid_step=F(1, 2), max_pair_subjects=4)
 
     def run(*patches):
-        laws, magnified, products = [], [], []
+        laws = []
         with pytest.MonkeyPatch.context() as mp:
             for p in patches:
                 p(mp.setattr)
             _law_calls(mp.setattr, laws)
-            _counting(mp.setattr, "magnify", magnified)
-            _counting(mp.setattr, "if_product", products)
             reports = run_suite([1, 2, 3], spec, PAIR_IDS)
-        return reports, laws, magnified, products
+        return reports, laws
 
-    reports, laws, magnified, products = run()
-    fresh_reports, fresh_laws, _, _ = run(_store_free)
+    reports, laws = run()
+    fresh_reports, fresh_laws = run(_store_free)
     assert reports == fresh_reports
     assert all(r.outcome == "verified" for r in reports)
     assert len(laws) == len(set(laws))
     assert set(laws) == set(fresh_laws)
     assert len(fresh_laws) > len(laws)
-    assert len(magnified) == len(set(magnified))
-    assert len(products) == len({(id(S), A, B) for S, A, B in products})
 
 
 # the default sampling plan, and each other alpha strategy on the 1/2 grid,

@@ -172,6 +172,29 @@ def test_profile_agrees_with_single_checks(case):
         assert flags[kind] == check(kind, S, A)
 
 
+def test_profile_reads_each_kinds_stages_by_name(monkeypatch):
+    """The profile reads each stage of the scan index by name, so it does
+    not depend on the order the stage table lists them in: with the stages
+    reversed it still matches the per-kind check on every (table, subject)
+    pair of order 3 on the 1/2 grid."""
+    from ifsemigroups import predicates
+
+    assert predicates.KIND_ORDER == tuple(K)
+    predicates._scan_index.cache_clear()
+    monkeypatch.setattr(predicates, "_STAGES", dict(reversed(predicates._STAGES.items())))
+    try:
+        subjects = list(sample_ifs(3, SampleSpec(grade_grid_step=F(1, 2))))
+        pairs = 0
+        for S in enumerate_semigroups(3):
+            for A in subjects:
+                assert profile(S, A) == {kind: check(kind, S, A) for kind in ALL_KINDS}
+                pairs += 1
+        assert pairs == 21_357
+    finally:
+        monkeypatch.undo()
+        predicates._scan_index.cache_clear()
+
+
 # --- differential check of the deduplicated stage scans against a naive scan
 # over every tuple, written out from the formulas of the module docstring:
 # stage -> (number of points, site, elements of the right side)

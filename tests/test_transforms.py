@@ -8,6 +8,7 @@ from ifsemigroups import (
     AlphaOutOfRange,
     BetaOutOfRange,
     IFSubset,
+    ParseError,
     TransformParams,
     ifs_eq,
     magnify,
@@ -99,6 +100,20 @@ class TestMagnify:
     def test_boundary_alpha_produces_zero_nu(self, worked_subject):
         out = magnify(worked_subject, TransformParams(F(1, 5), F(1, 20)))
         assert min(out.nu) == 0
+
+
+@pytest.mark.parametrize("name, call", [
+    ("beta", lambda A: TransformParams(0.5, F(0))),
+    ("alpha", lambda A: TransformParams(F(1, 2), 0.0)),
+    ("alpha", lambda A: translate(A, 0.125)),
+    ("beta", lambda A: multiply(A, 0.5)),
+    ("beta", lambda A: max_alpha(A, 0.5)),
+])
+def test_float_parameters_are_refused(worked_subject, name, call):
+    """A float parameter is refused by name, as a float grade is, instead of
+    failing in the integer kernel or leaking a float into the shifts."""
+    with pytest.raises(ParseError, match=rf"^{name} = [0-9.]+ is a float"):
+        call(worked_subject)
 
 
 betas = st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12)
