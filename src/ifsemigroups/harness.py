@@ -33,7 +33,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import and_, itemgetter
+from operator import and_
 from typing import Callable, Iterator, Sequence
 
 from . import predicates
@@ -43,6 +43,7 @@ from .ifs import (
     IFSubset,
     ONE,
     ZERO,
+    _exact,
     _trusted,
     characteristic_pair,
     ifs_eq,
@@ -66,7 +67,7 @@ from .semigroups import (
     principal_two_sided_ideal,
     regularity_gap,
 )
-from .transforms import TransformParams, _exact, magnify, max_alpha
+from .transforms import TransformParams, magnify, max_alpha
 
 K = FuzzyStructureKind
 
@@ -983,9 +984,8 @@ class _Patterns:
     from two halves that each read one weak order (``halves``, ``_join``).
     Each pattern keeps the number of swept subjects with it, which every
     semigroup of the order shares. Verdicts are interned here so that the
-    semigroups of one order share the few distinct ones. ``reached`` holds
-    the (pattern, variant pattern) pairs that some subject's walk already
-    steps on (see ``_prepare``).
+    semigroups of one order share the few distinct ones. ``_sweep`` returns
+    its order's ``_Patterns``; ``pattern`` gives a swept view's id again.
     """
 
     def __init__(self):
@@ -993,8 +993,7 @@ class _Patterns:
         self._order_ids: dict = {}  # weak order -> order id, in id order
         self._ids: dict = {}  # (mu order id, nu order id) -> pattern id
         self.pairs: list = []  # pattern id -> (mu order id, nu order id)
-        self.counts: list = []  # pattern id -> subjects prepared with it
-        self.reached: set = set()
+        self.counts: list = []  # pattern id -> subjects swept with it
         self._verdicts: dict = {}  # verdict -> itself: one object per distinct verdict
         self._joins: dict = {}  # (id(mu half), id(nu half)) -> their interned join
 
@@ -1038,48 +1037,18 @@ class _Patterns:
         return self._verdicts.setdefault(v, v)
 
 
-def _prepare(A: IFSubset, patterns: _Patterns, operands: _Operands, need_variants: bool):
-    """The record (subject, pattern id, walk) that every semigroup of the
-    subject's carrier order sweeps, with the subject counted under its
-    pattern for all of them. When ``need_variants``, A is magnified under
-    each (beta, alpha) that ``operands`` samples for its least
-    non-membership, in sampling order, and the walk lists (beta, alpha,
-    variant pattern id) of each variant whose (pattern, variant pattern)
-    pair no earlier walk step reached. Every semigroup meets the subjects
-    in the same order, so the walks are the same for all of them. A variant
-    whose mu and nu ints both equal the subject's (with a correct
-    ``magnify``, each beta = 1/q, alpha = 0 variant) has the subject's weak
-    order and takes its pattern id without computing it; a variant with
-    other ints, a sabotaged one among them, gets its own, so the walk and
-    its first certificate are those that computing every pattern gives."""
-    den, mu, nu = A.view
-    pid = patterns.pattern(mu, nu)
-    patterns.counts[pid] += 1
-    walk = []
-    if need_variants:
-        for params in operands.sampled(min(nu), den):
-            _, vmu, vnu = magnify(A, params).view
-            step = (pid, pid if vmu == mu and vnu == nu else patterns.pattern(vmu, vnu))
-            if step not in patterns.reached:
-                patterns.reached.add(step)
-                walk.append((params.beta, params.alpha, step[1]))
-    return A, pid, walk
-
-
-def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
+def _sweep_chunk(state: _TaskState, block, pids, steps, tids, spec: SampleSpec,
                  patterns: _Patterns) -> None:
-    """Process a block of prepared subjects against one semigroup.
+    """Process a block of subjects, their pattern ids and the block's steps
+    (see ``_sweep``) against one semigroup.
 
     The semigroup first decides the two halves of each order id, and joins
     the verdict of each pattern, that is new since its last block. Each
     position the pair theorems still need passers for then takes the
-    block's first subjects passing it, up to the cap. Only the
-    records' walks run, on the subjects that have one: a pair an earlier
-    walk reached meets the same verdicts, so it cannot record a
-    certificate the earlier one did not. Each step tests the
-    theorems whose hypothesis the semigroup has and whose precondition the
-    subject passes. A test reads only the table and the two verdicts, and
-    verdicts are interned per carrier order, so each (subject verdict,
+    block's first subjects passing it, up to the cap. Each step then tests
+    the theorems whose hypothesis the semigroup has and whose precondition
+    its subject passes. A test reads only the table and the two verdicts,
+    and verdicts are interned per carrier order, so each (subject verdict,
     variant verdict) pair is tested once per table (``state.tested``): a
     later step with that pair fails only theorems its first step already
     certified, so the first failing step stays first.
@@ -1101,39 +1070,60 @@ def _sweep_chunk(state: _TaskState, chunk, tids, spec: SampleSpec,
 
     for pos in filling:
         passers[pos].extend(itertools.islice(
-            (A for A, pid, _ in chunk if verdicts[pid][0][pos]), cap - len(passers[pos])
+            (A for A, pid in zip(block, pids) if verdicts[pid][0][pos]), cap - len(passers[pos])
         ))
 
-    for A, pid, walk in filter(itemgetter(2), chunk):
-        v = verdicts[pid]
-        for beta, alpha, vid in walk:
-            w = verdicts[vid]
-            if (pair := (id(v), id(w))) in tested:
+    for A, beta, alpha, pid, vid in steps:
+        v, w = verdicts[pid], verdicts[vid]
+        if (pair := (id(v), id(w))) in tested:
+            continue
+        tested.add(pair)
+        for th in active:
+            if th.tid in certs or not all([v[0][p] for p in th.positions]):
                 continue
-            tested.add(pair)
-            for th in active:
-                if th.tid in certs or not all([v[0][p] for p in th.positions]):
-                    continue
-                cert = th.failure(state.label, T, A, beta, alpha, v, w)
-                if cert is not None:
-                    certs[th.tid] = cert
+            cert = th.failure(state.label, T, A, beta, alpha, v, w)
+            if cert is not None:
+                certs[th.tid] = cert
 
 
 def _sweep(group: list[_TaskState], subjects, tids, spec: SampleSpec,
-           operands: _Operands) -> None:
+           operands: _Operands) -> _Patterns:
     """Sweep a stream of subjects of one carrier order past its semigroups,
-    then give each its tally; magnified variants are built only for the
-    single-subject theorems, with parameters from the run's ``operands``."""
+    give each its tally, and return the order's patterns.
+
+    When a single-subject theorem is asked for, each subject is magnified
+    under each (beta, alpha) ``operands`` samples for its least
+    non-membership, in sampling order, and a block's steps (A, beta, alpha,
+    pattern id, variant pattern id) are the variants whose (pattern, variant
+    pattern) pair no earlier step reached: a later one meets the same
+    verdicts, so it cannot record a certificate the earlier one did not. A
+    variant whose mu and nu ints both equal the subject's (with a correct
+    ``magnify``, each beta = 1/q, alpha = 0 variant) takes the subject's
+    pattern id without computing it; one with other ints, a sabotaged one
+    among them, gets its own: the steps are those computing every one gives."""
     patterns = _Patterns()
     need_variants = any(tid in _THEOREMS for tid in tids)
+    reached = set()  # the (pattern id, variant pattern id) pairs stepped on
     subjects = iter(subjects)
     while block := list(itertools.islice(subjects, _SUBJECT_CHUNK)):
-        chunk = [_prepare(A, patterns, operands, need_variants) for A in block]
+        pids, steps = [], []
+        for A in block:
+            den, mu, nu = A.view
+            pid = patterns.pattern(mu, nu)
+            patterns.counts[pid] += 1
+            pids.append(pid)
+            for params in operands.sampled(min(nu), den) if need_variants else ():
+                _, vmu, vnu = magnify(A, params).view
+                step = (pid, pid if vmu == mu and vnu == nu else patterns.pattern(vmu, vnu))
+                if step not in reached:
+                    reached.add(step)
+                    steps.append((A, params.beta, params.alpha, *step))
         for st in group:
-            _sweep_chunk(st, chunk, tids, spec, patterns)
+            _sweep_chunk(st, block, pids, steps, tids, spec, patterns)
     for st in group:
         for count, v in zip(patterns.counts, st.verdicts):
             st.tally[v[0]] = st.tally.get(v[0], 0) + count
+    return patterns
 
 
 def _theorem_report(th: _Theorem, state: _TaskState, ops: _TableOperands) -> VerificationReport:

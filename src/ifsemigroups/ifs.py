@@ -73,6 +73,18 @@ def as_grade(value, point="grade") -> Fraction:
     return g
 
 
+def _exact(value, name: str):
+    """``value`` when it is an int or a ``Fraction``; anything else is
+    refused by name. A float's binary value is usually not the decimal the
+    caller meant, and the integer kernels read ``numerator`` and
+    ``denominator``, which a string, ``None`` or a ``Decimal`` lacks."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    if isinstance(value, float):
+        raise ParseError(f"{name} = {value!r} is a float: pass an int or Fraction")
+    raise ParseError(f"{name} = {value!r} is not exact: pass an int or Fraction")
+
+
 @dataclass(frozen=True)
 class IFSubset:
     """Paired grade maps over the carrier {0..carrier_order-1}."""
@@ -88,10 +100,7 @@ class IFSubset:
                 f"grade maps have {len(self.mu)}/{len(self.nu)} points, carrier has {n}"
             )
         for x in range(n):
-            m, v = self.mu[x], self.nu[x]
-            for name, g in (("mu", m), ("nu", v)):
-                if not isinstance(g, (int, Fraction)):
-                    raise ParseError(f"{name}[{x}] = {g!r} is not exact: pass an int or Fraction")
+            m, v = _exact(self.mu[x], f"mu[{x}]"), _exact(self.nu[x], f"nu[{x}]")
             if m < 0 or m > 1:
                 raise GradeOutOfRange(x, m)
             if v < 0 or v > 1:

@@ -39,16 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlphaOutOfRange, BetaOutOfRange, ParseError
-from .ifs import IFSubset, ONE, ZERO, _trusted
-
-
-def _exact(value, name: str):
-    """``value``, refused when it is a float: its binary value is usually
-    not the decimal the caller meant, and the kernel reads exact ints."""
-    if isinstance(value, float):
-        raise ParseError(f"{name} = {value!r} is a float: pass an int or Fraction")
-    return value
+from .errors import AlphaOutOfRange, BetaOutOfRange
+from .ifs import IFSubset, ONE, ZERO, _exact, _trusted
 
 
 @dataclass(frozen=True)

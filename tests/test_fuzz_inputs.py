@@ -4,7 +4,8 @@
 format round trip or raise a library error with a one-line message. ``ifsg
 classify``, ``transform`` and ``product`` exit 0, or exit 2 with exactly one
 stderr line, starting with ``error: ``; any other exception would escape
-``cli.main`` and fail the test with its traceback. The inputs mix noise
+``cli.main`` and fail the test with its traceback. A transform parameter of
+any type either works or raises a library error. The inputs mix noise
 (arbitrary text and bytes) with near-valid lines of grade and table tokens
 and with valid tables and grade maps, so the fuzz reaches the checks behind
 the parsers too.
@@ -19,14 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifsemigroups import (
+    TransformParams,
     builtin_library,
     enumerate_semigroups,
     format_cayley,
     format_ifs,
     ifs_eq,
+    magnify,
     max_alpha,
+    multiply,
     parse_cayley,
     parse_ifs,
+    translate,
 )
 from ifsemigroups.cli import main
 from ifsemigroups.errors import IfsgError
@@ -137,3 +142,19 @@ def test_product_exits_zero_or_with_one_error_line(files):
     table, left, right = files
     _exits_cleanly({"t": table, "a": left, "b": right},
                    lambda p: ["product", p["t"], p["a"], p["b"]])
+
+
+# text, None, Decimals (NaN among them), floats and fractions of any size
+PARAMETERS = st.one_of(st.text(max_size=8), st.none(), st.decimals(), st.floats(),
+                       st.fractions(), grades, st.integers(-2, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(subjects(), PARAMETERS, PARAMETERS)
+def test_transform_parameters_work_or_raise_a_library_error(A, beta, alpha):
+    for call in (lambda: magnify(A, TransformParams(beta, alpha)), lambda: translate(A, alpha),
+                 lambda: multiply(A, beta), lambda: max_alpha(A, beta)):
+        try:
+            call()
+        except IfsgError as exc:
+            assert "\n" not in str(exc)

@@ -79,23 +79,22 @@ class _Oracle:
 def test_memoised_verdicts_match_value_level_oracle():
     checked = 0
     for n in (1, 2, 3):
-        # prepared once per carrier order and swept by each table, as in run_suite
-        patterns = harness._Patterns()
-        store = harness._Operands(SPEC)
-        chunk = [harness._prepare(A, patterns, store, True) for A in sample_ifs(n, SPEC)]
-        subjects = [(pid, _Oracle(A)) for A, pid, _ in chunk]
-        # the grid's variants share the grid's patterns; the randoms' walks are checked too
-        variants = [
-            (vid, _Oracle(magnify(A, TransformParams(beta, alpha))))
-            for A, _, walk in chunk[-SPEC.random_count:]
-            for beta, alpha, vid in walk
-        ]
-        for S in enumerate_semigroups(n):
-            state = harness._TaskState("t", S, classify(S))
-            harness._sweep_chunk(state, chunk, harness.THEOREM_IDS, SPEC, patterns)
-            assert sum(patterns.counts) == len(chunk)
-            for pid, oracle in subjects + variants:
-                assert state.verdicts[pid] == oracle.on(S)
+        # swept once per carrier order past all its tables, as in run_suite
+        subjects = list(sample_ifs(n, SPEC))
+        states = [harness._TaskState("t", S, classify(S)) for S in enumerate_semigroups(n)]
+        patterns = harness._sweep(states, subjects, harness.THEOREM_IDS, SPEC,
+                                  harness._Operands(SPEC))
+        assert sum(patterns.counts) == len(subjects)
+        # the grid's variants share the grid's patterns; the randoms' sampled
+        # variants are checked too
+        oracles = [(patterns.pattern(*X.view[1:]), _Oracle(X)) for X in subjects + [
+            magnify(A, TransformParams(beta, alpha))
+            for A in subjects[-SPEC.random_count:]
+            for beta in SPEC.beta_grid for alpha in harness.alpha_samples(A, beta)
+        ]]
+        for state in states:
+            for pid, oracle in oracles:
+                assert state.verdicts[pid] == oracle.on(state.S)
             checked += len(subjects)
     assert checked == 1 * 10 + 8 * 200 + 113 * 3250 + 122 * SPEC.random_count
 
@@ -140,22 +139,18 @@ def test_tables_of_one_order_share_their_verdict_objects():
     # the verdicts are interned per carrier order: the 113 order-3 tables
     # hold one object per distinct verdict, not one per table and pattern
     spec = SampleSpec()
-    patterns = harness._Patterns()
-    chunk = [harness._prepare(A, patterns, harness._Operands(spec), True)
-             for A in itertools.islice(sample_ifs(3, spec), harness._SUBJECT_CHUNK)]
     states = [harness._TaskState("t", S, classify(S)) for S in enumerate_semigroups(3)]
     assert len(states) == 113
-    for state in states:
-        harness._sweep_chunk(state, chunk, harness.THEOREM_IDS, spec, patterns)
+    patterns = harness._sweep(states, itertools.islice(sample_ifs(3, spec), harness._SUBJECT_CHUNK),
+                              harness.THEOREM_IDS, spec, harness._Operands(spec))
     verdicts = [v for state in states for v in state.verdicts]
     assert len(verdicts) == 113 * len(patterns.counts)
     assert len({id(v) for v in verdicts}) == len(set(verdicts)) < len(verdicts)
 
 
 def test_order3_grid_has_169_patterns():
-    patterns = harness._Patterns()
-    for A in sample_ifs(3, SampleSpec()):
-        harness._prepare(A, patterns, harness._Operands(SampleSpec()), False)
+    spec = SampleSpec()
+    patterns = harness._sweep([], sample_ifs(3, spec), (), spec, harness._Operands(spec))
     # 13 weak orders (Fubini(3)) of mu times 13 of nu
     assert len(patterns.counts) == 13 * 13
 
@@ -171,20 +166,20 @@ def test_joined_verdicts_match_the_joint_scan():
     # far beyond a machine word; the sweep joins each verdict from its halves
     big = 10**30
     for n, count in ((1, 1), (2, 9), (3, 169)):
-        patterns, records = harness._Patterns(), []
+        subjects = []
         pairs = itertools.product(_weak_orders(n), repeat=2)
         for i, (mu_order, nu_order) in enumerate(pairs):
             scale, shift = (big + i, big * i) if i % 2 else (1, 0)
             mu = tuple(scale * r + shift for r in mu_order)
             nu = tuple(scale * r + i for r in nu_order)
-            A = harness._trusted(n, view=(max(mu) + max(nu) + 1, mu, nu))
-            records.append(harness._prepare(A, patterns, harness._Operands(SPEC), False))
-        assert len(patterns.counts) == len(records) == count
-        for S in enumerate_semigroups(n):
-            idx = predicates._scan_index(S)
-            state = harness._TaskState("t", S, classify(S))
-            harness._sweep_chunk(state, records, harness.THEOREM_IDS, SPEC, patterns)
-            for A, pid, _ in records:
+            subjects.append(harness._trusted(n, view=(max(mu) + max(nu) + 1, mu, nu)))
+        states = [harness._TaskState("t", S, classify(S)) for S in enumerate_semigroups(n)]
+        patterns = harness._sweep(states, subjects, (), SPEC, harness._Operands(SPEC))
+        assert len(patterns.counts) == len(subjects) == count
+        for state in states:
+            idx = predicates._scan_index(state.S)
+            for A in subjects:
+                pid = patterns.pattern(*A.view[1:])
                 assert state.verdicts[pid] == harness._verdict(idx, *A.view[1:])
 
 

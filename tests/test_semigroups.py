@@ -37,6 +37,7 @@ from ifsemigroups import (
 
 from ifsemigroups.composition import build_factorizations
 from ifsemigroups.predicates import _scan_index
+from ifsemigroups.semigroups import _enumerated
 
 from conftest import small_semigroups
 
@@ -245,6 +246,24 @@ class TestClassify:
                 if c.is_group:
                     assert c.regular and c.intra_regular
                     assert c.left_regular and c.right_regular
+
+    def test_finite_collapses(self):
+        # on a finite semigroup intra-, left- and right-regularity are one
+        # property (Clifford & Preston), which implies regularity, and a
+        # regular semigroup has S^2 = S (a = axa); every labelled table of
+        # orders 1-4, the order-4 ones past the enumeration cap, and the library
+        tables = [S for n in (1, 2, 3, 4) for S in _enumerated(n)]
+        tables += [entry.semigroup for entry in builtin_library()]
+        assert len(tables) == 1 + 8 + 113 + 3492 + 13
+        regular = 0
+        for S in tables:
+            c = classify(S)
+            assert c.intra_regular == c.left_regular == c.right_regular
+            assert c.regular or not c.intra_regular
+            if c.regular:
+                regular += 1
+                assert {xy for row in S.table for xy in row} == set(S.elements())
+        assert regular == 1010
 
 
 class TestEnumeration:

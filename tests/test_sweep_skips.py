@@ -1,9 +1,11 @@
 """The sweep's skips of outcomes it already has.
 
 A variant whose mu and nu ints both equal its subject's takes the
-subject's pattern without ``_Patterns.pattern``, and each table runs each
-theorem test once per (subject verdict, variant verdict) pair. These tests
-pin both counts, including under a ``magnify`` that keeps mu and breaks nu;
+subject's pattern without ``_Patterns.pattern``; a block's step list holds
+only the variants whose (pattern, variant pattern) pair no earlier step
+reached; and each table runs each theorem test once per (subject verdict,
+variant verdict) pair among the steps. These tests pin the pattern and
+test counts, including under a ``magnify`` that keeps mu and breaks nu;
 the sabotage tests of ``test_patterns.py`` pin that the first certificate
 does not move.
 """
@@ -28,15 +30,14 @@ def test_each_table_tests_each_verdict_pair_once(monkeypatch):
         calls.append((label, self.tid, v, w))
         return true_failure(self, label, T, A, beta, alpha, v, w)
 
-    steps, pairs = Counter(), defaultdict(set)
+    stepped, pairs = Counter(), defaultdict(set)
     true_chunk = harness._sweep_chunk
 
-    def sweep_chunk(state, chunk, tids, spec, patterns):
-        true_chunk(state, chunk, tids, spec, patterns)
-        for _, pid, walk in chunk:
-            for *_, vid in walk:
-                steps[state.label] += 1
-                pairs[state.label].add((state.verdicts[pid], state.verdicts[vid]))
+    def sweep_chunk(state, block, pids, steps, tids, spec, patterns):
+        true_chunk(state, block, pids, steps, tids, spec, patterns)
+        for *_, pid, vid in steps:
+            stepped[state.label] += 1
+            pairs[state.label].add((state.verdicts[pid], state.verdicts[vid]))
 
     monkeypatch.setattr(harness._Theorem, "failure", failure)
     monkeypatch.setattr(harness, "_sweep_chunk", sweep_chunk)
@@ -51,8 +52,9 @@ def test_each_table_tests_each_verdict_pair_once(monkeypatch):
                      for th in harness._THEOREMS.values())
         assert per_table[label] <= len(pairs[label]) * active
     assert calls and len(calls) == len(set(calls))
-    # the walks repeat verdict pairs, so the bound is below one test per step
-    assert sum(map(len, pairs.values())) < sum(steps.values())
+    # steps of distinct patterns can share a verdict pair on a table, so the
+    # bound is below one test per step
+    assert sum(map(len, pairs.values())) < sum(stepped.values())
 
 
 @pytest.mark.parametrize("sabotage", [False, True], ids=["correct", "nu-reversed"])
@@ -69,14 +71,17 @@ def test_pattern_is_computed_only_for_variants_with_other_ints(monkeypatch, sabo
         made[id(A)].append(B)
         return B
 
+    computed = []
+    true_pattern = harness._Patterns.pattern
+
+    def pattern(self, mu, nu):
+        computed.append((mu, nu))
+        return true_pattern(self, mu, nu)
+
     monkeypatch.setattr(harness, "magnify", magnify)
-    patterns, computed = harness._Patterns(), []
-    true_pattern = patterns.pattern
-    patterns.pattern = lambda mu, nu: computed.append((mu, nu)) or true_pattern(mu, nu)
+    monkeypatch.setattr(harness._Patterns, "pattern", pattern)
     subjects = list(sample_ifs(3, SPEC))
-    operands = harness._Operands(SPEC)
-    for A in subjects:
-        harness._prepare(A, patterns, operands, True)
+    harness._sweep([], subjects, SINGLE_IDS, SPEC, harness._Operands(SPEC))
 
     expected, same = [], 0
     for A in subjects:

@@ -1,3 +1,5 @@
+import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +11,7 @@ from ifsemigroups import (
     BetaOutOfRange,
     IFSubset,
     ParseError,
+    SampleSpec,
     TransformParams,
     ifs_eq,
     magnify,
@@ -16,6 +19,7 @@ from ifsemigroups import (
     multiply,
     translate,
 )
+from ifsemigroups import harness
 
 from conftest import grades, subjects
 
@@ -116,6 +120,28 @@ def test_float_parameters_are_refused(worked_subject, name, call):
         call(worked_subject)
 
 
+@pytest.mark.parametrize("name, call", [
+    ("beta", lambda A: TransformParams("1/2", F(0))),
+    ("beta", lambda A: TransformParams(None, F(0))),
+    ("beta", lambda A: TransformParams(Decimal("0.5"), F(0))),
+    ("alpha", lambda A: TransformParams(F(1, 2), "0")),
+    ("alpha", lambda A: translate(A, "1/8")),
+    ("beta", lambda A: multiply(A, "1/2")),
+    ("beta", lambda A: max_alpha(A, "1/2")),
+    ("beta", lambda A: SampleSpec(beta_grid=("1/2",))),
+    ("grid step", lambda A: SampleSpec(grade_grid_step="1/4")),
+    (r"mu\[1\]", lambda A: IFSubset(2, (F(1, 2), Decimal("0.25")), (0, 0))),
+], ids=["TransformParams-str", "TransformParams-None", "TransformParams-Decimal",
+        "TransformParams-str-alpha", "translate-str", "multiply-str", "max_alpha-str",
+        "SampleSpec-str-beta", "SampleSpec-str-step", "IFSubset-Decimal"])
+def test_inexact_parameters_are_refused(worked_subject, name, call):
+    """Only an int or a Fraction is exact. Anything else is refused by name,
+    as a non-exact grade is, instead of failing with a TypeError in a range
+    check, an AttributeError in the integer kernel, or not at all."""
+    with pytest.raises(ParseError, match=rf"^{name} = .+ is not exact: pass an int or Fraction"):
+        call(worked_subject)
+
+
 betas = st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12)
 unit = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
@@ -161,6 +187,22 @@ def test_grade_values_map_injectively(A, beta, t):
     out = magnify(A, TransformParams(beta, alpha))
     assert len(set(out.mu)) == len(set(A.mu))
     assert len(set(out.nu)) == len(set(A.nu))
+
+
+# the random subjects of sample_ifs, drawn from their seeded generator
+sampled_randoms = st.builds(lambda n, seed: harness._random_subject(n, random.Random(seed)),
+                            st.integers(1, 4), st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(subjects(nonempty=False) | sampled_randoms, betas, unit)
+def test_magnify_keeps_the_weak_order_of_each_component(A, beta, t):
+    # Lemma 2: with beta > 0 magnify is strictly increasing on mu and on nu,
+    # so a variant has its subject's pattern, which the sweep's equal-ints
+    # shortcut and its (pattern, variant pattern) steps rest on
+    out = magnify(A, TransformParams(beta, t * max_alpha(A, beta)))
+    for before, after in zip(A.view[1:], out.view[1:]):
+        assert harness._weak_order(after) == harness._weak_order(before)
 
 
 # the integer kernel of translate, multiply and magnify against Fraction
