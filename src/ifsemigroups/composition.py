@@ -8,9 +8,11 @@ element with no factorization gets membership 0 and non-membership 1.
 Factorizations are indexed once per semigroup and shared; the harness
 calls the product thousands of times per table. The product compares
 grades and never computes with them, so it runs on the operands' integer
-views over one common denominator and returns a subject that carries only
-its view: each result int is one of the operands' ints, or 0 or den where
-an element has no factorization.
+views and returns a subject that carries only its view: each result int is
+one of the operands' ints, or 0 or den where an element has no
+factorization. Operands already over one denominator, as the pair laws'
+operands are, are read as they are; only differing denominators are
+rescaled to their least common multiple.
 """
 
 from __future__ import annotations
@@ -45,7 +47,10 @@ def if_product(S: Semigroup, A: IFSubset, B: IFSubset) -> IFSubset:
     """Compose two subjects along the multiplication of S."""
     if A.carrier_order != S.order or B.carrier_order != S.order:
         raise CarrierMismatch("subject carrier does not match semigroup order")
-    den, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
+    den, mu_a, nu_a = A.view
+    db, mu_b, nu_b = B.view
+    if den != db:
+        den, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
     mu, nu = [], []
     for pairs in build_factorizations(S).pairs_for:
         # the running sup and inf over den; the empty sup is 0, the empty inf 1

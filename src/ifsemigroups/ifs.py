@@ -77,7 +77,11 @@ def _exact(value, name: str):
     """``value`` when it is an int or a ``Fraction``; anything else is
     refused by name. A float's binary value is usually not the decimal the
     caller meant, and the integer kernels read ``numerator`` and
-    ``denominator``, which a string, ``None`` or a ``Decimal`` lacks."""
+    ``denominator``, which a string, ``None`` or a ``Decimal`` lacks. A
+    ``bool`` is an int to Python, but a grade of ``True`` is written as
+    ``True``, which does not parse back, so it is refused too."""
+    if isinstance(value, bool):
+        raise ParseError(f"{name} = {value!r} is a bool: pass an int or Fraction")
     if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, float):
@@ -141,24 +145,28 @@ class IFSubset:
         return vars(self)[name]
 
 
+# bound once: _trusted runs for every meet, product and magnification
+_new, _set = object.__new__, object.__setattr__
+
+
 def _trusted(carrier_order: int, view: tuple) -> IFSubset:
     """An IFSubset built without validation from its integer view alone, for
     results the library derives from valid subjects in ways that keep them
     valid (meets, products, admissible magnifications) and for grid and
     random subjects valid by construction. It makes its Fractions on first read. Everything
     else goes through the validating constructor."""
-    A = object.__new__(IFSubset)
-    object.__setattr__(A, "carrier_order", carrier_order)
-    object.__setattr__(A, "view", view)
+    A = _new(IFSubset)
+    _set(A, "carrier_order", carrier_order)
+    _set(A, "view", view)
     return A
 
 
 def _common_views(A: IFSubset, B: IFSubset):
-    """(den, mu_A, nu_A, mu_B, nu_B): both views over one denominator."""
+    """(den, mu_A, nu_A, mu_B, nu_B): both views over their least common
+    denominator. The lattice kernels and the product call it only when the
+    views' denominators differ; views that share one are read as they are."""
     da, mu_a, nu_a = A.view
     db, mu_b, nu_b = B.view
-    if da == db:
-        return da, mu_a, nu_a, mu_b, nu_b
     den = math.lcm(da, db)
     if den != da:
         k = den // da
@@ -184,15 +192,27 @@ def _same_carrier(A: IFSubset, B: IFSubset) -> None:
 
 
 def ifs_leq(A: IFSubset, B: IFSubset) -> bool:
-    """Containment: mu_A <= mu_B and nu_A >= nu_B pointwise."""
-    _same_carrier(A, B)
-    _, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
+    """Containment: mu_A <= mu_B and nu_A >= nu_B pointwise.
+
+    Views over one denominator are compared as they are; only differing
+    denominators are rescaled, by ``_common_views``."""
+    if A.carrier_order != B.carrier_order:
+        _same_carrier(A, B)
+    da, mu_a, nu_a = A.view
+    db, mu_b, nu_b = B.view
+    if da != db:
+        _, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
     return all(map(operator.le, mu_a, mu_b)) and all(map(operator.ge, nu_a, nu_b))
 
 
 def ifs_eq(A: IFSubset, B: IFSubset) -> bool:
-    _same_carrier(A, B)
-    _, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
+    """Equal grades at every point, read from the views as ``ifs_leq`` reads them."""
+    if A.carrier_order != B.carrier_order:
+        _same_carrier(A, B)
+    da, mu_a, nu_a = A.view
+    db, mu_b, nu_b = B.view
+    if da != db:
+        _, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
     return mu_a == mu_b and nu_a == nu_b
 
 
@@ -202,12 +222,23 @@ def complement(A: IFSubset) -> IFSubset:
 
 
 def intersect(A: IFSubset, B: IFSubset) -> IFSubset:
-    """Pointwise min on mu, max on nu."""
-    _same_carrier(A, B)
-    den, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
+    """Pointwise min on mu, max on nu.
+
+    The result is over the operands' denominator when they share one, as
+    the pair laws' operands do; only differing denominators are rescaled,
+    by ``_common_views``."""
+    if A.carrier_order != B.carrier_order:
+        _same_carrier(A, B)
+    den, mu_a, nu_a = A.view
+    db, mu_b, nu_b = B.view
+    if den != db:
+        den, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
     # min(a, b) + max(c, d) <= a + c or b + d, so the meet stays valid
-    return _trusted(A.carrier_order,
-                    view=(den, tuple(map(min, mu_a, mu_b)), tuple(map(max, nu_a, nu_b))))
+    return _trusted(A.carrier_order, view=(
+        den,
+        tuple([a if a < b else b for a, b in zip(mu_a, mu_b)]),
+        tuple([a if a > b else b for a, b in zip(nu_a, nu_b)]),
+    ))
 
 
 def union(A: IFSubset, B: IFSubset) -> IFSubset:

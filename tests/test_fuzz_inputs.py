@@ -144,9 +144,9 @@ def test_product_exits_zero_or_with_one_error_line(files):
                    lambda p: ["product", p["t"], p["a"], p["b"]])
 
 
-# text, None, Decimals (NaN among them), floats and fractions of any size
-PARAMETERS = st.one_of(st.text(max_size=8), st.none(), st.decimals(), st.floats(),
-                       st.fractions(), grades, st.integers(-2, 2))
+# text, None, booleans, Decimals (NaN among them), floats and fractions of any size
+PARAMETERS = st.one_of(st.text(max_size=8), st.none(), st.booleans(), st.decimals(),
+                       st.floats(), st.fractions(), grades, st.integers(-2, 2))
 
 
 @settings(max_examples=300, deadline=None)

@@ -142,6 +142,26 @@ def test_inexact_parameters_are_refused(worked_subject, name, call):
         call(worked_subject)
 
 
+@pytest.mark.parametrize("name, call", [
+    (r"mu\[0\]", lambda A: IFSubset(1, (True,), (False,))),
+    (r"nu\[0\]", lambda A: IFSubset(1, (0,), (True,))),
+    ("beta", lambda A: TransformParams(True, F(0))),
+    ("alpha", lambda A: TransformParams(F(1, 2), False)),
+    ("alpha", lambda A: translate(A, False)),
+    ("beta", lambda A: multiply(A, True)),
+    ("beta", lambda A: max_alpha(A, True)),
+    ("grid step", lambda A: SampleSpec(grade_grid_step=True)),
+    ("beta", lambda A: SampleSpec(beta_grid=(F(1, 2), True))),
+], ids=["IFSubset-mu", "IFSubset-nu", "TransformParams-beta", "TransformParams-alpha",
+        "translate", "multiply", "max_alpha", "SampleSpec-step", "SampleSpec-beta"])
+def test_bool_parameters_are_refused(worked_subject, name, call):
+    """A bool is an int to Python but no grade: a grade map holding ``True``
+    formats as ``0 True False``, which ``parse_ifs`` cannot read back, and a
+    grid step of ``True`` would silently become 1."""
+    with pytest.raises(ParseError, match=rf"^{name} = (True|False) is a bool: pass an int or Fraction"):
+        call(worked_subject)
+
+
 betas = st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12)
 unit = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
