@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import AlphaOutOfRange, IfsgError, ParseError
+from .errors import AlphaOutOfRange, CarrierMismatch, IfsgError, ParseError
 from .harness import SampleSpec, VerificationReport, run_suite
 from .composition import if_product
 from .ifs import as_grade, format_ifs, parse_ifs
@@ -26,6 +26,10 @@ from .semigroups import (
 from .transforms import TransformParams, magnify
 
 MACHINE_HEADER = "# ifsg-reports v1"
+# a certificate's fields after cert.table, each printed unless None or empty
+CERT_FIELDS = ("mu_a", "nu_a", "mu_b", "nu_b", "beta", "alpha", "kind", "points")
+# the classification flags that classify prints and library lists
+_FLAGS = ("regular", "intra_regular", "left_regular", "right_regular", "archimedean", "is_group")
 
 _USAGE_ERROR = 2
 _COUNTEREXAMPLE = 1
@@ -43,20 +47,13 @@ def _load_cayley(path: str):
     return parse_cayley(_read(path))
 
 
-def _yesno(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
 def cmd_classify(args) -> int:
     S = _load_cayley(args.cayley)
     cls = classify(S)
     print(f"order: {S.order}")
-    print(f"regular: {_yesno(cls.regular)}")
-    print(f"intra-regular: {_yesno(cls.intra_regular)}")
-    print(f"left-regular: {_yesno(cls.left_regular)}")
-    print(f"right-regular: {_yesno(cls.right_regular)}")
-    print(f"archimedean: {_yesno(cls.archimedean)}")
-    print(f"group: {_yesno(cls.is_group)}")
+    for flag in _FLAGS:
+        label = flag.removeprefix("is_").replace("_", "-")
+        print(f"{label}: {'yes' if getattr(cls, flag) else 'no'}")
     if cls.identity is not None:
         print(f"identity: {cls.identity}")
     return 0
@@ -67,19 +64,15 @@ def cmd_transform(args) -> int:
     if args.cayley is not None:
         S = _load_cayley(args.cayley)
         if S.order != A.carrier_order:
-            print(
-                f"error: grade map has {A.carrier_order} points but table has "
-                f"order {S.order}",
-                file=sys.stderr,
+            raise CarrierMismatch(
+                f"grade map has {A.carrier_order} points but table has order {S.order}"
             )
-            return _USAGE_ERROR
     beta = as_grade(args.beta, "beta")
     alpha = as_grade(args.alpha, "alpha")
     try:
         out = magnify(A, TransformParams(beta, alpha))
     except AlphaOutOfRange as exc:
-        print(f"error: alpha {alpha} too large; max alpha = {exc.bound}", file=sys.stderr)
-        return _USAGE_ERROR
+        raise ValueError(f"alpha {alpha} too large; max alpha = {exc.bound}") from None
     sys.stdout.write(format_ifs(out))
     return 0
 
@@ -129,18 +122,10 @@ def _report_machine(r: VerificationReport) -> str:
     c = r.certificate
     if c is not None:
         fields.append("cert.table=" + ";".join(_machine_value(row) for row in c.table))
-        fields.append("cert.mu_a=" + _machine_value(c.mu_a))
-        fields.append("cert.nu_a=" + _machine_value(c.nu_a))
-        if c.mu_b is not None:
-            fields.append("cert.mu_b=" + _machine_value(c.mu_b))
-            fields.append("cert.nu_b=" + _machine_value(c.nu_b))
-        if c.beta is not None:
-            fields.append(f"cert.beta={c.beta}")
-            fields.append(f"cert.alpha={c.alpha}")
-        if c.kind is not None:
-            fields.append(f"cert.kind={c.kind}")
-        if c.points:
-            fields.append("cert.points=" + _machine_value(c.points))
+        for name in CERT_FIELDS:
+            v = getattr(c, name)
+            if v is not None and v != ():
+                fields.append(f"cert.{name}={_machine_value(v)}")
     return " ".join(fields)
 
 
@@ -148,21 +133,17 @@ def cmd_check(args) -> int:
     try:
         orders = sorted({int(tok) for tok in args.orders.split(",") if tok})
     except ValueError:
-        print(f"error: bad orders {args.orders!r}", file=sys.stderr)
-        return _USAGE_ERROR
+        raise ValueError(f"bad orders {args.orders!r}") from None
     if not orders:
-        print(f"error: no orders in {args.orders!r}", file=sys.stderr)
-        return _USAGE_ERROR
+        raise ValueError(f"no orders in {args.orders!r}")
     theorems = None if args.all or not args.theorem else args.theorem
     reports = run_suite(orders, _spec_from(args), theorems)
     failures = sum(1 for r in reports if r.outcome == "counterexample")
     if args.machine:
         print(MACHINE_HEADER)
-        for r in reports:
-            print(_report_machine(r))
-    else:
-        for r in reports:
-            print(_report_text(r))
+    report = _report_machine if args.machine else _report_text
+    for r in reports:
+        print(report(r))
     enumerated = len({r.semigroup for r in reports if r.semigroup.startswith("order")})
     library = len({r.semigroup for r in reports if r.semigroup.startswith("lib:")})
     print(
@@ -176,25 +157,15 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         print(sum(1 for _ in enumerate_semigroups(args.order)))
         return 0
-    first = True
-    for S in enumerate_semigroups(args.order):
-        if not first:
-            print()
-        sys.stdout.write(format_cayley(S))
-        first = False
+    sys.stdout.write("\n".join(map(format_cayley, enumerate_semigroups(args.order))))
     return 0
 
 
 def cmd_library(args) -> int:
     if args.name is None:
         for entry in builtin_library():
-            c = entry.classification
-            flags = []
-            for attr in ("regular", "intra_regular", "left_regular",
-                         "right_regular", "archimedean", "is_group"):
-                if getattr(c, attr):
-                    flags.append(attr)
-            print(f"{entry.name:<14} order={entry.semigroup.order} {' '.join(flags)}")
+            flags = " ".join(f for f in _FLAGS if getattr(entry.classification, f))
+            print(f"{entry.name:<14} order={entry.semigroup.order} {flags}")
         return 0
     entry = library_entry(args.name)
     print(f"# {entry.name}: {entry.classification}")
@@ -202,8 +173,16 @@ def cmd_library(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a ``ValueError``, which ``main`` prints as one
+    line with exit code 2, in place of argparse's usage block and exit."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ifsg",
         description="Exact checks of fuzzy-subset transforms over finite semigroups",
     )
@@ -249,9 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OSError as exc:
         where = "" if exc.filename is None else f": {exc.filename}"

@@ -57,6 +57,7 @@ from .semigroups import (
     Classification,
     ElementSubset,
     Semigroup,
+    _int,
     builtin_library,
     classify,
     enumerate_semigroups,
@@ -198,7 +199,7 @@ def sample_ifs(carrier_order: int, spec: SampleSpec) -> Iterator[IFSubset]:
     read. An order with more than ``MAX_SUBJECTS_PER_ORDER`` subjects is
     refused before the grid is built.
     """
-    if carrier_order < 1:
+    if _int(carrier_order, "carrier order") < 1:
         raise ValueError(f"carrier order {carrier_order} must be at least 1")
     _refuse_costly(carrier_order, spec)
     k, pairs = _grid(spec.grade_grid_step)

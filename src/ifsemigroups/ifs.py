@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     SumConstraintViolation,
 )
-from .semigroups import ElementSubset
+from .semigroups import ElementSubset, _int
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -98,7 +98,7 @@ class IFSubset:
     nu: tuple[Fraction, ...]
 
     def __post_init__(self):
-        n = self.carrier_order
+        n = _int(self.carrier_order, "carrier order")
         if len(self.mu) != n or len(self.nu) != n:
             raise CarrierMismatch(
                 f"grade maps have {len(self.mu)}/{len(self.nu)} points, carrier has {n}"

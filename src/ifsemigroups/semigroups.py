@@ -35,6 +35,15 @@ CRISP_KINDS = (
 )
 
 
+def _int(value, name: str) -> int:
+    """``value`` when it is an int; anything else is refused by name. A
+    ``bool`` is an int to Python, but an order of ``True`` is written as
+    ``True``, which does not parse back, so it is refused too."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParseError(f"{name} = {value!r} is a {type(value).__name__}, not an int")
+
+
 def _table_violation(order: int, table) -> None:
     """Raise on the first out-of-range entry or non-associative triple."""
     for x in range(order):
@@ -63,7 +72,7 @@ class Semigroup:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.order < 1:
+        if _int(self.order, "order") < 1:
             raise ParseError("order must be positive")
         if len(self.table) != self.order:
             raise ParseError(f"expected {self.order} rows, got {len(self.table)}")
@@ -99,7 +108,10 @@ class ElementSubset:
     members: frozenset[int]
 
     def __post_init__(self):
+        _int(self.carrier_order, "carrier order")
         for m in self.members:
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise ValueError(f"member {m!r} is a {type(m).__name__}, not an int")
             if not 0 <= m < self.carrier_order:
                 raise ValueError(f"member {m} outside carrier [0, {self.carrier_order})")
 
@@ -274,7 +286,7 @@ def enumerate_semigroups(order: int) -> Iterator[Semigroup]:
     the same way. Each table is built once per process, so every cache
     keyed by a table finds it by identity.
     """
-    if order < 1:
+    if _int(order, "order") < 1:
         raise OrderTooSmall(order)
     if order > ENUMERATION_CAP:
         raise OrderTooLarge(order, ENUMERATION_CAP)

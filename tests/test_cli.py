@@ -258,3 +258,22 @@ def test_huge_grade_exponent_is_a_one_line_error(worked_file, capsys):
     assert main(["transform", worked_file, "--beta", "1e-4301", "--alpha", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: exponent of '1e-4301'") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--seed", "x"], ["transform", "w.ifs", "--beta", "1"], ["nosuch"],
+    ["enumerate", "x"], ["check", "--orders"], [],
+])
+def test_bad_flag_is_one_error_line(argv, capsys):
+    # argparse's wording differs across Python versions; only the shape is pinned
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--orders" in capsys.readouterr().out

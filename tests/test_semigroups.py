@@ -15,6 +15,7 @@ from ifsemigroups import (
     ElementSubset,
     EmptySubset,
     CarrierMismatch,
+    IFSubset,
     OrderTooLarge,
     OrderTooSmall,
     OutOfRangeEntry,
@@ -32,6 +33,7 @@ from ifsemigroups import (
     principal_right_ideal,
     principal_two_sided_ideal,
     run_suite,
+    sample_ifs,
     validate_cayley,
 )
 
@@ -430,3 +432,30 @@ def test_every_generated_table_is_associative(S: Semigroup):
         for y in range(S.order):
             for z in range(S.order):
                 assert T[T[x][y]][z] == T[x][T[y][z]]
+
+
+_ORDER_TAKERS = {
+    "Semigroup": lambda n: validate_cayley(n, [[0]]),
+    "enumerate_semigroups": lambda n: list(enumerate_semigroups(n)),
+    "run_suite": lambda n: run_suite([n], SampleSpec(grade_grid_step=Fraction(1))),
+    "sample_ifs": lambda n: list(sample_ifs(n, SampleSpec())),
+    "IFSubset": lambda n: IFSubset(n, (Fraction(1),), (Fraction(0),)),
+    "ElementSubset": lambda n: ElementSubset(n, frozenset({0})),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, "2", None, Fraction(2)], ids=repr)
+@pytest.mark.parametrize("taker", _ORDER_TAKERS)
+def test_an_order_that_is_not_an_int_is_refused_by_value(taker, value):
+    with pytest.raises(ParseError) as exc:
+        _ORDER_TAKERS[taker](value)
+    message = str(exc.value)
+    assert "\n" not in message and repr(value) in message and "not an int" in message
+
+
+@pytest.mark.parametrize("member", [1.5, 1.0, True, "1", None], ids=repr)
+def test_an_element_subset_member_that_is_not_an_int_is_refused(member):
+    with pytest.raises(ValueError) as exc:
+        ElementSubset(2, frozenset({0, member}))
+    message = str(exc.value)
+    assert "\n" not in message and repr(member) in message and "not an int" in message
