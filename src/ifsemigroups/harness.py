@@ -5,10 +5,11 @@ curated library, grid-sampled fuzzy subjects, and a small grid of
 transform parameters. A check either verifies (with exhaustion counters)
 or produces a certificate that replays to a concrete violation through
 the public predicate and transform APIs. The converse exhibits of the
-characterizations and of the product law share one helper: a witness
-that breaks its law, plainly and magnified, is attached to the verified
-report; one that does not is a counterexample claiming ``exhibit_failed``,
-a certificate field that ``--machine`` does not print.
+characterizations and of the product law are their entries' ``converse``
+and share one helper: a witness that breaks its law, plainly and
+magnified, is attached to the verified report; one that does not is a
+counterexample claiming ``exhibit_failed``, a certificate field that
+``--machine`` does not print.
 
 Each theorem is one entry of ``_ENTRIES``, in report order: a
 single-subject ``_Theorem``, tested on a subject and one magnified variant,
@@ -75,14 +76,6 @@ K = FuzzyStructureKind
 EQUIV_THEOREMS = {f"equiv_{kind.value}": kind for kind in KIND_ORDER}
 
 ALPHA_STRATEGIES = ("zero", "max", "midpoint", "grid")
-
-# regularity flag -> (the ideals its characterization samples, the principal
-# ideal its converse witness is built from)
-_CHAR_RELEVANT = {
-    "intra_regular": (K.IDEAL, principal_two_sided_ideal),
-    "left_regular": (K.LEFT_IDEAL, principal_left_ideal),
-    "right_regular": (K.RIGHT_IDEAL, principal_right_ideal),
-}
 
 # positions of the profile flags the theorems read, in KIND_ORDER
 _BI, _ONE_TWO, _LEFT, _RIGHT, _SEMIPRIME = (
@@ -281,6 +274,14 @@ def replay_certificate(cert: Certificate) -> bool:
     counterexample certificates that means the theorem really fails on the
     recorded data; for converse witnesses it means the exhibited failure
     is genuine; for a failed exhibit (``exhibit_failed``), that it fails.
+
+    It checks each subject's precondition (a semiprime, relevant, bi-,
+    (1,2)-, right or left ideal, as the theorem asks) and no flag of the
+    table, except the archimedean flag that ``archimedean_constant``'s
+    claim needs. So a converse witness, which lives on a table without the
+    flags, replays through the branch of a counterexample: the
+    ``regular_product`` witnesses, and any later ones of ``group_constant``
+    or the product theorems.
     """
     S = Semigroup(len(cert.table), cert.table)
     A = _subject_of(cert, "a")
@@ -325,6 +326,9 @@ def replay_certificate(cert: Certificate) -> bool:
         return (A2.mu[m] < A2.mu[m2] or A2.nu[m] > A2.nu[m2]) != cert.exhibit_failed
     if tid in ("product_bi_ideal", "product_one_two_ideal"):
         B = _subject_of(cert, "b")
+        kind = K.BI_IDEAL if tid == "product_bi_ideal" else K.ONE_TWO_IDEAL
+        if not (check(kind, S, A) and check(kind, S, B)):
+            return False
         A2, B2 = magnify(A, params), magnify(B, params)
         I = intersect(A2, B2)
         return not (
@@ -344,6 +348,8 @@ def replay_certificate(cert: Certificate) -> bool:
             )
             return law != classify(S).regular
         B = _subject_of(cert, "b")
+        if not (check(K.RIGHT_IDEAL, S, A) and check(K.LEFT_IDEAL, S, B)):
+            return False
         if params is not None:
             A, B = magnify(A, params), magnify(B, params)
         return ifs_eq(if_product(S, A, B), intersect(A, B)) == cert.exhibit_failed
@@ -382,17 +388,17 @@ def _label(S: Semigroup, label: str | None) -> str:
 class _Theorem:
     """One single-subject theorem. ``test(table, v, w)`` maps the verdicts
     (see ``_verdict``) of a subject and of one magnified variant to the
-    certificate fields of a failure, or None. Where a regularity flag is its
-    hypothesis and fails, the suite exhibits the flag's converse witness."""
+    certificate fields of a failure, or None."""
 
     tid: str
     test: Callable
-    hypothesis: str | None = None  # Classification flag the semigroup needs
+    flags: tuple[str, ...] = ()  # the Classification flags the semigroup needs
     positions: tuple[int, ...] = ()  # the profile position, if any, the subject must pass
     refusal: type = PreconditionNotMet  # raised by the public check at a gate
+    converse: Callable | None = None  # see _finish_task
 
     def holds(self, cls: Classification) -> bool:
-        return self.hypothesis is None or getattr(cls, self.hypothesis)
+        return all(getattr(cls, f) for f in self.flags)
 
     def failure(self, label, T, A, beta, alpha, v, w) -> Certificate | None:
         fields = self.test(T, v, w)
@@ -424,16 +430,6 @@ def _fixedpoint_test(T, v, w):
 
 def _archimedean_constant_test(T, v, w):
     return None if w[2] else {"detail": "magnified semiprime ideal is not constant"}
-
-
-def _char_test(relevant: str) -> Callable:
-    def test(T, v, w):
-        x = w[3]
-        if x is None:
-            return None
-        return {"kind": relevant, "points": (x,),
-                "detail": "magnified relevant ideal breaks a semiprime inequality"}
-    return test
 
 
 def _gate(th: _Theorem | _PairTheorem, S: Semigroup, *subjects: IFSubset) -> None:
@@ -494,26 +490,43 @@ def check_archimedean_constant(
     return _check_single("archimedean_constant", S, A, params, label)
 
 
-def _converse_witness(kind: str, ops: _TableOperands, name: str):
-    """The exhibit of a characterization's converse: the characteristic pair
-    of the principal ideal of m*m must be a relevant ideal whose magnified
-    translation violates a semiprime inequality at the gap element m."""
-    S, (relevant, principal) = ops.S, _CHAR_RELEVANT[kind]
-    m = regularity_gap(S, kind)  # not None: classify's flag is "no gap"
-    m2 = S.table[m][m]
-    W = characteristic_pair(S.order, principal(S, m2))
-    cert = functools.partial(Certificate, f"char_{kind}", name, S.table, W.mu, W.nu,
-                             kind=relevant.value, points=(m,))
-    if not check(relevant, S, W):
-        return (), cert(exhibit_failed=True,
-                        detail="principal-ideal witness fails the relevant ideal predicate"), 0
-    return _exhibit(
-        ops.operands, (W,), lambda X: X.mu[m] < X.mu[m2] or X.nu[m] > X.nu[m2], cert,
-        {"detail": f"characteristic pair of the principal ideal of {m2} is a "
-                   f"{relevant.value} whose magnified translation breaks "
-                   f"semiprimeness at {m}"},
-        {"detail": "witness fails to violate the semiprime inequalities"},
-    )
+def _characterization(kind: str, relevant: FuzzyStructureKind,
+                      principal: Callable) -> _Theorem:
+    """The entry of the characterization of the regularity flag ``kind`` by
+    its ``relevant`` ideals. Its test: no magnified relevant ideal breaks a
+    semiprime inequality. Its converse, on a table without the flag: the
+    characteristic pair of the ``principal`` ideal of m*m (m the gap
+    element) must be a relevant ideal whose magnified translation violates a
+    semiprime inequality at m. The exhibit reports one subject."""
+    tid = f"char_{kind}"
+
+    def test(T, v, w):
+        x = w[3]
+        return None if x is None else {
+            "kind": relevant.value, "points": (x,),
+            "detail": "magnified relevant ideal breaks a semiprime inequality"}
+
+    def converse(state: _TaskState, ops: _TableOperands):
+        if getattr(state.cls, kind):
+            return 0, None
+        S, name = state.S, state.label
+        m = regularity_gap(S, kind)  # not None: classify's flag is "no gap"
+        m2 = S.table[m][m]
+        W = characteristic_pair(S.order, principal(S, m2))
+        cert = functools.partial(Certificate, tid, name, S.table, W.mu, W.nu,
+                                 kind=relevant.value, points=(m,))
+        if not check(relevant, S, W):
+            return 1, _report(tid, name, 1, 0, cert(exhibit_failed=True, detail="principal-ideal "
+                                                    "witness fails the relevant ideal predicate"))
+        witnesses, bad, _ = _exhibit(
+            ops.operands, (W,), lambda X: X.mu[m] < X.mu[m2] or X.nu[m] > X.nu[m2], cert,
+            {"detail": f"characteristic pair of the principal ideal of {m2} is a "
+                       f"{relevant.value} whose magnified translation breaks "
+                       f"semiprimeness at {m}"},
+            {"detail": "witness fails to violate the semiprime inequalities"},
+        )
+        return 1, _report(tid, name, 1, 0, bad, witnesses)
+    return _Theorem(tid, test, (kind,), (KIND_ORDER.index(relevant),), converse=converse)
 
 
 def check_characterization(
@@ -530,7 +543,7 @@ def check_characterization(
     Converse: when it fails, the characteristic pair of the principal
     ideal of m*m (m the gap element) is exhibited breaking them.
     """
-    if kind not in _CHAR_RELEVANT:
+    if f"char_{kind}" not in _ENTRY:
         raise ValueError(f"unknown characterization kind {kind!r}")
     return _run([(_label(S, label), S)], spec, (f"char_{kind}",))[0]
 
@@ -645,9 +658,10 @@ class _PairTheorem:
     plain: dict | None
     magnified: dict
     refusal: type = PreconditionNotMet  # raised by the public check at a gate
+    converse: Callable | None = None  # see _finish_task
 
     def holds(self, cls: Classification) -> bool:
-        return all(getattr(cls, flag) for flag in self.flags)
+        return all(getattr(cls, f) for f in self.flags)
 
     def pairs(self, passers: list) -> Iterator[tuple[IFSubset, IFSubset]]:
         """The pairs of passers the theorem tests."""
@@ -674,20 +688,64 @@ class _PairTheorem:
         return None
 
 
+def _regular_converse(state: _TaskState, ops: _TableOperands):
+    """The crisp level of the regularity/product-law theorem: the law on
+    every crisp right/left ideal pair must agree with the flag, and on a
+    non-regular table the characteristic pair of a failing crisp pair is
+    the witness. A regular table with no crisp gap is left to the pair
+    core, which counts its pairs on top of the crisp ones."""
+    S, name, tid = state.S, state.label, "regular_product"
+
+    crisp_rights, crisp_lefts = _crisp_one_sided_ideals(S)
+    crisp_pairs = len(crisp_rights) * len(crisp_lefts)
+    crisp_gap = next((
+        (R, L) for R in crisp_rights for L in crisp_lefts
+        if multiply_subsets(S, R, L).members != R.members & L.members
+    ), None)
+    if crisp_gap is None:
+        if state.cls.regular:
+            return crisp_pairs, None
+        # flagged non-regular, yet the law holds on every crisp pair
+        cert = Certificate(tid, name, S.table, (ONE,) * S.order, (ZERO,) * S.order,
+                           kind="crisp_agreement",
+                           detail="crisp product law disagrees with the regularity flag")
+        return crisp_pairs, _report(tid, name, crisp_pairs, 0, cert)
+    chi_r, chi_l = (characteristic_pair(S.order, X) for X in crisp_gap)
+    cert = functools.partial(
+        Certificate, tid, name, S.table, chi_r.mu, chi_r.nu, chi_l.mu, chi_l.nu, kind="fuzzy"
+    )
+    if state.cls.regular:
+        # flagged regular, yet a concrete pair breaks the law
+        return crisp_pairs, _report(tid, name, crisp_pairs, 0, cert(
+            kind="crisp", detail="regular semigroup with RL != R n L"))
+
+    # non-regular: the failing crisp pair yields a characteristic-pair witness
+    witnesses, bad, tested = _exhibit(
+        ops.operands, (chi_r, chi_l), lambda R, L: not _product_is_meet(S, R, L), cert,
+        {"detail": "characteristic pair of a failing crisp pair breaks the product law"},
+        {"kind": "magnified",
+         "detail": "magnified witness unexpectedly satisfies the product law"},
+        {"detail": "characteristic witness unexpectedly satisfies the product law"},
+    )
+    checked = crisp_pairs + tested
+    return checked, _report(tid, name, checked, 0, bad, witnesses)
+
+
 _INCLUSION_FAILURE = {"detail": "magnified intersection escapes a magnified product"}
 
 # every theorem, in report order
 _ENTRIES = (
     *(_Theorem(tid, _equiv_test(pos, kind.value))
       for pos, (tid, kind) in enumerate(EQUIV_THEOREMS.items())),
-    _Theorem("group_constant", _group_constant_test, "is_group", refusal=NotAGroup),
+    _Theorem("group_constant", _group_constant_test, ("is_group",), refusal=NotAGroup),
     _PairTheorem("semiprime_intersection", (), (_SEMIPRIME,), _semiprime_meet,
                  {"detail": "plain intersection is not semiprime"},
                  {"detail": "magnified intersection is not semiprime"}),
     _Theorem("fixedpoint", _fixedpoint_test, positions=(_SEMIPRIME,)),
-    *(_Theorem(f"char_{kind}", _char_test(relevant.value), kind, (KIND_ORDER.index(relevant),))
-      for kind, (relevant, _) in _CHAR_RELEVANT.items()),
-    _Theorem("archimedean_constant", _archimedean_constant_test, "archimedean", (_SEMIPRIME,)),
+    _characterization("intra_regular", K.IDEAL, principal_two_sided_ideal),
+    _characterization("left_regular", K.LEFT_IDEAL, principal_left_ideal),
+    _characterization("right_regular", K.RIGHT_IDEAL, principal_right_ideal),
+    _Theorem("archimedean_constant", _archimedean_constant_test, ("archimedean",), (_SEMIPRIME,)),
     _PairTheorem("product_bi_ideal", ("regular", "intra_regular"), (_BI,),
                  _meet_inside_products, None, _INCLUSION_FAILURE, HypothesisNotMet),
     _PairTheorem("product_one_two_ideal", ("regular", "intra_regular", "left_regular"),
@@ -697,11 +755,13 @@ _ENTRIES = (
                  {"kind": "fuzzy",
                   "detail": "product differs from intersection on a regular semigroup"},
                  {"kind": "magnified",
-                  "detail": "magnified product differs from magnified intersection"}),
+                  "detail": "magnified product differs from magnified intersection"},
+                 converse=_regular_converse),
 )
 THEOREM_IDS = tuple(th.tid for th in _ENTRIES)
 _THEOREMS = {th.tid: th for th in _ENTRIES if isinstance(th, _Theorem)}
 _PAIR_THEOREMS = {th.tid: th for th in _ENTRIES if isinstance(th, _PairTheorem)}
+_ENTRY = {th.tid: th for th in _ENTRIES}
 
 _PAIR_KINDS = {"bi_ideal_pair": "product_bi_ideal", "one_two_pair": "product_one_two_ideal"}
 
@@ -776,49 +836,6 @@ def check_regular_iff_product(
     (the witness pins alpha to zero because its nu vanishes on the ideal).
     """
     return _run([(_label(S, label), S)], spec, ("regular_product",))[0]
-
-
-def _regular_product(state: _TaskState, ops: _TableOperands) -> VerificationReport:
-    """The crisp level of the regularity/product-law theorem, then the pair
-    core on the right and left ideals a sweep gated (regular) or the
-    characteristic-pair witness (non-regular)."""
-    S, name, regular = state.S, state.label, state.cls.regular
-    tid = "regular_product"
-
-    crisp_rights, crisp_lefts = _crisp_one_sided_ideals(S)
-    crisp_pairs = len(crisp_rights) * len(crisp_lefts)
-    crisp_gap = next((
-        (R, L) for R in crisp_rights for L in crisp_lefts
-        if multiply_subsets(S, R, L).members != R.members & L.members
-    ), None)
-    if crisp_gap is None:
-        if regular:
-            return _pairs_report(state, ops, tid, crisp_pairs)
-        # flagged non-regular, yet the law holds on every crisp pair
-        cert = Certificate(
-            tid, name, S.table, (ONE,) * S.order, (ZERO,) * S.order,
-            kind="crisp_agreement",
-            detail="crisp product law disagrees with the regularity flag",
-        )
-        return _report(tid, name, crisp_pairs, 0, cert)
-    chi_r, chi_l = (characteristic_pair(S.order, X) for X in crisp_gap)
-    cert = functools.partial(
-        Certificate, tid, name, S.table, chi_r.mu, chi_r.nu, chi_l.mu, chi_l.nu, kind="fuzzy"
-    )
-    if regular:
-        # flagged regular, yet a concrete pair breaks the law
-        return _report(tid, name, crisp_pairs, 0,
-                       cert(kind="crisp", detail="regular semigroup with RL != R n L"))
-
-    # non-regular: the failing crisp pair yields a characteristic-pair witness
-    witnesses, bad, tested = _exhibit(
-        ops.operands, (chi_r, chi_l), lambda R, L: not _product_is_meet(S, R, L), cert,
-        {"detail": "characteristic pair of a failing crisp pair breaks the product law"},
-        {"kind": "magnified",
-         "detail": "magnified witness unexpectedly satisfies the product law"},
-        {"detail": "characteristic witness unexpectedly satisfies the product law"},
-    )
-    return _report(tid, name, crisp_pairs + tested, 0, bad, witnesses)
 
 
 def _exhibit(operands: _Operands, chis: tuple[IFSubset, ...], breaks: Callable,
@@ -1127,39 +1144,34 @@ def _sweep(group: list[_TaskState], subjects, tids, spec: SampleSpec,
     return patterns
 
 
-def _theorem_report(th: _Theorem, state: _TaskState, ops: _TableOperands) -> VerificationReport:
-    """A single-subject theorem's report from one table's sweep, or its converse exhibit."""
-    label, n = state.label, state.total
-    if not th.holds(state.cls):
-        if th.hypothesis not in _CHAR_RELEVANT:
-            return _report(th.tid, label, 0, n)
-        witnesses, bad, _ = _converse_witness(th.hypothesis, ops, label)
-        return _report(th.tid, label, 1, 0, bad, witnesses)
-    held = state.held(*th.positions) if th.positions else n
-    return _report(th.tid, label, held, n - held, state.certs.get(th.tid))
-
-
 def _finish_task(state: _TaskState, tids, ops: _TableOperands) -> list[VerificationReport]:
-    """Report assembly: the swept theorems, then the pair theorems on the
-    passers, sharing one table's pair-law verdicts."""
+    """Report assembly, sharing one table's pair-law verdicts. An entry's
+    ``converse(state, ops)`` returns (cases checked, its report), or no
+    report where it does not decide it. Then a table without the entry's
+    flags skips every subject, a swept theorem reports the sweep's first
+    certificate, and a pair theorem the pair core on top of those cases."""
+    label, n = state.label, state.total
     reports: list[VerificationReport] = []
     for tid in tids:
-        if tid in _THEOREMS:
-            reports.append(_theorem_report(_THEOREMS[tid], state, ops))
-        elif tid == "regular_product":
-            reports.append(_regular_product(state, ops))
+        th = _ENTRY[tid]
+        checked, report = th.converse(state, ops) if th.converse else (0, None)
+        if report is not None:
+            reports.append(report)
+        elif not th.holds(state.cls):
+            reports.append(_report(tid, label, 0, n))
+        elif isinstance(th, _PairTheorem):
+            reports.append(_pairs_report(state, ops, tid, checked))
         else:
-            reports.append(_pairs_report(state, ops, tid))
+            held = state.held(*th.positions) if th.positions else n
+            reports.append(_report(tid, label, held, n - held, state.certs.get(tid)))
     return reports
 
 
 def _pairs_report(state: _TaskState, ops: _TableOperands, tid: str,
-                  checked: int = 0) -> VerificationReport:
+                  checked: int) -> VerificationReport:
     """A pair theorem's core over the pairs of the capped passers the sweep
     gated for it, counted on top of ``checked``."""
     th, label, operands = _PAIR_THEOREMS[tid], state.label, ops.operands
-    if not th.holds(state.cls):
-        return _report(tid, label, 0, state.total)
     skipped = state.total - state.held(*th.positions)
     for A, B in th.pairs(state.passers):
         checked += 1
@@ -1200,7 +1212,7 @@ def _run(tasks: list[tuple[str, Semigroup]], spec: SampleSpec | None,
 
     by_order: dict[int, list[_TaskState]] = {}
     for st in states:
-        if any((_THEOREMS.get(tid) or _PAIR_THEOREMS[tid]).holds(st.cls) for tid in tids):
+        if any(_ENTRY[tid].holds(st.cls) for tid in tids):
             by_order.setdefault(st.S.order, []).append(st)
 
     operands = _Operands(spec)

@@ -109,10 +109,7 @@ class IFSubset:
                 raise GradeOutOfRange(x, m)
             if v < 0 or v > 1:
                 raise GradeOutOfRange(x, v)
-            # cross-multiplied m + v <= 1 to avoid Fraction allocation in hot paths
-            if m.numerator * v.denominator + v.numerator * m.denominator > (
-                m.denominator * v.denominator
-            ):
+            if m + v > 1:
                 raise SumConstraintViolation(x, m + v)
 
     @cached_property

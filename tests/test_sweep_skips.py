@@ -48,7 +48,7 @@ def test_each_table_tests_each_verdict_pair_once(monkeypatch):
     per_table = Counter(label for label, *_ in calls)
     for label, S in harness._suite_tasks([1, 2, 3], True):
         cls = classify(S)
-        active = sum(th.hypothesis is None or getattr(cls, th.hypothesis)
+        active = sum(all(getattr(cls, f) for f in th.flags)
                      for th in harness._THEOREMS.values())
         assert per_table[label] <= len(pairs[label]) * active
     assert calls and len(calls) == len(set(calls))
