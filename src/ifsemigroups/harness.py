@@ -32,7 +32,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from operator import and_
 from typing import Callable, Iterator, Sequence
@@ -119,8 +119,8 @@ class SampleSpec:
             raise ValueError(
                 f"alpha strategy {self.alpha_strategy!r} not in {ALPHA_STRATEGIES}"
             )
-        for name in ("random_count", "max_pair_subjects"):
-            if type(getattr(self, name)) is not int:  # bool is no count either
+        for name in ("random_count", "max_pair_subjects", "seed"):
+            if type(getattr(self, name)) is not int:  # a bool is refused too
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.random_count < 0:
             raise ValueError("random_count must be non-negative")
@@ -260,11 +260,9 @@ class VerificationReport:
     witnesses: tuple[Certificate, ...] = ()
 
 
-def _subject_of(cert: Certificate, which: str) -> IFSubset:
-    n = len(cert.table)
-    if which == "a":
-        return IFSubset(n, cert.mu_a, cert.nu_a)
-    return IFSubset(n, cert.mu_b, cert.nu_b)
+# the theorems whose certificates claim only a magnified failure
+_MAGNIFIED_CLAIMS = {*EQUIV_THEOREMS, "group_constant", "fixedpoint", "archimedean_constant",
+                     "product_bi_ideal", "product_one_two_ideal"}
 
 
 def replay_certificate(cert: Certificate) -> bool:
@@ -281,16 +279,25 @@ def replay_certificate(cert: Certificate) -> bool:
     claim needs. So a converse witness, which lives on a table without the
     flags, replays through the branch of a counterexample: the
     ``regular_product`` witnesses, and any later ones of ``group_constant``
-    or the product theorems.
+    or the product theorems. A certificate that lacks a field its branch
+    reads (a beta where only a magnified failure is claimed, the second
+    subject of a pair theorem, a char_* kind or point) replays False; bad
+    data in the fields it has (its table, either subject) raises.
     """
-    S = Semigroup(len(cert.table), cert.table)
-    A = _subject_of(cert, "a")
+    n = len(cert.table)
+    S = Semigroup(n, cert.table)
+    A = IFSubset(n, cert.mu_a, cert.nu_a)
+    B = None if cert.mu_b is None or cert.nu_b is None else IFSubset(n, cert.mu_b, cert.nu_b)
     params = (
         TransformParams(cert.beta, cert.alpha) if cert.beta is not None else None
     )
     tid = cert.theorem_id
+    if (params is None and (tid in _MAGNIFIED_CLAIMS or cert.exhibit_failed and cert.alpha)
+            or B is None and tid in _PAIR_THEOREMS and cert.kind != "crisp_agreement"
+            or tid.startswith("char_") and (cert.kind is None or not cert.points)):
+        return False
     if cert.exhibit_failed and cert.alpha:
-        chis = (A,) if cert.mu_b is None else (A, _subject_of(cert, "b"))
+        chis = (A,) if B is None else (A, B)
         return min(max_alpha(X, cert.beta) for X in chis) == cert.alpha
 
     if tid in EQUIV_THEOREMS:
@@ -309,7 +316,6 @@ def replay_certificate(cert: Certificate) -> bool:
             and not is_constant(magnify(A, params))
         )
     if tid == "semiprime_intersection":
-        B = _subject_of(cert, "b")
         if not (check(K.SEMIPRIME, S, A) and check(K.SEMIPRIME, S, B)):
             return False
         if params is not None:
@@ -325,7 +331,6 @@ def replay_certificate(cert: Certificate) -> bool:
         m2 = S.table[m][m]
         return (A2.mu[m] < A2.mu[m2] or A2.nu[m] > A2.nu[m2]) != cert.exhibit_failed
     if tid in ("product_bi_ideal", "product_one_two_ideal"):
-        B = _subject_of(cert, "b")
         kind = K.BI_IDEAL if tid == "product_bi_ideal" else K.ONE_TWO_IDEAL
         if not (check(kind, S, A) and check(kind, S, B)):
             return False
@@ -347,7 +352,6 @@ def replay_certificate(cert: Certificate) -> bool:
                 for L in lefts
             )
             return law != classify(S).regular
-        B = _subject_of(cert, "b")
         if not (check(K.RIGHT_IDEAL, S, A) and check(K.LEFT_IDEAL, S, B)):
             return False
         if params is not None:
@@ -887,8 +891,13 @@ def break_property(S: Semigroup, A: IFSubset, kind: FuzzyStructureKind) -> IFSub
     Picks the first tuple in scan order (whose site is never among its
     argument points) with a positive required minimum, then lowers the
     membership at the site to at most half that minimum. Returns None when
-    no such tuple exists for this subject.
+    no such tuple exists for this subject. It refuses what ``find_violation``
+    refuses: a subject over another carrier or with zero membership, and an
+    unknown kind (``ValueError``).
     """
+    predicates._require_subject(S, A)
+    if kind not in _BREAK_STAGES:
+        raise ValueError(f"unknown kind {kind!r}")
     mu = A.mu
     for p, *args in predicates._scan_index(S)[_BREAK_STAGES[kind]]:
         required = min(mu[a] for a in args)
@@ -905,29 +914,37 @@ def break_property(S: Semigroup, A: IFSubset, kind: FuzzyStructureKind) -> IFSub
 
 @dataclass
 class _TaskState:
-    """Accumulators for one semigroup across the shared subject sweep.
+    """One semigroup's plan and its accumulators across the shared sweep.
 
-    Report assembly reads the certificates, the passers, the subject total
-    (the carrier order's ``subject_count``) and, through ``held``, the tally,
-    which ``_sweep`` fills in once the carrier order's stream ends: the
-    number of swept subjects per profile flag tuple. A subject's
-    profile is its pattern's, so the tally has one entry per distinct
-    profile among the order's patterns, and a count of the subjects passing
-    some positions sums over those few entries."""
+    The plan is decided once from the ``requested`` ids: ``held``, those
+    whose flags the semigroup has, in report order; ``swept``, the
+    ``_Theorem``s among them; ``passers``, keyed by the profile positions
+    the held pair theorems read. ``_sweep`` fills in the tally once the
+    carrier order's stream ends: swept subjects per profile flag tuple, one
+    entry per distinct profile among the order's patterns, which
+    ``passing`` sums over. Report assembly reads these, the certificates
+    and the subject total (the carrier order's ``subject_count``)."""
 
     label: str
     S: Semigroup
     cls: Classification
+    requested: InitVar[Sequence[str]]
     total: int = 0  # the carrier order's subject_count, which _run passes
     certs: dict = field(default_factory=dict)  # tid -> first Certificate
     halves: list = field(default_factory=list)  # order id -> (mu half, nu half) here
     verdicts: list = field(default_factory=list)  # pattern id -> verdict on this semigroup
     tested: set = field(default_factory=set)  # (id(v), id(w)) of the verdict pairs tested
     tally: dict = field(default_factory=dict)  # profile flags -> swept subjects with them
-    # profile position -> the first subjects passing it, capped, for the pair theorems
-    passers: list = field(default_factory=lambda: [[] for _ in KIND_ORDER])
 
-    def held(self, *positions: int) -> int:
+    def __post_init__(self, requested):
+        entries = [th for tid in requested if (th := _ENTRY[tid]).holds(self.cls)]
+        self.held = tuple(th.tid for th in entries)
+        self.swept = tuple(th for th in entries if isinstance(th, _Theorem))
+        # profile position a held pair theorem reads -> its first passers, capped
+        self.passers = {pos: [] for th in entries if isinstance(th, _PairTheorem)
+                        for pos in th.positions}
+
+    def passing(self, *positions: int) -> int:
         """Swept subjects passing any of the given profile positions."""
         return sum(c for flags, c in self.tally.items() if any(flags[p] for p in positions))
 
@@ -1055,48 +1072,39 @@ class _Patterns:
         return self._verdicts.setdefault(v, v)
 
 
-def _sweep_chunk(state: _TaskState, block, pids, steps, tids, spec: SampleSpec,
+def _sweep_chunk(state: _TaskState, block, pids, steps, cap: int,
                  patterns: _Patterns) -> None:
     """Process a block of subjects, their pattern ids and the block's steps
     (see ``_sweep``) against one semigroup.
 
     The semigroup first decides the two halves of each order id, and joins
     the verdict of each pattern, that is new since its last block. Each
-    position the pair theorems still need passers for then takes the
-    block's first subjects passing it, up to the cap. Each step then tests
-    the theorems whose hypothesis the semigroup has and whose precondition
-    its subject passes. A test reads only the table and the two verdicts,
-    and verdicts are interned per carrier order, so each (subject verdict,
-    variant verdict) pair is tested once per table (``state.tested``): a
-    later step with that pair fails only theorems its first step already
-    certified, so the first failing step stays first.
+    position of its plan then takes the block's first subjects passing it,
+    until it holds ``cap`` of them. Each step then tests
+    the plan's swept theorems whose precondition its subject passes. A
+    test reads only the table and the two verdicts, and verdicts are
+    interned per carrier order, so each (subject verdict, variant verdict)
+    pair is tested once per table (``state.tested``): a later step with that
+    pair fails only theorems its first step already certified, so the first
+    failing step stays first.
     """
-    S, cls, T = state.S, state.cls, state.S.table
-    idx = predicates._scan_index(S)
-    cap = spec.max_pair_subjects
-    active = [th for tid in tids if (th := _THEOREMS.get(tid)) is not None and th.holds(cls)]
-    passers = state.passers
-    filling = {
-        pos for tid in tids
-        if (pair := _PAIR_THEOREMS.get(tid)) is not None and pair.holds(cls)
-        for pos in pair.positions if len(passers[pos]) < cap
-    }
+    T = state.S.table
+    idx = predicates._scan_index(state.S)
     halves, verdicts, certs, tested = state.halves, state.verdicts, state.certs, state.tested
     halves.extend(patterns.halves(idx, len(halves)))
     verdicts.extend([patterns.join(halves[m][0], halves[n][1])
                      for m, n in patterns.pairs[len(verdicts):]])
 
-    for pos in filling:
-        passers[pos].extend(itertools.islice(
-            (A for A, pid in zip(block, pids) if verdicts[pid][0][pos]), cap - len(passers[pos])
-        ))
+    for pos, found in state.passers.items():
+        found.extend(itertools.islice(
+            (A for A, pid in zip(block, pids) if verdicts[pid][0][pos]), cap - len(found)))
 
     for A, beta, alpha, pid, vid in steps:
         v, w = verdicts[pid], verdicts[vid]
         if (pair := (id(v), id(w))) in tested:
             continue
         tested.add(pair)
-        for th in active:
+        for th in state.swept:
             if th.tid in certs or not all([v[0][p] for p in th.positions]):
                 continue
             cert = th.failure(state.label, T, A, beta, alpha, v, w)
@@ -1104,12 +1112,11 @@ def _sweep_chunk(state: _TaskState, block, pids, steps, tids, spec: SampleSpec,
                 certs[th.tid] = cert
 
 
-def _sweep(group: list[_TaskState], subjects, tids, spec: SampleSpec,
-           operands: _Operands) -> _Patterns:
+def _sweep(group: list[_TaskState], subjects, operands: _Operands) -> _Patterns:
     """Sweep a stream of subjects of one carrier order past its semigroups,
     give each its tally, and return the order's patterns.
 
-    When a single-subject theorem is asked for, each subject is magnified
+    When some semigroup's plan sweeps a theorem, each subject is magnified
     under each (beta, alpha) ``operands`` samples for its least
     non-membership, in sampling order, and a block's steps (A, beta, alpha,
     pattern id, variant pattern id) are the variants whose (pattern, variant
@@ -1120,7 +1127,8 @@ def _sweep(group: list[_TaskState], subjects, tids, spec: SampleSpec,
     pattern id without computing it; one with other ints, a sabotaged one
     among them, gets its own: the steps are those computing every one gives."""
     patterns = _Patterns()
-    need_variants = any(tid in _THEOREMS for tid in tids)
+    need_variants = any(st.swept for st in group)
+    cap = operands.spec.max_pair_subjects
     reached = set()  # the (pattern id, variant pattern id) pairs stepped on
     subjects = iter(subjects)
     while block := list(itertools.islice(subjects, _SUBJECT_CHUNK)):
@@ -1137,7 +1145,7 @@ def _sweep(group: list[_TaskState], subjects, tids, spec: SampleSpec,
                     reached.add(step)
                     steps.append((A, params.beta, params.alpha, *step))
         for st in group:
-            _sweep_chunk(st, block, pids, steps, tids, spec, patterns)
+            _sweep_chunk(st, block, pids, steps, cap, patterns)
     for st in group:
         for count, v in zip(patterns.counts, st.verdicts):
             st.tally[v[0]] = st.tally.get(v[0], 0) + count
@@ -1147,8 +1155,8 @@ def _sweep(group: list[_TaskState], subjects, tids, spec: SampleSpec,
 def _finish_task(state: _TaskState, tids, ops: _TableOperands) -> list[VerificationReport]:
     """Report assembly, sharing one table's pair-law verdicts. An entry's
     ``converse(state, ops)`` returns (cases checked, its report), or no
-    report where it does not decide it. Then a table without the entry's
-    flags skips every subject, a swept theorem reports the sweep's first
+    report where it does not decide it. Then an entry outside the table's
+    ``held`` skips every subject, a swept theorem reports the sweep's first
     certificate, and a pair theorem the pair core on top of those cases."""
     label, n = state.label, state.total
     reports: list[VerificationReport] = []
@@ -1157,13 +1165,13 @@ def _finish_task(state: _TaskState, tids, ops: _TableOperands) -> list[Verificat
         checked, report = th.converse(state, ops) if th.converse else (0, None)
         if report is not None:
             reports.append(report)
-        elif not th.holds(state.cls):
+        elif tid not in state.held:
             reports.append(_report(tid, label, 0, n))
         elif isinstance(th, _PairTheorem):
             reports.append(_pairs_report(state, ops, tid, checked))
         else:
-            held = state.held(*th.positions) if th.positions else n
-            reports.append(_report(tid, label, held, n - held, state.certs.get(tid)))
+            passing = state.passing(*th.positions) if th.positions else n
+            reports.append(_report(tid, label, passing, n - passing, state.certs.get(tid)))
     return reports
 
 
@@ -1172,7 +1180,7 @@ def _pairs_report(state: _TaskState, ops: _TableOperands, tid: str,
     """A pair theorem's core over the pairs of the capped passers the sweep
     gated for it, counted on top of ``checked``."""
     th, label, operands = _PAIR_THEOREMS[tid], state.label, ops.operands
-    skipped = state.total - state.held(*th.positions)
+    skipped = state.total - state.passing(*th.positions)
     for A, B in th.pairs(state.passers):
         checked += 1
         cert = th.failure(ops, A, B, operands.params(A, B), label)
@@ -1203,21 +1211,22 @@ def _run(tasks: list[tuple[str, Semigroup]], spec: SampleSpec | None,
     """The suite driver of ``run_suite`` and the one-table checks: the reports
     of theorems ``tids`` on each (label, semigroup) task, in task order. Each
     carrier order's ``subject_count`` is its tables' subject total, refused
-    above ``MAX_SUBJECTS_PER_ORDER`` before any sweep. A table joins its
-    order's sweep only where some requested theorem's hypothesis holds: a
-    theorem's report reads no subject where its hypothesis fails."""
+    above ``MAX_SUBJECTS_PER_ORDER`` before any sweep. Each table's plan is
+    decided once, and a table joins its order's sweep only where its plan
+    holds some requested theorem: a theorem's report reads no subject where
+    its hypothesis fails."""
     spec = spec or SampleSpec()
     totals = {n: _refuse_costly(n, spec) for n in sorted({S.order for _, S in tasks})}
-    states = [_TaskState(label, S, classify(S), totals[S.order]) for label, S in tasks]
-
+    states: list[_TaskState] = []
     by_order: dict[int, list[_TaskState]] = {}
-    for st in states:
-        if any(_ENTRY[tid].holds(st.cls) for tid in tids):
-            by_order.setdefault(st.S.order, []).append(st)
+    for label, S in tasks:
+        states.append(st := _TaskState(label, S, classify(S), tids, totals[S.order]))
+        if st.held:
+            by_order.setdefault(S.order, []).append(st)
 
     operands = _Operands(spec)
     for n, group in sorted(by_order.items()):
-        _sweep(group, sample_ifs(n, spec), tids, spec, operands)
+        _sweep(group, sample_ifs(n, spec), operands)
 
     reports: list[VerificationReport] = []
     for st in states:

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from ifsemigroups import (
+    CarrierMismatch,
     Certificate,
     ElementSubset,
+    EmptyFuzzySubset,
     FuzzyStructureKind as K,
     HypothesisNotMet,
     IFSubset,
@@ -28,6 +30,7 @@ from ifsemigroups import (
     check_semiprime_fixedpoint,
     check_semiprime_intersection,
     check_transform_equivalence,
+    find_violation,
     library_entry,
     magnify,
     replay_certificate,
@@ -85,6 +88,12 @@ class TestSampleIfs:
         # stop, sample_ifs an integer range
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SampleSpec(**{name: value})
+
+    @pytest.mark.parametrize("value", [None, True, 1.5, "x"])
+    def test_non_integer_seed_rejected(self, value):
+        # random.Random(None) seeds from the clock, so two streams would differ
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SampleSpec(seed=value, random_count=3)
 
     def test_carrier_order_below_one_rejected(self):
         for order in (0, -1):
@@ -345,6 +354,22 @@ class TestBreakProperty:
         assert M is not None
         assert M.mu[0] <= A.mu[0]
         assert not check(K.SUBSEMIGROUP, null2, M)
+
+    @pytest.mark.parametrize("A, error", [
+        (IFSubset(3, (F(1, 2),) * 3, (F(1, 4),) * 3), CarrierMismatch),
+        (IFSubset(2, (F(0), F(0)), (F(1, 2), F(1))), EmptyFuzzySubset),
+    ], ids=["three-points", "zero-membership"])
+    def test_subject_refused_as_find_violation_refuses_it(self, mod2, A, error):
+        with pytest.raises(error):
+            find_violation(K.SUBSEMIGROUP, mod2, A)
+        with pytest.raises(error):
+            break_property(mod2, A, K.SUBSEMIGROUP)
+
+    def test_unknown_kind_refused(self, mod2):
+        # the kind's value, not the kind itself
+        A = IFSubset(2, (F(1, 2), F(1, 2)), (F(1, 4), F(1, 4)))
+        with pytest.raises(ValueError, match="unknown kind 'bi_ideal'"):
+            break_property(mod2, A, "bi_ideal")
 
 
 class TestReplayCertificate:

@@ -102,7 +102,7 @@ def _pair_run(sabotage):
     true_pairs_report, true_failure = harness._pairs_report, harness._PairTheorem.failure
 
     def pairs_report(state, *args):
-        passers.extend(A for group in state.passers for A in group)
+        passers.extend(A for group in state.passers.values() for A in group)
         return true_pairs_report(state, *args)
 
     def failure(self, ops, A, B, *args):

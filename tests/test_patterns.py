@@ -81,9 +81,9 @@ def test_memoised_verdicts_match_value_level_oracle():
     for n in (1, 2, 3):
         # swept once per carrier order past all its tables, as in run_suite
         subjects = list(sample_ifs(n, SPEC))
-        states = [harness._TaskState("t", S, classify(S)) for S in enumerate_semigroups(n)]
-        patterns = harness._sweep(states, subjects, harness.THEOREM_IDS, SPEC,
-                                  harness._Operands(SPEC))
+        states = [harness._TaskState("t", S, classify(S), harness.THEOREM_IDS)
+                  for S in enumerate_semigroups(n)]
+        patterns = harness._sweep(states, subjects, harness._Operands(SPEC))
         assert sum(patterns.counts) == len(subjects)
         # the grid's variants share the grid's patterns; the randoms' sampled
         # variants are checked too
@@ -139,10 +139,11 @@ def test_tables_of_one_order_share_their_verdict_objects():
     # the verdicts are interned per carrier order: the 113 order-3 tables
     # hold one object per distinct verdict, not one per table and pattern
     spec = SampleSpec()
-    states = [harness._TaskState("t", S, classify(S)) for S in enumerate_semigroups(3)]
+    states = [harness._TaskState("t", S, classify(S), harness.THEOREM_IDS)
+              for S in enumerate_semigroups(3)]
     assert len(states) == 113
     patterns = harness._sweep(states, itertools.islice(sample_ifs(3, spec), harness._SUBJECT_CHUNK),
-                              harness.THEOREM_IDS, spec, harness._Operands(spec))
+                              harness._Operands(spec))
     verdicts = [v for state in states for v in state.verdicts]
     assert len(verdicts) == 113 * len(patterns.counts)
     assert len({id(v) for v in verdicts}) == len(set(verdicts)) < len(verdicts)
@@ -150,7 +151,7 @@ def test_tables_of_one_order_share_their_verdict_objects():
 
 def test_order3_grid_has_169_patterns():
     spec = SampleSpec()
-    patterns = harness._sweep([], sample_ifs(3, spec), (), spec, harness._Operands(spec))
+    patterns = harness._sweep([], sample_ifs(3, spec), harness._Operands(spec))
     # 13 weak orders (Fubini(3)) of mu times 13 of nu
     assert len(patterns.counts) == 13 * 13
 
@@ -173,8 +174,8 @@ def test_joined_verdicts_match_the_joint_scan():
             mu = tuple(scale * r + shift for r in mu_order)
             nu = tuple(scale * r + i for r in nu_order)
             subjects.append(harness._trusted(n, view=(max(mu) + max(nu) + 1, mu, nu)))
-        states = [harness._TaskState("t", S, classify(S)) for S in enumerate_semigroups(n)]
-        patterns = harness._sweep(states, subjects, (), SPEC, harness._Operands(SPEC))
+        states = [harness._TaskState("t", S, classify(S), ()) for S in enumerate_semigroups(n)]
+        patterns = harness._sweep(states, subjects, harness._Operands(SPEC))
         assert len(patterns.counts) == len(subjects) == count
         for state in states:
             idx = predicates._scan_index(state.S)

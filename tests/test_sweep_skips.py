@@ -15,7 +15,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ifsemigroups import SampleSpec, classify, run_suite, sample_ifs
+from ifsemigroups import SampleSpec, classify, enumerate_semigroups, run_suite, sample_ifs
 from ifsemigroups import harness
 
 SINGLE_IDS = [tid for tid in harness.THEOREM_IDS if tid in harness._THEOREMS]
@@ -33,8 +33,8 @@ def test_each_table_tests_each_verdict_pair_once(monkeypatch):
     stepped, pairs = Counter(), defaultdict(set)
     true_chunk = harness._sweep_chunk
 
-    def sweep_chunk(state, block, pids, steps, tids, spec, patterns):
-        true_chunk(state, block, pids, steps, tids, spec, patterns)
+    def sweep_chunk(state, block, pids, steps, cap, patterns):
+        true_chunk(state, block, pids, steps, cap, patterns)
         for *_, pid, vid in steps:
             stepped[state.label] += 1
             pairs[state.label].add((state.verdicts[pid], state.verdicts[vid]))
@@ -81,7 +81,11 @@ def test_pattern_is_computed_only_for_variants_with_other_ints(monkeypatch, sabo
     monkeypatch.setattr(harness, "magnify", magnify)
     monkeypatch.setattr(harness._Patterns, "pattern", pattern)
     subjects = list(sample_ifs(3, SPEC))
-    harness._sweep([], subjects, SINGLE_IDS, SPEC, harness._Operands(SPEC))
+    # one table whose plan sweeps the single-subject theorems, so that the
+    # sweep magnifies its subjects
+    S = next(enumerate_semigroups(3))
+    harness._sweep([harness._TaskState("t", S, classify(S), SINGLE_IDS)], subjects,
+                   harness._Operands(SPEC))
 
     expected, same = [], 0
     for A in subjects:
