@@ -15,7 +15,7 @@ Each theorem is one entry of ``_ENTRIES``, in report order: a
 single-subject ``_Theorem``, tested on a subject and one magnified variant,
 or a ``_PairTheorem``, whose law is tested on pairs of subjects, plainly and
 magnified. The suite and the public checks run the same entry, and read its
-gates from it: where the semigroup lacks the entry's flags (``holds``) or a
+gates from it: where the semigroup lacks the entry's flags (``_holds``) or a
 subject fails its profile position, the suite tallies a skip and the public
 check raises the entry's ``refusal``.
 
@@ -401,9 +401,6 @@ class _Theorem:
     refusal: type = PreconditionNotMet  # raised by the public check at a gate
     converse: Callable | None = None  # see _finish_task
 
-    def holds(self, cls: Classification) -> bool:
-        return all(getattr(cls, f) for f in self.flags)
-
     def failure(self, label, T, A, beta, alpha, v, w) -> Certificate | None:
         fields = self.test(T, v, w)
         if fields is None:
@@ -436,11 +433,17 @@ def _archimedean_constant_test(T, v, w):
     return None if w[2] else {"detail": "magnified semiprime ideal is not constant"}
 
 
+def _holds(th: _Theorem | _PairTheorem, cls: Classification) -> bool:
+    """Whether a semigroup classified ``cls`` meets the entry's hypothesis:
+    the one rule of a table's plan and of ``_gate``."""
+    return all(getattr(cls, f) for f in th.flags)
+
+
 def _gate(th: _Theorem | _PairTheorem, S: Semigroup, *subjects: IFSubset) -> None:
     """Raise the entry's refusal where the suite would tally a skip: the
     semigroup lacks its flags, or a subject fails its profile position (a
     pair's first subject the first position, its second the last)."""
-    if not th.holds(classify(S)):
+    if not _holds(th, classify(S)):
         raise th.refusal(f"semigroup does not meet the hypothesis of {th.tid}")
     for X in subjects:
         predicates._require_subject(S, X)
@@ -511,7 +514,7 @@ def _characterization(kind: str, relevant: FuzzyStructureKind,
             "detail": "magnified relevant ideal breaks a semiprime inequality"}
 
     def converse(state: _TaskState, ops: _TableOperands):
-        if getattr(state.cls, kind):
+        if tid in state.held:
             return 0, None
         S, name = state.S, state.label
         m = regularity_gap(S, kind)  # not None: classify's flag is "no gap"
@@ -664,9 +667,6 @@ class _PairTheorem:
     refusal: type = PreconditionNotMet  # raised by the public check at a gate
     converse: Callable | None = None  # see _finish_task
 
-    def holds(self, cls: Classification) -> bool:
-        return all(getattr(cls, f) for f in self.flags)
-
     def pairs(self, passers: list) -> Iterator[tuple[IFSubset, IFSubset]]:
         """The pairs of passers the theorem tests."""
         lists = [passers[pos] for pos in self.positions]
@@ -707,7 +707,7 @@ def _regular_converse(state: _TaskState, ops: _TableOperands):
         if multiply_subsets(S, R, L).members != R.members & L.members
     ), None)
     if crisp_gap is None:
-        if state.cls.regular:
+        if tid in state.held:
             return crisp_pairs, None
         # flagged non-regular, yet the law holds on every crisp pair
         cert = Certificate(tid, name, S.table, (ONE,) * S.order, (ZERO,) * S.order,
@@ -718,7 +718,7 @@ def _regular_converse(state: _TaskState, ops: _TableOperands):
     cert = functools.partial(
         Certificate, tid, name, S.table, chi_r.mu, chi_r.nu, chi_l.mu, chi_l.nu, kind="fuzzy"
     )
-    if state.cls.regular:
+    if tid in state.held:
         # flagged regular, yet a concrete pair breaks the law
         return crisp_pairs, _report(tid, name, crisp_pairs, 0, cert(
             kind="crisp", detail="regular semigroup with RL != R n L"))
@@ -916,32 +916,35 @@ def break_property(S: Semigroup, A: IFSubset, kind: FuzzyStructureKind) -> IFSub
 class _TaskState:
     """One semigroup's plan and its accumulators across the shared sweep.
 
-    The plan is decided once from the ``requested`` ids: ``held``, those
-    whose flags the semigroup has, in report order; ``swept``, the
-    ``_Theorem``s among them; ``passers``, keyed by the profile positions
-    the held pair theorems read. ``_sweep`` fills in the tally once the
-    carrier order's stream ends: swept subjects per profile flag tuple, one
-    entry per distinct profile among the order's patterns, which
-    ``passing`` sums over. Report assembly reads these, the certificates
-    and the subject total (the carrier order's ``subject_count``)."""
+    The plan is decided once, from the table's ``classify`` and the
+    ``requested`` ids: ``entries``, the requested entries in report order;
+    ``held``, the ids among them whose flags the semigroup has (``_holds``),
+    the one hypothesis decision that the sweep, the converses and report
+    assembly read; ``swept``, the held ``_Theorem``s; ``passers``, keyed by
+    the profile positions the held pair theorems read. ``_sweep`` fills in
+    the tally once the carrier order's stream ends: swept subjects per
+    profile flag tuple, one entry per distinct profile among the order's
+    patterns, which ``passing`` sums over. Report assembly reads these, the
+    certificates and the subject total (the carrier order's
+    ``subject_count``)."""
 
     label: str
     S: Semigroup
-    cls: Classification
     requested: InitVar[Sequence[str]]
     total: int = 0  # the carrier order's subject_count, which _run passes
     certs: dict = field(default_factory=dict)  # tid -> first Certificate
-    halves: list = field(default_factory=list)  # order id -> (mu half, nu half) here
-    verdicts: list = field(default_factory=list)  # pattern id -> verdict on this semigroup
+    verdicts: list = field(default_factory=list)  # pattern id -> verdict (_Patterns.extend)
     tested: set = field(default_factory=set)  # (id(v), id(w)) of the verdict pairs tested
     tally: dict = field(default_factory=dict)  # profile flags -> swept subjects with them
 
     def __post_init__(self, requested):
-        entries = [th for tid in requested if (th := _ENTRY[tid]).holds(self.cls)]
-        self.held = tuple(th.tid for th in entries)
-        self.swept = tuple(th for th in entries if isinstance(th, _Theorem))
+        cls = classify(self.S)
+        self.entries = tuple(_ENTRY[tid] for tid in requested)
+        held = [th for th in self.entries if _holds(th, cls)]
+        self.held = tuple(th.tid for th in held)
+        self.swept = tuple(th for th in held if isinstance(th, _Theorem))
         # profile position a held pair theorem reads -> its first passers, capped
-        self.passers = {pos: [] for th in entries if isinstance(th, _PairTheorem)
+        self.passers = {pos: [] for th in held if isinstance(th, _PairTheorem)
                         for pos in th.positions}
 
     def passing(self, *positions: int) -> int:
@@ -1010,13 +1013,14 @@ def _join(v: tuple, w: tuple) -> tuple:
 
 
 class _Patterns:
-    """Dense ids for the weak-order patterns of one carrier order's views.
+    """Dense ids for the weak-order patterns of one carrier order's views,
+    and every semigroup's verdict on each.
 
     A view's pattern is the pair of ids of the weak orders of its mu and of
     its nu; each distinct int tuple's weak order is computed once. The scans
     compare mu only with mu and nu only with nu, so views sharing a pattern
-    share their verdict on every semigroup, and each semigroup joins it
-    from two halves that each read one weak order (``halves``, ``_join``).
+    share their verdict on every semigroup, and ``extend`` joins it from two
+    halves that each read one weak order (``_join``), kept per semigroup.
     Each pattern keeps the number of swept subjects with it, which every
     semigroup of the order shares. Verdicts are interned here so that the
     semigroups of one order share the few distinct ones. ``_sweep`` returns
@@ -1029,6 +1033,7 @@ class _Patterns:
         self._ids: dict = {}  # (mu order id, nu order id) -> pattern id
         self.pairs: list = []  # pattern id -> (mu order id, nu order id)
         self.counts: list = []  # pattern id -> subjects swept with it
+        self._halves: dict = {}  # semigroup -> order id -> (mu half, nu half)
         self._verdicts: dict = {}  # verdict -> itself: one object per distinct verdict
         self._joins: dict = {}  # (id(mu half), id(nu half)) -> their interned join
 
@@ -1048,28 +1053,26 @@ class _Patterns:
             self.counts.append(0)
         return pid
 
-    def halves(self, idx: dict, start: int) -> list:
-        """(mu half, nu half) on the semigroup of ``idx`` for each order id
-        from ``start`` on: the verdicts of the weak order itself (its ranks
-        are a view with that weak order) as mu beside a constant nu, and as
-        nu beside a constant mu."""
-        found = []
-        for order in itertools.islice(self._order_ids, start, None):
+    def extend(self, S: Semigroup, verdicts: list) -> None:
+        """Extend ``S``'s verdict list (pattern id -> verdict) to every
+        pattern seen so far. ``S`` first decides the two halves of each new
+        order id: the verdicts of the weak order itself (its ranks are a view
+        with that weak order) as mu beside a constant nu, and as nu beside a
+        constant mu. Each new pattern's verdict is then the interned join of
+        its halves, joined once per pair of halves."""
+        intern, joins = self._verdicts.setdefault, self._joins
+        halves, idx = self._halves.setdefault(S, []), predicates._scan_index(S)
+        for order in itertools.islice(self._order_ids, len(halves), None):
             flat = (0,) * len(order)
-            found.append((self._intern(_verdict(idx, order, flat)),
-                          self._intern(_verdict(idx, flat, order))))
-        return found
-
-    def join(self, mu_half: tuple, nu_half: tuple) -> tuple:
-        """The interned ``_join`` of two interned halves, joined once per pair."""
-        key = (id(mu_half), id(nu_half))
-        found = self._joins.get(key)
-        if found is None:
-            found = self._joins[key] = self._intern(_join(mu_half, nu_half))
-        return found
-
-    def _intern(self, v: tuple) -> tuple:
-        return self._verdicts.setdefault(v, v)
+            mu_half, nu_half = _verdict(idx, order, flat), _verdict(idx, flat, order)
+            halves.append((intern(mu_half, mu_half), intern(nu_half, nu_half)))
+        for m, n in self.pairs[len(verdicts):]:
+            mu_half, nu_half = halves[m][0], halves[n][1]
+            v = joins.get(key := (id(mu_half), id(nu_half)))
+            if v is None:
+                v = _join(mu_half, nu_half)
+                v = joins[key] = intern(v, v)
+            verdicts.append(v)
 
 
 def _sweep_chunk(state: _TaskState, block, pids, steps, cap: int,
@@ -1077,23 +1080,18 @@ def _sweep_chunk(state: _TaskState, block, pids, steps, cap: int,
     """Process a block of subjects, their pattern ids and the block's steps
     (see ``_sweep``) against one semigroup.
 
-    The semigroup first decides the two halves of each order id, and joins
-    the verdict of each pattern, that is new since its last block. Each
-    position of its plan then takes the block's first subjects passing it,
-    until it holds ``cap`` of them. Each step then tests
-    the plan's swept theorems whose precondition its subject passes. A
-    test reads only the table and the two verdicts, and verdicts are
-    interned per carrier order, so each (subject verdict, variant verdict)
-    pair is tested once per table (``state.tested``): a later step with that
-    pair fails only theorems its first step already certified, so the first
-    failing step stays first.
+    The semigroup's verdict list is first extended to the block's new
+    patterns (``_Patterns.extend``). Each position of its plan then takes
+    the block's first subjects passing it, until it holds ``cap`` of them.
+    Each step then tests the plan's swept theorems whose precondition its
+    subject passes. A test reads only the table and the two verdicts, and
+    verdicts are interned per carrier order, so each (subject verdict,
+    variant verdict) pair is tested once per table (``state.tested``): a
+    later step with that pair fails only theorems its first step already
+    certified, so the first failing step stays first.
     """
-    T = state.S.table
-    idx = predicates._scan_index(state.S)
-    halves, verdicts, certs, tested = state.halves, state.verdicts, state.certs, state.tested
-    halves.extend(patterns.halves(idx, len(halves)))
-    verdicts.extend([patterns.join(halves[m][0], halves[n][1])
-                     for m, n in patterns.pairs[len(verdicts):]])
+    T, verdicts, certs, tested = state.S.table, state.verdicts, state.certs, state.tested
+    patterns.extend(state.S, verdicts)
 
     for pos, found in state.passers.items():
         found.extend(itertools.islice(
@@ -1152,34 +1150,35 @@ def _sweep(group: list[_TaskState], subjects, operands: _Operands) -> _Patterns:
     return patterns
 
 
-def _finish_task(state: _TaskState, tids, ops: _TableOperands) -> list[VerificationReport]:
-    """Report assembly, sharing one table's pair-law verdicts. An entry's
-    ``converse(state, ops)`` returns (cases checked, its report), or no
-    report where it does not decide it. Then an entry outside the table's
-    ``held`` skips every subject, a swept theorem reports the sweep's first
-    certificate, and a pair theorem the pair core on top of those cases."""
+def _finish_task(state: _TaskState, ops: _TableOperands) -> list[VerificationReport]:
+    """Report assembly of the table's requested entries, sharing its pair-law
+    verdicts. An entry's ``converse(state, ops)`` returns (cases checked,
+    its report), or no report where it does not decide it. Then an entry
+    outside the table's ``held`` skips every subject, a swept theorem
+    reports the sweep's first certificate, and a pair theorem the pair core
+    on top of those cases."""
     label, n = state.label, state.total
     reports: list[VerificationReport] = []
-    for tid in tids:
-        th = _ENTRY[tid]
+    for th in state.entries:
+        tid = th.tid
         checked, report = th.converse(state, ops) if th.converse else (0, None)
         if report is not None:
             reports.append(report)
         elif tid not in state.held:
             reports.append(_report(tid, label, 0, n))
         elif isinstance(th, _PairTheorem):
-            reports.append(_pairs_report(state, ops, tid, checked))
+            reports.append(_pairs_report(state, ops, th, checked))
         else:
             passing = state.passing(*th.positions) if th.positions else n
             reports.append(_report(tid, label, passing, n - passing, state.certs.get(tid)))
     return reports
 
 
-def _pairs_report(state: _TaskState, ops: _TableOperands, tid: str,
+def _pairs_report(state: _TaskState, ops: _TableOperands, th: _PairTheorem,
                   checked: int) -> VerificationReport:
     """A pair theorem's core over the pairs of the capped passers the sweep
     gated for it, counted on top of ``checked``."""
-    th, label, operands = _PAIR_THEOREMS[tid], state.label, ops.operands
+    tid, label, operands = th.tid, state.label, ops.operands
     skipped = state.total - state.passing(*th.positions)
     for A, B in th.pairs(state.passers):
         checked += 1
@@ -1220,7 +1219,7 @@ def _run(tasks: list[tuple[str, Semigroup]], spec: SampleSpec | None,
     states: list[_TaskState] = []
     by_order: dict[int, list[_TaskState]] = {}
     for label, S in tasks:
-        states.append(st := _TaskState(label, S, classify(S), tids, totals[S.order]))
+        states.append(st := _TaskState(label, S, tids, totals[S.order]))
         if st.held:
             by_order.setdefault(S.order, []).append(st)
 
@@ -1230,5 +1229,5 @@ def _run(tasks: list[tuple[str, Semigroup]], spec: SampleSpec | None,
 
     reports: list[VerificationReport] = []
     for st in states:
-        reports.extend(_finish_task(st, tids, _TableOperands(st.S, operands)))
+        reports.extend(_finish_task(st, _TableOperands(st.S, operands)))
     return reports

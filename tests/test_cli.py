@@ -44,6 +44,13 @@ class TestClassify:
         err = capsys.readouterr().err
         assert "(0, 0, 0)" in err
 
+    def test_short_row_is_one_error_line(self, tmp_path, capsys):
+        p = tmp_path / "short.cayley"
+        p.write_text("2\n0 0\n0\n")
+        assert main(["classify", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: row 1 has 1 entries, expected 2\n"
+
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/path"]) == 2
 

@@ -433,3 +433,17 @@ class TestRunSuite:
         skipped = [r for r in reports if r.subjects_checked == 0]
         assert len(groups) == 2
         assert all(r.hypothesis_skipped == 200 for r in skipped)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("random_count", -1, "random_count must be non-negative"),
+    ("max_pair_subjects", 0, "max_pair_subjects must be positive"),
+])
+def test_counts_out_of_range_rejected(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SampleSpec(**{field: value})
+
+
+def test_unknown_alpha_strategy_is_refused_by_alpha_samples(worked_subject):
+    with pytest.raises(ValueError, match="alpha strategy 'bogus' not in"):
+        alpha_samples(worked_subject, F(1, 2), "bogus")

@@ -141,6 +141,10 @@ class TestCharacteristicPair:
         with pytest.raises(EmptySubset):
             characteristic_pair(2, ElementSubset(2, frozenset()))
 
+    def test_other_carrier_rejected(self):
+        with pytest.raises(CarrierMismatch):
+            characteristic_pair(3, ElementSubset(2, frozenset({0})))
+
 
 class TestShapePredicates:
     def test_zero_membership_is_empty(self):
@@ -207,3 +211,7 @@ class TestFileFormat:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_ifs(text)
+
+    def test_non_integer_index_refused(self):
+        with pytest.raises(ParseError, match="bad element index in 'x 0.3 0.4'"):
+            parse_ifs("x 0.3 0.4\n")

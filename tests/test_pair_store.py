@@ -174,9 +174,10 @@ def _law_calls(patch, calls):
             return law(S, X, Y)
         return recorded
 
-    patch(harness, "_PAIR_THEOREMS", {
+    patch(harness, "_ENTRY", {
         tid: dataclasses.replace(th, law=wrapped.setdefault(th.law, recording(th.law)))
-        for tid, th in harness._PAIR_THEOREMS.items()
+        if tid in harness._PAIR_THEOREMS else th
+        for tid, th in harness._ENTRY.items()
     })
 
 

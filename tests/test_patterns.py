@@ -29,7 +29,6 @@ from ifsemigroups import (
     check_group_constant,
     check_semiprime_fixedpoint,
     check_transform_equivalence,
-    classify,
     enumerate_semigroups,
     is_constant,
     magnify,
@@ -81,7 +80,7 @@ def test_memoised_verdicts_match_value_level_oracle():
     for n in (1, 2, 3):
         # swept once per carrier order past all its tables, as in run_suite
         subjects = list(sample_ifs(n, SPEC))
-        states = [harness._TaskState("t", S, classify(S), harness.THEOREM_IDS)
+        states = [harness._TaskState("t", S, harness.THEOREM_IDS)
                   for S in enumerate_semigroups(n)]
         patterns = harness._sweep(states, subjects, harness._Operands(SPEC))
         assert sum(patterns.counts) == len(subjects)
@@ -139,7 +138,7 @@ def test_tables_of_one_order_share_their_verdict_objects():
     # the verdicts are interned per carrier order: the 113 order-3 tables
     # hold one object per distinct verdict, not one per table and pattern
     spec = SampleSpec()
-    states = [harness._TaskState("t", S, classify(S), harness.THEOREM_IDS)
+    states = [harness._TaskState("t", S, harness.THEOREM_IDS)
               for S in enumerate_semigroups(3)]
     assert len(states) == 113
     patterns = harness._sweep(states, itertools.islice(sample_ifs(3, spec), harness._SUBJECT_CHUNK),
@@ -174,7 +173,7 @@ def test_joined_verdicts_match_the_joint_scan():
             mu = tuple(scale * r + shift for r in mu_order)
             nu = tuple(scale * r + i for r in nu_order)
             subjects.append(harness._trusted(n, view=(max(mu) + max(nu) + 1, mu, nu)))
-        states = [harness._TaskState("t", S, classify(S), ()) for S in enumerate_semigroups(n)]
+        states = [harness._TaskState("t", S, ()) for S in enumerate_semigroups(n)]
         patterns = harness._sweep(states, subjects, harness._Operands(SPEC))
         assert len(patterns.counts) == len(subjects) == count
         for state in states:

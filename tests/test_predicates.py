@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction as F
 
@@ -318,3 +319,25 @@ def test_scan_index_holds_no_tautologies():
                 assert site not in args, (S.table, stage, site, args)
                 kept += 1
     assert kept > 0
+
+
+class TestViolationEdges:
+    # on cyclic2, mu = (1/2, 1/4) breaks the left ideal's mu inequality at
+    # (1, 0) and nu = (1/4, 1/2) its nu inequality
+    A = IFSubset(2, (F(1, 2), F(1, 4)), (F(1, 4), F(1, 2)))
+    B = IFSubset(2, (F(1, 2), F(1, 2)), (F(1, 4), F(1, 2)))
+
+    def test_describe_mu_and_nu(self, mod2):
+        assert find_violation(K.LEFT_IDEAL, mod2, self.A).describe() == (
+            "mu inequality of left_ideal fails at (1, 0): 1/4 < 1/2")
+        assert find_violation(K.LEFT_IDEAL, mod2, self.B).describe() == (
+            "nu inequality of left_ideal fails at (1, 0): 1/2 > 1/4")
+
+    def test_unknown_kind_refused(self, mod2):
+        with pytest.raises(ValueError, match="unknown kind 'left_ideal'"):
+            find_violation("left_ideal", mod2, self.A)
+
+    def test_unknown_stage_does_not_replay(self, mod2):
+        v = find_violation(K.LEFT_IDEAL, mod2, self.A)
+        assert replay_violation(mod2, self.A, v)
+        assert replay_violation(mod2, self.A, dataclasses.replace(v, stage="no_such_stage")) is False

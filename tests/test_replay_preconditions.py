@@ -17,7 +17,7 @@ from fractions import Fraction as F
 import pytest
 
 from ifsemigroups import FuzzyStructureKind as K
-from ifsemigroups import IFSubset, check, replay_certificate
+from ifsemigroups import IFSubset, check, harness, replay_certificate
 from ifsemigroups.errors import AssociativityViolation, GradeOutOfRange
 from ifsemigroups.harness import Certificate
 
@@ -72,3 +72,34 @@ def test_bad_data_still_raises(table, mu, error):
     cert = Certificate("equiv_ideal", "bad", table, mu, CONST_NU)
     with pytest.raises(error):
         replay_certificate(cert)
+
+
+# mu = (1/2, 1/4) is no ideal of cyclic2, so no semiprime ideal either
+LOPSIDED_MU, LOPSIDED_NU = (F(1, 2), F(1, 4)), (F(1, 4), F(1, 2))
+
+
+@pytest.mark.parametrize("tid, fields", [
+    ("fixedpoint", {}),
+    ("semiprime_intersection", {"mu_b": CONST_MU, "nu_b": CONST_NU}),
+], ids=["fixedpoint", "intersection"])
+def test_subject_failing_semiprime_does_not_replay(mod2, tid, fields):
+    A = IFSubset(2, LOPSIDED_MU, LOPSIDED_NU)
+    assert not check(K.SEMIPRIME, mod2, A)
+    cert = Certificate(tid, "cyclic2", mod2.table, LOPSIDED_MU, LOPSIDED_NU,
+                       beta=F(1, 2), alpha=F(0), **fields)
+    assert replay_certificate(cert) is False
+
+
+def test_unknown_theorem_id_does_not_replay(mod2):
+    cert = Certificate("no_such_theorem", "cyclic2", mod2.table, CONST_MU, CONST_NU,
+                       CONST_MU, CONST_NU, beta=F(1, 2), alpha=F(0))
+    assert replay_certificate(cert) is False
+
+
+def test_report_refuses_a_certificate_that_does_not_replay(mod2):
+    # a constant subject's magnification is constant: no failure to certify
+    cert = Certificate("archimedean_constant", "cyclic2", mod2.table, CONST_MU, CONST_NU,
+                       beta=F(1, 2), alpha=F(0))
+    assert not replay_certificate(cert)
+    with pytest.raises(AssertionError, match="unsound certificate for archimedean_constant"):
+        harness._report("archimedean_constant", "cyclic2", 1, 0, cert)

@@ -459,3 +459,36 @@ def test_an_element_subset_member_that_is_not_an_int_is_refused(member):
         ElementSubset(2, frozenset({0, member}))
     message = str(exc.value)
     assert "\n" not in message and repr(member) in message and "not an int" in message
+
+
+@pytest.mark.parametrize("order, table, message", [
+    (2, ((0, 0), (0,)), "row 1 has 1 entries, expected 2"),
+    (0, (), "order must be positive"),
+    (2, ((0, 0),), "expected 2 rows, got 1"),
+], ids=["short-row", "order-0", "too-few-rows"])
+def test_malformed_table_refused(order, table, message):
+    with pytest.raises(ParseError, match=message):
+        Semigroup(order, table)
+
+
+def test_element_subset_membership():
+    A = ElementSubset(2, frozenset({1}))
+    assert 1 in A and 0 not in A
+    with pytest.raises(ValueError, match=r"member 2 outside carrier \[0, 2\)"):
+        ElementSubset(2, frozenset({0, 2}))
+
+
+def test_subset_over_another_carrier_refused(mod2):
+    A, other = ElementSubset(2, frozenset({0})), ElementSubset(3, frozenset({0}))
+    with pytest.raises(CarrierMismatch):
+        multiply_subsets(mod2, A, other)
+    with pytest.raises(CarrierMismatch):
+        is_crisp_structure("ideal", mod2, other)
+
+
+@pytest.mark.parametrize("principal", [
+    principal_left_ideal, principal_right_ideal, principal_two_sided_ideal])
+@pytest.mark.parametrize("g", [2, -1])
+def test_principal_ideal_of_an_element_outside_the_carrier_refused(mod2, principal, g):
+    with pytest.raises(ValueError, match=rf"generator {g} outside carrier \[0, 2\)"):
+        principal(mod2, g)

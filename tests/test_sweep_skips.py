@@ -84,7 +84,7 @@ def test_pattern_is_computed_only_for_variants_with_other_ints(monkeypatch, sabo
     # one table whose plan sweeps the single-subject theorems, so that the
     # sweep magnifies its subjects
     S = next(enumerate_semigroups(3))
-    harness._sweep([harness._TaskState("t", S, classify(S), SINGLE_IDS)], subjects,
+    harness._sweep([harness._TaskState("t", S, SINGLE_IDS)], subjects,
                    harness._Operands(SPEC))
 
     expected, same = [], 0
