@@ -525,8 +525,13 @@ def _characterization(kind: str, relevant: FuzzyStructureKind,
         if not check(relevant, S, W):
             return 1, _report(tid, name, 1, 0, cert(exhibit_failed=True, detail="principal-ideal "
                                                     "witness fails the relevant ideal predicate"))
+
+        def breaks(X):
+            _, mu, nu = X.view  # one denominator: the ints compare as the grades
+            return mu[m] < mu[m2] or nu[m] > nu[m2]
+
         witnesses, bad, _ = _exhibit(
-            ops.operands, (W,), lambda X: X.mu[m] < X.mu[m2] or X.nu[m] > X.nu[m2], cert,
+            ops.operands, (W,), breaks, cert,
             {"detail": f"characteristic pair of the principal ideal of {m2} is a "
                        f"{relevant.value} whose magnified translation breaks "
                        f"semiprimeness at {m}"},
@@ -595,14 +600,16 @@ class _Operands:
     def sampled(self, low: int, den: int) -> tuple[TransformParams, ...]:
         """Each sampled (beta, alpha), in sampling order, for a least
         non-membership ``low / den``: a subject's variants, or a pair's.
-        Keyed by the view's raw ints, so the ``Fraction`` is made only on a
-        miss; equal values under two keys get equal tuples."""
+        Keyed by the view's raw ints, so ``Fraction``s are made only on a
+        miss, each beta's bound beta * low / den in one step; equal values
+        under two keys get equal tuples."""
         found = self._params.get((low, den))
         if found is None:
-            spec, least = self.spec, Fraction(low, den)
+            spec = self.spec
             found = self._params[low, den] = tuple(
                 TransformParams(beta, alpha) for beta in spec.beta_grid
-                for alpha in _shifts(beta * least, spec.alpha_strategy)
+                for alpha in _shifts(Fraction(beta.numerator * low, beta.denominator * den),
+                                     spec.alpha_strategy)
             )
         return found
 
@@ -1038,14 +1045,15 @@ class _Patterns:
         self._joins: dict = {}  # (id(mu half), id(nu half)) -> their interned join
 
     def _order(self, ints) -> int:
-        oid = self._orders.get(ints)
-        if oid is None:
-            ids = self._order_ids
-            oid = self._orders[ints] = ids.setdefault(_weak_order(ints), len(ids))
+        """The order id of an int tuple ``_orders`` lacks, kept there."""
+        ids = self._order_ids
+        oid = self._orders[ints] = ids.setdefault(_weak_order(ints), len(ids))
         return oid
 
     def pattern(self, mu, nu) -> int:
-        key = (self._order(mu), self._order(nu))
+        orders = self._orders
+        m, n = orders.get(mu), orders.get(nu)
+        key = (self._order(mu) if m is None else m, self._order(nu) if n is None else n)
         pid = self._ids.get(key)
         if pid is None:
             pid = self._ids[key] = len(self.pairs)

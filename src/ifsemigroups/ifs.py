@@ -11,12 +11,14 @@ Every subject also carries one exact integer view, ``A.view``:
 The theorems only compare grades and never compute with a compared
 result, so the lattice operations, the products and the predicate scans
 decide on the view's ints. A subject built from Fractions
-(``IFSubset(...)``, ``validate_ifs``, ``parse_ifs``) is validated and
-computes its view from them on first use. A subject the library builds
-(``transforms._affine``, ``intersect``, ``composition.if_product``, the grid
-and random subjects of ``sample_ifs``) carries only its view, derived from
-its operands' views or from the grid's or the random draws' integers, and
-makes its Fractions on first read of ``mu`` or ``nu``.
+(``IFSubset(...)``, ``validate_ifs``, ``parse_ifs``) is validated, on the
+grades' numerators and denominators, and computes its view from them on
+first use. A subject the library builds (``transforms._kernel``,
+``intersect``, ``composition.if_product``, ``characteristic_pair``, the
+grid and random subjects of ``sample_ifs``) carries only its view, derived
+from its operands' views, from a crisp subset's members, or from the
+grid's or the random draws' integers, and makes its Fractions on first
+read of ``mu`` or ``nu``.
 ``A.key``, the view over the least common denominator, is equal exactly
 for equal subjects and is read without making Fractions. Neither is a
 field: equality, hashing, ``repr``, ``fields()`` and ``replace()`` ignore them.
@@ -105,11 +107,13 @@ class IFSubset:
             )
         for x in range(n):
             m, v = _exact(self.mu[x], f"mu[{x}]"), _exact(self.nu[x], f"nu[{x}]")
-            if m < 0 or m > 1:
+            # m = a/b and v = c/d with b, d > 0: the range checks on the ints
+            a, b, c, d = m.numerator, m.denominator, v.numerator, v.denominator
+            if a < 0 or a > b:
                 raise GradeOutOfRange(x, m)
-            if v < 0 or v > 1:
+            if c < 0 or c > d:
                 raise GradeOutOfRange(x, v)
-            if m + v > 1:
+            if a * d + c * b > b * d:
                 raise SumConstraintViolation(x, m + v)
 
     @cached_property
@@ -249,14 +253,16 @@ def union(A: IFSubset, B: IFSubset) -> IFSubset:
 
 
 def characteristic_pair(carrier_order: int, A: ElementSubset) -> IFSubset:
-    """View a crisp subset as the pair (indicator, 1 - indicator)."""
+    """View a crisp subset as the pair (indicator, 1 - indicator), built from
+    its 0/1 view over the denominator 1."""
     if A.carrier_order != carrier_order:
         raise CarrierMismatch("subset carrier does not match requested carrier")
     if not A.members:
         raise EmptySubset("characteristic pair of an empty subset")
-    mu = tuple(ONE if x in A.members else ZERO for x in range(carrier_order))
-    nu = tuple(ZERO if x in A.members else ONE for x in range(carrier_order))
-    return IFSubset(carrier_order, mu, nu)
+    n = _int(carrier_order, "carrier order")
+    # valid by construction: at each point one grade is 1 and the other 0
+    mu = tuple([int(x in A.members) for x in range(n)])
+    return _trusted(n, view=(1, mu, tuple([1 - k for k in mu])))
 
 
 def is_nonempty(A: IFSubset) -> bool:

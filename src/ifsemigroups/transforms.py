@@ -13,7 +13,7 @@ valid subject (nu never goes negative and the pointwise sum stays within
 beta <= 1). Translation and multiplication are the beta = 1 and alpha = 0
 faces of magnify.
 
-All three run one integer kernel, ``_affine``, on the subject's integer
+All three run one integer kernel, ``_kernel``, on the subject's integer
 view (den, mu ints, nu ints). With beta = p/q, alpha = r/s and a grade
 g = k/den, the images are
 
@@ -21,12 +21,15 @@ g = k/den, the images are
   beta * g - alpha = (p*s*k - r*q*den) / (q*s*den)
 
 so the result's view is (q*s*den, p*s*k + r*q*den, p*s*k - r*q*den). The
-result carries only that view; its ``Fraction`` grades are made from those
-ints on first read. The denominator q*s*den is positive, so the nu
-image is negative exactly when its numerator is, that is when
-alpha > beta * g. The kernel's sign test on the nu numerators is
-therefore the exact alpha bound alpha <= beta * min(nu), and the bound
-itself is computed only to report a violation.
+kernel takes (p*s, q*s, r*q): a ``TransformParams`` checks its range once,
+on p, q, r and s, and carries that triple, and ``translate`` and
+``multiply`` compute it from their arguments. The result carries only its
+view; its ``Fraction`` grades are made from those ints on first read. The
+denominator q*s*den is positive, so the nu image is negative exactly when
+its numerator is, that is when alpha > beta * g. The kernel's sign test on
+the nu numerators is therefore the exact alpha bound
+alpha <= beta * min(nu), and the bound itself, ``max_alpha``, is computed
+only to report a violation, as p * min(nu ints) / (q * den).
 
 With alpha = 0 the nu numerators p*k cannot be negative, so the kernel
 skips the sign test; with beta = 1/q as well (p = 1) the numerators are
@@ -36,52 +39,61 @@ the subject's int tuples instead of making new ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import AlphaOutOfRange, BetaOutOfRange
-from .ifs import IFSubset, ONE, ZERO, _exact, _trusted
+from .ifs import IFSubset, ONE, _exact, _trusted
 
 
-@dataclass(frozen=True)
+def _triple(beta: Fraction, alpha: Fraction) -> tuple[int, int, int]:
+    """The kernel's (p*s, q*s, r*q) for beta = p/q and alpha = r/s."""
+    q, s = beta.denominator, alpha.denominator
+    return beta.numerator * s, q * s, alpha.numerator * q
+
+
+@dataclass(frozen=True, slots=True)
 class TransformParams:
     """The (beta, alpha) pair of a magnified translation.
 
     beta must be positive here; the zero-scaling case is only meaningful
     for plain multiplication. The exact alpha ceiling depends on the
-    subject and is enforced when the transform is applied.
+    subject and is enforced when the transform is applied. The pair keeps
+    the kernel's ints, which equality, hashing and ``repr`` ignore.
     """
 
     beta: Fraction
     alpha: Fraction
+    _ints: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _exact(self.beta, "beta")
-        _exact(self.alpha, "alpha")
-        if not 0 < self.beta <= 1:
-            raise BetaOutOfRange(self.beta, "(0, 1]")
-        if not 0 <= self.alpha <= 1:
-            raise AlphaOutOfRange(self.alpha, ONE)
+        beta, alpha = _exact(self.beta, "beta"), _exact(self.alpha, "alpha")
+        if not 0 < beta.numerator <= beta.denominator:
+            raise BetaOutOfRange(beta, "(0, 1]")
+        if not 0 <= alpha.numerator <= alpha.denominator:
+            raise AlphaOutOfRange(alpha, ONE)
+        object.__setattr__(self, "_ints", _triple(beta, alpha))
 
 
 def max_alpha(A: IFSubset, beta: Fraction) -> Fraction:
     """Inclusive upper bound for the shift: min over the carrier of beta * nu."""
-    if not 0 <= _exact(beta, "beta") <= 1:
+    if not 0 <= _exact(beta, "beta").numerator <= beta.denominator:
         raise BetaOutOfRange(beta, "[0, 1]")
-    return beta * min(A.nu)
+    den, _, nu = A.view
+    return Fraction(beta.numerator * min(nu), beta.denominator * den)
 
 
-def _affine(A: IFSubset, beta: Fraction, alpha: Fraction) -> IFSubset | None:
-    """(beta * mu + alpha, beta * nu - alpha) for 0 <= beta <= 1 and
-    alpha >= 0, or None when alpha > beta * min(nu)."""
+def _kernel(A: IFSubset, ps: int, qs: int, rq: int) -> IFSubset | None:
+    """(beta * mu + alpha, beta * nu - alpha) from the ints ``_triple(beta,
+    alpha)`` for 0 <= beta <= 1 and alpha >= 0, or None when
+    alpha > beta * min(nu)."""
     den, mu, nu = A.view
-    ps = beta.numerator * alpha.denominator
-    out_den = beta.denominator * alpha.denominator * den
-    if not alpha:
+    out_den = qs * den
+    if not rq:
         if ps != 1:
             mu, nu = tuple([ps * k for k in mu]), tuple([ps * k for k in nu])
         return _trusted(A.carrier_order, view=(out_den, mu, nu))
-    shift = alpha.numerator * beta.denominator * den
+    shift = rq * den
     nu_out = [ps * k - shift for k in nu]
     if min(nu_out, default=0) < 0:
         return None
@@ -91,9 +103,14 @@ def _affine(A: IFSubset, beta: Fraction, alpha: Fraction) -> IFSubset | None:
                     view=(out_den, tuple([ps * k + shift for k in mu]), tuple(nu_out)))
 
 
+def _affine(A: IFSubset, beta: Fraction, alpha: Fraction) -> IFSubset | None:
+    """``_kernel`` on the ints of (beta, alpha)."""
+    return _kernel(A, *_triple(beta, alpha))
+
+
 def translate(A: IFSubset, alpha: Fraction) -> IFSubset:
     """Shift membership up and non-membership down by alpha."""
-    out = _affine(A, ONE, alpha) if _exact(alpha, "alpha") >= 0 else None
+    out = _affine(A, ONE, alpha) if _exact(alpha, "alpha").numerator >= 0 else None
     if out is None:
         raise AlphaOutOfRange(alpha, min(A.nu))
     return out
@@ -101,14 +118,14 @@ def translate(A: IFSubset, alpha: Fraction) -> IFSubset:
 
 def multiply(A: IFSubset, beta: Fraction) -> IFSubset:
     """Scale both grade maps by beta."""
-    if not 0 <= _exact(beta, "beta") <= 1:
+    if not 0 <= _exact(beta, "beta").numerator <= beta.denominator:
         raise BetaOutOfRange(beta, "[0, 1]")
-    return _affine(A, beta, ZERO)
+    return _affine(A, beta, 0)
 
 
 def magnify(A: IFSubset, params: TransformParams) -> IFSubset:
     """Scale by beta, then shift membership up and non-membership down by alpha."""
-    out = _affine(A, params.beta, params.alpha)
+    out = _kernel(A, *params._ints)
     if out is None:
         raise AlphaOutOfRange(params.alpha, max_alpha(A, params.beta))
     return out
