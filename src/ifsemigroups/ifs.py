@@ -22,6 +22,10 @@ read of ``mu`` or ``nu``.
 ``A.key``, the view over the least common denominator, is equal exactly
 for equal subjects and is read without making Fractions. Neither is a
 field: equality, hashing, ``repr``, ``fields()`` and ``replace()`` ignore them.
+
+The meet and ``composition.if_product``, the pair laws' hot kernels, run
+straight-line code that ``_generated`` writes: the meet's once per carrier
+order, the product's once per table.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ import itertools
 import math
 import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -222,6 +227,30 @@ def complement(A: IFSubset) -> IFSubset:
     return IFSubset(A.carrier_order, A.nu, A.mu)
 
 
+def _generated(n: int, lines, mu, nu) -> Callable:
+    """``kernel(den, a, b, c, d)``: unpack the int tuples mu_A, mu_B, nu_A
+    and nu_B (n ints each) into the locals a0.., b0.., c0.. and d0.., run
+    ``lines``, one statement each, and return the view (den, (*mu), (*nu))
+    of the expressions ``mu`` and ``nu``. Its callers, ``_meet`` and
+    ``composition._product``, write these from fixed identifiers and ints
+    alone (n, points of ``range(n)``, the factorization pairs of a
+    validated ``Semigroup``): no grade and no outside string enters the
+    source. ``dataclasses`` generates its methods the same way."""
+    unpack = [f"{''.join(f'{t}{x}, ' for x in range(n))}= {t}" for t in "abcd"] if n else []
+    body = [*unpack, *lines, f"return den, ({''.join(e + ', ' for e in mu)}), "
+                             f"({''.join(e + ', ' for e in nu)})"]
+    namespace: dict = {}
+    exec("def kernel(den, a, b, c, d):\n" + "".join(f"    {s}\n" for s in body), namespace)
+    return namespace["kernel"]
+
+
+@cache
+def _meet(n: int) -> Callable:
+    """The meet's kernel for carrier order n, built on its first call."""
+    return _generated(n, [], [f"a{x} if a{x} < b{x} else b{x}" for x in range(n)],
+                      [f"c{x} if c{x} > d{x} else d{x}" for x in range(n)])
+
+
 def intersect(A: IFSubset, B: IFSubset) -> IFSubset:
     """Pointwise min on mu, max on nu.
 
@@ -235,11 +264,7 @@ def intersect(A: IFSubset, B: IFSubset) -> IFSubset:
     if den != db:
         den, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
     # min(a, b) + max(c, d) <= a + c or b + d, so the meet stays valid
-    return _trusted(A.carrier_order, view=(
-        den,
-        tuple([a if a < b else b for a, b in zip(mu_a, mu_b)]),
-        tuple([a if a > b else b for a, b in zip(nu_a, nu_b)]),
-    ))
+    return _trusted(A.carrier_order, view=_meet(A.carrier_order)(den, mu_a, mu_b, nu_a, nu_b))
 
 
 def union(A: IFSubset, B: IFSubset) -> IFSubset:
