@@ -31,7 +31,6 @@ from .harness import (
     THEOREM_IDS,
     VerificationReport,
     alpha_samples,
-    break_property,
     check_archimedean_constant,
     check_characterization,
     check_group_constant,
@@ -63,6 +62,7 @@ from .ifs import (
 from .predicates import (
     FuzzyStructureKind,
     Violation,
+    break_property,
     check,
     find_semiprime_inequality_violation,
     find_violation,

@@ -34,10 +34,8 @@ import math
 import random
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from operator import and_
 from typing import Callable, Iterator, Sequence
 
-from . import predicates
 from .composition import if_product
 from .errors import HypothesisNotMet, NotAGroup, PreconditionNotMet
 from .ifs import (
@@ -53,7 +51,8 @@ from .ifs import (
     is_constant,
     is_nonempty,
 )
-from .predicates import KIND_ORDER, FuzzyStructureKind, check
+from .predicates import (KIND_ORDER, FuzzyStructureKind, _Patterns, _require_subject, _verdict,
+                         check)
 from .semigroups import (
     Classification,
     ElementSubset,
@@ -103,13 +102,9 @@ class SampleSpec:
     max_pair_subjects: int = 16
 
     def __post_init__(self):
-        object.__setattr__(self, "grade_grid_step",
-                           Fraction(_exact(self.grade_grid_step, "grid step")))
+        object.__setattr__(self, "grade_grid_step", Fraction(1, _grid_k(self.grade_grid_step)))
         object.__setattr__(self, "beta_grid",
                            tuple(Fraction(_exact(b, "beta")) for b in self.beta_grid))
-        step = self.grade_grid_step
-        if not 0 < step <= 1 or (1 / step).denominator != 1:
-            raise ValueError(f"grid step {step} must divide 1 exactly")
         if not self.beta_grid:
             raise ValueError("beta grid is empty: no magnified variant would be built")
         for b in self.beta_grid:
@@ -128,27 +123,36 @@ class SampleSpec:
             raise ValueError("max_pair_subjects must be positive")
 
 
-def _grid(step: Fraction) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(k, the numerators (i, j) of the grid points (i/k, j/k)) for a step of 1/k."""
-    k = int(1 / step)
-    return k, tuple((i, j) for i in range(k + 1) for j in range(k + 1 - i))
-
-
-def grid_grade_pairs(step: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
-    """All (mu, nu) grid points with mu + nu <= 1, in lexicographic order."""
-    k, pairs = _grid(step)
-    return tuple((Fraction(i, k), Fraction(j, k)) for i, j in pairs)
-
-
 # the most subjects a sweep takes from one carrier order: 20 times the
 # default spec's largest order (order 4 at the 1/4 grid, 50 000 subjects)
 MAX_SUBJECTS_PER_ORDER = 10**6
 
 
+def _grid_k(step) -> int:
+    """k for a grid step of 1/k; any other step, or one that is not exact, is refused."""
+    step = Fraction(_exact(step, "grid step"))
+    if not 0 < step <= 1 or step.numerator != 1:
+        raise ValueError(f"grid step {step} must divide 1 exactly")
+    return step.denominator
+
+
+def _grid(k: int) -> tuple[tuple[int, int], ...]:
+    """The numerators (i, j) of the grid points (i/k, j/k), for a step of 1/k."""
+    return tuple((i, j) for i in range(k + 1) for j in range(k + 1 - i))
+
+
+def grid_grade_pairs(step: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
+    """All (mu, nu) grid points with mu + nu <= 1, in lexicographic order, for a
+    step ``SampleSpec`` takes; more than ``MAX_SUBJECTS_PER_ORDER`` are refused unbuilt."""
+    if ((k := _grid_k(step)) + 1) * (k + 2) // 2 > MAX_SUBJECTS_PER_ORDER:
+        raise ValueError(f"grid step {step} gives more than {MAX_SUBJECTS_PER_ORDER} points")
+    return tuple((Fraction(i, k), Fraction(j, k)) for i, j in _grid(k))
+
+
 def subject_count(carrier_order: int, spec: SampleSpec) -> int:
     """How many subjects ``sample_ifs`` yields: a 1/k grid has (k+1)(k+2)/2
     (mu, nu) pairs and k+1 values of nu, and all-zero memberships are skipped."""
-    k = int(1 / spec.grade_grid_step)
+    k = _grid_k(spec.grade_grid_step)
     return ((k + 1) * (k + 2) // 2) ** carrier_order - (k + 1) ** carrier_order + spec.random_count
 
 
@@ -195,8 +199,8 @@ def sample_ifs(carrier_order: int, spec: SampleSpec) -> Iterator[IFSubset]:
     if _int(carrier_order, "carrier order") < 1:
         raise ValueError(f"carrier order {carrier_order} must be at least 1")
     _refuse_costly(carrier_order, spec)
-    k, pairs = _grid(spec.grade_grid_step)
-    for combo in itertools.product(pairs, repeat=carrier_order):
+    k = _grid_k(spec.grade_grid_step)
+    for combo in itertools.product(_grid(k), repeat=carrier_order):
         mu = tuple([p[0] for p in combo])
         if not any(mu):
             continue
@@ -293,7 +297,8 @@ def replay_certificate(cert: Certificate) -> bool:
     )
     tid = cert.theorem_id
     if (params is None and (tid in _MAGNIFIED_CLAIMS or cert.exhibit_failed and cert.alpha)
-            or B is None and tid in _PAIR_THEOREMS and cert.kind != "crisp_agreement"
+            or B is None and isinstance(_ENTRY.get(tid), _PairTheorem)
+            and cert.kind != "crisp_agreement"
             or tid.startswith("char_") and (cert.kind is None or not cert.points)):
         return False
     if cert.exhibit_failed and cert.alpha:
@@ -446,7 +451,7 @@ def _gate(th: _Theorem | _PairTheorem, S: Semigroup, *subjects: IFSubset) -> Non
     if not _holds(th, classify(S)):
         raise th.refusal(f"semigroup does not meet the hypothesis of {th.tid}")
     for X in subjects:
-        predicates._require_subject(S, X)
+        _require_subject(S, X)
     for X, pos in zip(subjects, th.positions * 2):
         if not check(KIND_ORDER[pos], S, X):
             raise th.refusal(f"subject fails the {KIND_ORDER[pos].value} precondition of {th.tid}")
@@ -455,10 +460,9 @@ def _gate(th: _Theorem | _PairTheorem, S: Semigroup, *subjects: IFSubset) -> Non
 def _check_single(tid: str, S: Semigroup, A: IFSubset, params: TransformParams,
                   label: str | None) -> VerificationReport:
     """Gate, then test: the suite's step on one subject and one variant."""
-    th = _THEOREMS[tid]
+    th = _ENTRY[tid]
     _gate(th, S, A)
-    idx = predicates._scan_index(S)
-    v, w = (_verdict(idx, *X.view[1:]) for X in (A, magnify(A, params)))
+    v, w = (_verdict(S, *X.view[1:]) for X in (A, magnify(A, params)))
     name = _label(S, label)
     return _report(tid, name, 1, 0, th.failure(name, S.table, A, params.beta, params.alpha, v, w))
 
@@ -770,8 +774,6 @@ _ENTRIES = (
                  converse=_regular_converse),
 )
 THEOREM_IDS = tuple(th.tid for th in _ENTRIES)
-_THEOREMS = {th.tid: th for th in _ENTRIES if isinstance(th, _Theorem)}
-_PAIR_THEOREMS = {th.tid: th for th in _ENTRIES if isinstance(th, _PairTheorem)}
 _ENTRY = {th.tid: th for th in _ENTRIES}
 
 _PAIR_KINDS = {"bi_ideal_pair": "product_bi_ideal", "one_two_pair": "product_one_two_ideal"}
@@ -782,7 +784,7 @@ def _check_pair(tid: str, S: Semigroup, A: IFSubset, B: IFSubset, label: str | N
                 params: TransformParams | None = None) -> VerificationReport:
     """Gate, then the pair core on (A, B): magnified under ``params``, or
     under each (beta, alpha) that ``spec`` samples for the pair."""
-    th = _PAIR_THEOREMS[tid]
+    th = _ENTRY[tid]
     _gate(th, S, A, B)
     name = _label(S, label)
     ops = _TableOperands(S, _Operands(spec))
@@ -877,45 +879,6 @@ def _exhibit(operands: _Operands, chis: tuple[IFSubset, ...], breaks: Callable,
 
 
 # ---------------------------------------------------------------------------
-# mutation probes (guard against vacuously-true equivalence runs)
-
-
-# the stage whose mu inequality each property's mutation breaks
-_BREAK_STAGES = {
-    K.SUBSEMIGROUP: "subsemigroup",
-    K.BI_IDEAL: "bi_ideal",
-    K.ONE_TWO_IDEAL: "one_two_ideal",
-    K.LEFT_IDEAL: "left_ideal",
-    K.RIGHT_IDEAL: "right_ideal",
-    K.IDEAL: "left_ideal",
-    K.SEMIPRIME: "semiprime",
-}
-
-
-def break_property(S: Semigroup, A: IFSubset, kind: FuzzyStructureKind) -> IFSubset | None:
-    """Mutate one membership grade so the property's mu-inequality fails.
-
-    Picks the first tuple in scan order (whose site is never among its
-    argument points) with a positive required minimum, then lowers the
-    membership at the site to at most half that minimum. Returns None when
-    no such tuple exists for this subject. It refuses what ``find_violation``
-    refuses: a subject over another carrier or with zero membership, and an
-    unknown kind (``ValueError``).
-    """
-    predicates._require_subject(S, A)
-    if kind not in _BREAK_STAGES:
-        raise ValueError(f"unknown kind {kind!r}")
-    mu = A.mu
-    for p, *args in predicates._scan_index(S)[_BREAK_STAGES[kind]]:
-        required = min(mu[a] for a in args)
-        if required > 0:
-            new_mu = list(mu)
-            new_mu[p] = min(mu[p], required / 2)
-            return IFSubset(A.carrier_order, tuple(new_mu), A.nu)
-    return None
-
-
-# ---------------------------------------------------------------------------
 # the suite runner
 
 
@@ -980,107 +943,6 @@ def _suite_tasks(orders, include_library) -> list[tuple[str, Semigroup]]:
         for entry in builtin_library():
             tasks.append((f"lib:{entry.name}", entry.semigroup))
     return tasks
-
-
-def _weak_order(values) -> tuple[int, ...]:
-    """Each value's rank among the distinct values."""
-    return tuple(map(sorted(set(values)).index, values))
-
-
-def _verdict(idx: dict, mu, nu) -> tuple:
-    """Everything the sweep asks of one grade view on one semigroup:
-    (profile flags, first x whose grades differ from those of x*x, whether
-    both maps are constant, first x breaking a semiprime square inequality),
-    with None where there is no such x.
-
-    Every scan compares mu only with mu and nu only with nu, and a constant
-    map breaks no inequality and differs nowhere. So a flag or the
-    constancy holds iff it holds for both (mu, a constant) and (a constant,
-    nu), and a first x is the earlier of those two verdicts' first x:
-    ``_join``."""
-    squares = idx["semiprime"]  # (x, x*x) for each x that is not idempotent, by x
-    fixed = next((x for x, x2 in squares if mu[x] != mu[x2] or nu[x] != nu[x2]), None)
-    hit = predicates._scan1(squares, mu, nu)
-    return (
-        predicates._profile_from(idx, mu, nu),
-        fixed,
-        len(set(mu)) <= 1 and len(set(nu)) <= 1,
-        None if hit is None else hit[0][0],
-    )
-
-
-def _first(x, y):
-    return y if x is None else x if y is None else min(x, y)
-
-
-def _join(v: tuple, w: tuple) -> tuple:
-    """The verdict of (mu, nu) from those of (mu, a constant) and (a constant, nu)."""
-    return (tuple(map(and_, v[0], w[0])), _first(v[1], w[1]), v[2] and w[2],
-            _first(v[3], w[3]))
-
-
-class _Patterns:
-    """Dense ids for the weak-order patterns of one carrier order's views,
-    and every semigroup's verdict on each.
-
-    A view's pattern is the pair of ids of the weak orders of its mu and of
-    its nu; each distinct int tuple's weak order is computed once. The scans
-    compare mu only with mu and nu only with nu, so views sharing a pattern
-    share their verdict on every semigroup, and ``extend`` joins it from two
-    halves that each read one weak order (``_join``), kept per semigroup.
-    Each pattern keeps the number of swept subjects with it, which every
-    semigroup of the order shares. Verdicts are interned here so that the
-    semigroups of one order share the few distinct ones. ``_sweep`` returns
-    its order's ``_Patterns``; ``pattern`` gives a swept view's id again.
-    """
-
-    def __init__(self):
-        self._orders: dict = {}  # int tuple -> order id
-        self._order_ids: dict = {}  # weak order -> order id, in id order
-        self._ids: dict = {}  # (mu order id, nu order id) -> pattern id
-        self.pairs: list = []  # pattern id -> (mu order id, nu order id)
-        self.counts: list = []  # pattern id -> subjects swept with it
-        self._halves: dict = {}  # semigroup -> order id -> (mu half, nu half)
-        self._verdicts: dict = {}  # verdict -> itself: one object per distinct verdict
-        self._joins: dict = {}  # (id(mu half), id(nu half)) -> their interned join
-
-    def _order(self, ints) -> int:
-        """The order id of an int tuple ``_orders`` lacks, kept there."""
-        ids = self._order_ids
-        oid = self._orders[ints] = ids.setdefault(_weak_order(ints), len(ids))
-        return oid
-
-    def pattern(self, mu, nu) -> int:
-        orders = self._orders
-        m, n = orders.get(mu), orders.get(nu)
-        key = (self._order(mu) if m is None else m, self._order(nu) if n is None else n)
-        pid = self._ids.get(key)
-        if pid is None:
-            pid = self._ids[key] = len(self.pairs)
-            self.pairs.append(key)
-            self.counts.append(0)
-        return pid
-
-    def extend(self, S: Semigroup, verdicts: list) -> None:
-        """Extend ``S``'s verdict list (pattern id -> verdict) to every
-        pattern seen so far. ``S`` first decides the two halves of each new
-        order id: the verdicts of the weak order itself (its ranks are a view
-        with that weak order) as mu beside a constant nu, and as nu beside a
-        constant mu. Each new pattern's verdict is then the interned join of
-        its halves, joined once per pair of halves."""
-        intern, joins = self._verdicts.setdefault, self._joins
-        halves, idx = self._halves.setdefault(S, []), predicates._scan_index(S)
-        for order in itertools.islice(self._order_ids, len(halves), None):
-            flat = (0,) * len(order)
-            mu_half, nu_half = _verdict(idx, order, flat), _verdict(idx, flat, order)
-            halves.append((intern(mu_half, mu_half), intern(nu_half, nu_half)))
-        for m, n in self.pairs[len(verdicts):]:
-            mu_half, nu_half = halves[m][0], halves[n][1]
-            v = joins.get(key := (id(mu_half), id(nu_half)))
-            if v is None:
-                v = _join(mu_half, nu_half)
-                v = joins[key] = intern(v, v)
-            verdicts.append(v)
 
 
 def _sweep_chunk(state: _TaskState, block, pids, steps, cap: int,

@@ -30,6 +30,13 @@ values, so every entry point runs them on the subject's exact integer view
 (``IFSubset.view``); a reported violation's sides are read from its
 Fractions. ``replay_violation`` recomputes a reported violation from the
 formulas above, on the Fractions and without ``_STAGES``.
+
+Every scan compares mu only with mu and nu only with nu. The sweep's
+decision core rests on that premise (Lemma 1): ``_verdict`` decides what the
+sweep asks of one view, ``_join`` joins it from a mu half and a nu half, and
+``_Patterns`` decides each weak-order pattern once per semigroup.
+``break_property``, the mutation probe, breaks the mu inequality of the
+stage its kind adds (``_KIND_STAGES``).
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from operator import and_
 
 from .errors import CarrierMismatch, EmptyFuzzySubset
 from .ifs import IFSubset, is_nonempty
@@ -220,6 +228,30 @@ def find_violation(kind: FuzzyStructureKind, S: Semigroup, A: IFSubset) -> Viola
     return _violation_of(kind, stages, S, A)
 
 
+def break_property(S: Semigroup, A: IFSubset, kind: FuzzyStructureKind) -> IFSubset | None:
+    """Mutate one membership grade so the mu-inequality of the stage the kind
+    adds fails: the last of ``_KIND_STAGES[kind]``, or the first for ideal,
+    which adds none. Picks the first tuple in scan order (whose site is never
+    among its argument points) with a positive required minimum, then lowers
+    the membership at the site to at most half that minimum. Returns None
+    when no such tuple exists for this subject. It refuses what
+    ``find_violation`` refuses: a subject over another carrier or with zero
+    membership, and an unknown kind (``ValueError``).
+    """
+    _require_subject(S, A)
+    stages = _KIND_STAGES.get(kind)
+    if stages is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    mu = A.mu
+    for p, *args in _scan_index(S)[stages[0 if kind is FuzzyStructureKind.IDEAL else -1]]:
+        required = min(mu[a] for a in args)
+        if required > 0:
+            new_mu = list(mu)
+            new_mu[p] = min(mu[p], required / 2)
+            return IFSubset(A.carrier_order, tuple(new_mu), A.nu)
+    return None
+
+
 def check(kind: FuzzyStructureKind, S: Semigroup, A: IFSubset) -> bool:
     return find_violation(kind, S, A) is None
 
@@ -274,3 +306,107 @@ def replay_violation(S: Semigroup, A: IFSubset, v: Violation) -> bool:
     if (site, lhs, rhs) != (v.site, v.lhs, v.rhs):
         return False
     return lhs < rhs if v.component == "mu" else lhs > rhs
+
+
+# --- the sweep's decision core
+
+
+def _weak_order(values) -> tuple[int, ...]:
+    """Each value's rank among the distinct values."""
+    return tuple(map(sorted(set(values)).index, values))
+
+
+def _verdict(S: Semigroup, mu, nu) -> tuple:
+    """Everything the sweep asks of one grade view on one semigroup:
+    (profile flags, first x whose grades differ from those of x*x, whether
+    both maps are constant, first x breaking a semiprime square inequality),
+    with None where there is no such x.
+
+    By the module docstring's premise, and since a constant map breaks no
+    inequality and differs nowhere, a flag or the constancy holds iff it
+    holds for both (mu, a constant) and (a constant, nu), and a first x is
+    the earlier of those two verdicts' first x: ``_join``."""
+    idx = _scan_index(S)
+    squares = idx["semiprime"]  # (x, x*x) for each x that is not idempotent, by x
+    fixed = next((x for x, x2 in squares if mu[x] != mu[x2] or nu[x] != nu[x2]), None)
+    hit = _scan1(squares, mu, nu)
+    return (
+        _profile_from(idx, mu, nu),
+        fixed,
+        len(set(mu)) <= 1 and len(set(nu)) <= 1,
+        None if hit is None else hit[0][0],
+    )
+
+
+def _first(x, y):
+    return y if x is None else x if y is None else min(x, y)
+
+
+def _join(v: tuple, w: tuple) -> tuple:
+    """The verdict of (mu, nu) from those of (mu, a constant) and (a constant,
+    nu), by the module docstring's premise."""
+    return (tuple(map(and_, v[0], w[0])), _first(v[1], w[1]), v[2] and w[2],
+            _first(v[3], w[3]))
+
+
+class _Patterns:
+    """Dense ids for the weak-order patterns of one carrier order's views,
+    and every semigroup's verdict on each.
+
+    A view's pattern is the pair of ids of the weak orders of its mu and of
+    its nu; each distinct int tuple's weak order is computed once. By the
+    module docstring's premise, views sharing a pattern share their verdict
+    on every semigroup, and ``extend`` joins it from two halves that each
+    read one weak order (``_join``), kept per semigroup. Each pattern keeps
+    the number of swept subjects with it, which every semigroup of the order
+    shares. Verdicts are interned here so that the semigroups of one order
+    share the few distinct ones. ``pattern`` gives a swept view's id again.
+    """
+
+    def __init__(self):
+        self._orders: dict = {}  # int tuple -> order id
+        self._order_ids: dict = {}  # weak order -> order id, in id order
+        self._ids: dict = {}  # (mu order id, nu order id) -> pattern id
+        self.pairs: list = []  # pattern id -> (mu order id, nu order id)
+        self.counts: list = []  # pattern id -> subjects swept with it
+        self._halves: dict = {}  # semigroup -> order id -> (mu half, nu half)
+        self._verdicts: dict = {}  # verdict -> itself: one object per distinct verdict
+        self._joins: dict = {}  # (id(mu half), id(nu half)) -> their interned join
+
+    def _order(self, ints) -> int:
+        """The order id of an int tuple ``_orders`` lacks, kept there."""
+        ids = self._order_ids
+        oid = self._orders[ints] = ids.setdefault(_weak_order(ints), len(ids))
+        return oid
+
+    def pattern(self, mu, nu) -> int:
+        orders = self._orders
+        m, n = orders.get(mu), orders.get(nu)
+        key = (self._order(mu) if m is None else m, self._order(nu) if n is None else n)
+        pid = self._ids.get(key)
+        if pid is None:
+            pid = self._ids[key] = len(self.pairs)
+            self.pairs.append(key)
+            self.counts.append(0)
+        return pid
+
+    def extend(self, S: Semigroup, verdicts: list) -> None:
+        """Extend ``S``'s verdict list (pattern id -> verdict) to every
+        pattern seen so far. ``S`` first decides the two halves of each new
+        order id: the verdicts of the weak order itself (its ranks are a view
+        with that weak order) as mu beside a constant nu, and as nu beside a
+        constant mu. Each new pattern's verdict is then the interned join of
+        its halves, joined once per pair of halves."""
+        intern, joins = self._verdicts.setdefault, self._joins
+        halves = self._halves.setdefault(S, [])
+        for order in itertools.islice(self._order_ids, len(halves), None):
+            flat = (0,) * len(order)
+            mu_half, nu_half = _verdict(S, order, flat), _verdict(S, flat, order)
+            halves.append((intern(mu_half, mu_half), intern(nu_half, nu_half)))
+        for m, n in self.pairs[len(verdicts):]:
+            mu_half, nu_half = halves[m][0], halves[n][1]
+            v = joins.get(key := (id(mu_half), id(nu_half)))
+            if v is None:
+                v = _join(mu_half, nu_half)
+                v = joins[key] = intern(v, v)
+            verdicts.append(v)

@@ -103,14 +103,9 @@ def _kernel(A: IFSubset, ps: int, qs: int, rq: int) -> IFSubset | None:
                     view=(out_den, tuple([ps * k + shift for k in mu]), tuple(nu_out)))
 
 
-def _affine(A: IFSubset, beta: Fraction, alpha: Fraction) -> IFSubset | None:
-    """``_kernel`` on the ints of (beta, alpha)."""
-    return _kernel(A, *_triple(beta, alpha))
-
-
 def translate(A: IFSubset, alpha: Fraction) -> IFSubset:
     """Shift membership up and non-membership down by alpha."""
-    out = _affine(A, ONE, alpha) if _exact(alpha, "alpha").numerator >= 0 else None
+    out = _kernel(A, *_triple(ONE, alpha)) if _exact(alpha, "alpha").numerator >= 0 else None
     if out is None:
         raise AlphaOutOfRange(alpha, min(A.nu))
     return out
@@ -120,7 +115,7 @@ def multiply(A: IFSubset, beta: Fraction) -> IFSubset:
     """Scale both grade maps by beta."""
     if not 0 <= _exact(beta, "beta").numerator <= beta.denominator:
         raise BetaOutOfRange(beta, "[0, 1]")
-    return _affine(A, beta, 0)
+    return _kernel(A, *_triple(beta, 0))
 
 
 def magnify(A: IFSubset, params: TransformParams) -> IFSubset:

@@ -4,14 +4,25 @@
 sweeping or sampling (|grid pairs|^n - |nu values|^n + random_count, without
 building the grid) and refuse any order above ``MAX_SUBJECTS_PER_ORDER``;
 the one-table checks draw their subjects from ``sample_ifs``.
+``grid_grade_pairs`` takes the steps a ``SampleSpec`` takes, and refuses a
+grid of more than ``MAX_SUBJECTS_PER_ORDER`` points before building it.
 """
 
+import re
 import time
 from fractions import Fraction as F
 
 import pytest
 
-from ifsemigroups import SampleSpec, check_characterization, library_entry, run_suite, sample_ifs
+from ifsemigroups import (
+    ParseError,
+    SampleSpec,
+    check_characterization,
+    grid_grade_pairs,
+    library_entry,
+    run_suite,
+    sample_ifs,
+)
 from ifsemigroups.cli import main
 from ifsemigroups.harness import MAX_SUBJECTS_PER_ORDER, subject_count
 
@@ -64,4 +75,24 @@ def test_direct_sampling_is_refused_before_the_grid_is_built():
     start = time.perf_counter()
     with pytest.raises(ValueError, match="order 1 has more than 1000000 sampled subjects"):
         next(sample_ifs(1, SampleSpec(grade_grid_step=F(1, 10**6))))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("step, error, message", [
+    (F(2, 3), ValueError, "grid step 2/3 must divide 1 exactly"),
+    (0.25, ParseError, "grid step = 0.25 is a float"),
+    (0, ValueError, "grid step 0 must divide 1 exactly"),
+    (F(3, 2), ValueError, "grid step 3/2 must divide 1 exactly"),
+], ids=["two_thirds", "float", "zero", "three_halves"])
+def test_grid_pairs_refuse_the_steps_a_spec_refuses(step, error, message):
+    for build in (grid_grade_pairs, lambda s: SampleSpec(grade_grid_step=s)):
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            build(step)
+
+
+def test_grid_pairs_refuse_a_grid_over_the_cap_before_building_it():
+    # the 1/1500 grid has (1501 * 1502) / 2 = 1 127 251 points
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {MAX_SUBJECTS_PER_ORDER} points"):
+        grid_grade_pairs(F(1, 1500))
     assert time.perf_counter() - start < 1

@@ -36,7 +36,7 @@ from ifsemigroups import (
     sample_ifs,
     translate,
 )
-from ifsemigroups.harness import THEOREM_IDS, _PAIR_THEOREMS, run_suite
+from ifsemigroups.harness import THEOREM_IDS, _ENTRY, _PairTheorem, run_suite
 
 from conftest import grades, subjects
 
@@ -170,7 +170,7 @@ def test_sweep_variants_never_materialise_grades(monkeypatch):
     monkeypatch.setattr(harness, "replay_certificate",
                         lambda cert: replayed.append(cert) or real_replay(cert))
     monkeypatch.setattr(harness, "magnify", counting_magnify)
-    tids = [t for t in THEOREM_IDS if t not in _PAIR_THEOREMS]
+    tids = [t for t in THEOREM_IDS if not isinstance(_ENTRY[t], _PairTheorem)]
     assert len(tids) == 13
     run_suite([1, 2], spec, tids)
     monkeypatch.undo()

@@ -176,7 +176,7 @@ def _law_calls(patch, calls):
 
     patch(harness, "_ENTRY", {
         tid: dataclasses.replace(th, law=wrapped.setdefault(th.law, recording(th.law)))
-        if tid in harness._PAIR_THEOREMS else th
+        if isinstance(th, harness._PairTheorem) else th
         for tid, th in harness._ENTRY.items()
     })
 

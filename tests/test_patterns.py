@@ -177,18 +177,17 @@ def test_joined_verdicts_match_the_joint_scan():
         patterns = harness._sweep(states, subjects, harness._Operands(SPEC))
         assert len(patterns.counts) == len(subjects) == count
         for state in states:
-            idx = predicates._scan_index(state.S)
             for A in subjects:
                 pid = patterns.pattern(*A.view[1:])
-                assert state.verdicts[pid] == harness._verdict(idx, *A.view[1:])
+                assert state.verdicts[pid] == predicates._verdict(state.S, *A.view[1:])
 
 
 def test_each_table_scans_two_halves_per_weak_order(monkeypatch):
     # the benchmark's sweep at seed 10: each distinct int tuple of an order
     # gets its weak order once, and each table scans each weak order twice
     # (as mu, then as nu), where one scan per pattern took up to 13 * 13
-    true_weak_order, true_pattern = harness._weak_order, harness._Patterns.pattern
-    true_verdict = harness._verdict
+    true_weak_order, true_pattern = predicates._weak_order, predicates._Patterns.pattern
+    true_verdict = predicates._verdict
     ranked, viewed, scans = [], set(), Counter()
 
     def weak_order(ints):
@@ -199,14 +198,14 @@ def test_each_table_scans_two_halves_per_weak_order(monkeypatch):
         viewed.update((mu, nu))
         return true_pattern(self, mu, nu)
 
-    def verdict(idx, mu, nu):
-        scans[id(idx), len(mu)] += 1
-        return true_verdict(idx, mu, nu)
+    def verdict(S, mu, nu):
+        scans[S, len(mu)] += 1
+        return true_verdict(S, mu, nu)
 
-    monkeypatch.setattr(harness, "_weak_order", weak_order)
-    monkeypatch.setattr(harness._Patterns, "pattern", pattern)
-    monkeypatch.setattr(harness, "_verdict", verdict)
-    single_subject = [t for t in THEOREM_IDS if t in harness._THEOREMS]
+    monkeypatch.setattr(predicates, "_weak_order", weak_order)
+    monkeypatch.setattr(predicates._Patterns, "pattern", pattern)
+    monkeypatch.setattr(predicates, "_verdict", verdict)
+    single_subject = [t for t in THEOREM_IDS if isinstance(harness._ENTRY[t], harness._Theorem)]
     run_suite([1, 2, 3], SampleSpec(random_count=256, seed=10), single_subject,
               include_library=False)
 
@@ -245,9 +244,8 @@ def _increasing(values, shape):
 @given(_subject_and_maps())
 def test_increasing_maps_preserve_verdicts(case):
     S, mu, nu, mu_map, nu_map = case
-    idx = predicates._scan_index(S)
-    before = harness._verdict(idx, tuple(mu), tuple(nu))
-    after = harness._verdict(idx, _increasing(mu, mu_map), _increasing(nu, nu_map))
+    before = predicates._verdict(S, tuple(mu), tuple(nu))
+    after = predicates._verdict(S, _increasing(mu, mu_map), _increasing(nu, nu_map))
     assert after == before
 
 
@@ -275,7 +273,7 @@ def test_every_single_subject_theorem_matches_its_single_case_check(monkeypatch)
 
     monkeypatch.setattr(harness, "magnify", broken)
     spec = SampleSpec(grade_grid_step=F(1, 2), random_count=16, seed=3)
-    single_subject = [t for t in THEOREM_IDS if t in harness._THEOREMS]
+    single_subject = [t for t in THEOREM_IDS if isinstance(harness._ENTRY[t], harness._Theorem)]
     assert len(single_subject) == 13
     reports = run_suite([2, 3], spec, theorems=single_subject)
     tables = dict(harness._suite_tasks([2, 3], include_library=True))

@@ -82,7 +82,7 @@ def _order_breaking_magnify(patch):
 
     patch(harness, "magnify", broken)
     spec = SampleSpec(grade_grid_step=F(1, 2))
-    single_subject = [t for t in THEOREM_IDS if t in harness._THEOREMS]
+    single_subject = [t for t in THEOREM_IDS if isinstance(harness._ENTRY[t], harness._Theorem)]
     suite = run_suite([2, 3], spec, single_subject, include_library=False)
     tables = dict(harness._suite_tasks([2, 3], include_library=False))
     public = [

@@ -18,7 +18,7 @@ import pytest
 from ifsemigroups import SampleSpec, classify, enumerate_semigroups, run_suite, sample_ifs
 from ifsemigroups import harness
 
-SINGLE_IDS = [tid for tid in harness.THEOREM_IDS if tid in harness._THEOREMS]
+SINGLE_IDS = [tid for tid, th in harness._ENTRY.items() if isinstance(th, harness._Theorem)]
 SPEC = SampleSpec(grade_grid_step=F(1, 2))
 
 
@@ -49,7 +49,7 @@ def test_each_table_tests_each_verdict_pair_once(monkeypatch):
     for label, S in harness._suite_tasks([1, 2, 3], True):
         cls = classify(S)
         active = sum(all(getattr(cls, f) for f in th.flags)
-                     for th in harness._THEOREMS.values())
+                     for th in harness._ENTRY.values() if isinstance(th, harness._Theorem))
         assert per_table[label] <= len(pairs[label]) * active
     assert calls and len(calls) == len(set(calls))
     # steps of distinct patterns can share a verdict pair on a table, so the

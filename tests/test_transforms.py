@@ -19,7 +19,7 @@ from ifsemigroups import (
     multiply,
     translate,
 )
-from ifsemigroups import harness
+from ifsemigroups import harness, predicates
 
 from conftest import grades, subjects
 
@@ -222,7 +222,7 @@ def test_magnify_keeps_the_weak_order_of_each_component(A, beta, t):
     # shortcut and its (pattern, variant pattern) steps rest on
     out = magnify(A, TransformParams(beta, t * max_alpha(A, beta)))
     for before, after in zip(A.view[1:], out.view[1:]):
-        assert harness._weak_order(after) == harness._weak_order(before)
+        assert predicates._weak_order(after) == predicates._weak_order(before)
 
 
 # the integer kernel of translate, multiply and magnify against Fraction
