@@ -6,7 +6,7 @@ subjects, composes subjects with the sup-min product, and mechanically
 verifies the transform theorems over enumerated semigroups at desk scale.
 """
 
-from .composition import FactorizationIndex, build_factorizations, if_product
+from .composition import if_product
 from .errors import (
     AlphaOutOfRange,
     AssociativityViolation,
@@ -48,7 +48,6 @@ from .ifs import (
     IFSubset,
     as_grade,
     characteristic_pair,
-    complement,
     format_ifs,
     ifs_eq,
     ifs_leq,
@@ -56,7 +55,6 @@ from .ifs import (
     is_constant,
     is_nonempty,
     parse_ifs,
-    union,
     validate_ifs,
 )
 from .predicates import (
@@ -64,11 +62,9 @@ from .predicates import (
     Violation,
     break_property,
     check,
-    find_semiprime_inequality_violation,
     find_violation,
     profile,
     replay_violation,
-    semiprime_inequalities_hold,
 )
 from .semigroups import (
     Classification,

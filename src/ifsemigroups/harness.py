@@ -817,7 +817,7 @@ def check_product_inclusions(
     bi-ideal subjects; 'one_two_pair' additionally requires left regularity
     and (1,2)-ideal subjects. Containment is non-strict.
     """
-    if kind not in _PAIR_KINDS:
+    if not isinstance(kind, str) or kind not in _PAIR_KINDS:
         raise ValueError(f"unknown pair kind {kind!r}")
     return _check_pair(_PAIR_KINDS[kind], S, A, B, label, params=params)
 

@@ -222,11 +222,6 @@ def ifs_eq(A: IFSubset, B: IFSubset) -> bool:
     return mu_a == mu_b and nu_a == nu_b
 
 
-def complement(A: IFSubset) -> IFSubset:
-    """Swap membership and non-membership; an involution."""
-    return IFSubset(A.carrier_order, A.nu, A.mu)
-
-
 def _generated(n: int, lines, mu, nu) -> Callable:
     """``kernel(den, a, b, c, d)``: unpack the int tuples mu_A, mu_B, nu_A
     and nu_B (n ints each) into the locals a0.., b0.., c0.. and d0.., run
@@ -265,16 +260,6 @@ def intersect(A: IFSubset, B: IFSubset) -> IFSubset:
         den, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
     # min(a, b) + max(c, d) <= a + c or b + d, so the meet stays valid
     return _trusted(A.carrier_order, view=_meet(A.carrier_order)(den, mu_a, mu_b, nu_a, nu_b))
-
-
-def union(A: IFSubset, B: IFSubset) -> IFSubset:
-    """Pointwise max on mu, min on nu."""
-    _same_carrier(A, B)
-    return IFSubset(
-        A.carrier_order,
-        tuple(max(a, b) for a, b in zip(A.mu, B.mu)),
-        tuple(min(a, b) for a, b in zip(A.nu, B.nu)),
-    )
 
 
 def characteristic_pair(carrier_order: int, A: ElementSubset) -> IFSubset:

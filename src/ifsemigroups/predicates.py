@@ -199,19 +199,12 @@ _KIND_STAGES = {
 }
 
 
-def _violation_of(kind, stages, S: Semigroup, A: IFSubset) -> Violation | None:
-    """The first violation over the stages in turn, with exact Fraction sides."""
-    idx = _scan_index(S)
-    _, mu, nu = A.view
-    for stage in stages:
-        hit = _STAGES[stage][0](idx[stage], mu, nu)
-        if hit is not None:
-            t, component = hit
-            vals, ints, agg = (A.mu, mu, min) if component == "mu" else (A.nu, nu, max)
-            p = t[0]
-            rhs = vals[agg(t[1:], key=ints.__getitem__)]
-            return Violation(kind, stage, component, idx[stage][t], p, vals[p], rhs)
-    return None
+def _stages_of(kind) -> tuple[str, ...]:
+    """The stages of ``kind``; anything but a ``FuzzyStructureKind``, hashable
+    or not, is an unknown kind (``ValueError``)."""
+    if not isinstance(kind, FuzzyStructureKind):
+        raise ValueError(f"unknown kind {kind!r}")
+    return _KIND_STAGES[kind]
 
 
 def find_violation(kind: FuzzyStructureKind, S: Semigroup, A: IFSubset) -> Violation | None:
@@ -222,10 +215,17 @@ def find_violation(kind: FuzzyStructureKind, S: Semigroup, A: IFSubset) -> Viola
     right; semiprime checks ideal-ness before the squares.
     """
     _require_subject(S, A)
-    stages = _KIND_STAGES.get(kind)
-    if stages is None:
-        raise ValueError(f"unknown kind {kind!r}")
-    return _violation_of(kind, stages, S, A)
+    stages = _stages_of(kind)
+    idx, (_, mu, nu) = _scan_index(S), A.view
+    for stage in stages:
+        hit = _STAGES[stage][0](idx[stage], mu, nu)
+        if hit is not None:
+            t, component = hit
+            vals, ints, agg = (A.mu, mu, min) if component == "mu" else (A.nu, nu, max)
+            p = t[0]
+            rhs = vals[agg(t[1:], key=ints.__getitem__)]
+            return Violation(kind, stage, component, idx[stage][t], p, vals[p], rhs)
+    return None
 
 
 def break_property(S: Semigroup, A: IFSubset, kind: FuzzyStructureKind) -> IFSubset | None:
@@ -239,9 +239,7 @@ def break_property(S: Semigroup, A: IFSubset, kind: FuzzyStructureKind) -> IFSub
     membership, and an unknown kind (``ValueError``).
     """
     _require_subject(S, A)
-    stages = _KIND_STAGES.get(kind)
-    if stages is None:
-        raise ValueError(f"unknown kind {kind!r}")
+    stages = _stages_of(kind)
     mu = A.mu
     for p, *args in _scan_index(S)[stages[0 if kind is FuzzyStructureKind.IDEAL else -1]]:
         required = min(mu[a] for a in args)
@@ -261,16 +259,6 @@ def profile(S: Semigroup, A: IFSubset) -> dict[FuzzyStructureKind, bool]:
     _require_subject(S, A)
     flags = _profile_from(_scan_index(S), *A.view[1:])
     return dict(zip(KIND_ORDER, flags))
-
-
-def find_semiprime_inequality_violation(S: Semigroup, A: IFSubset) -> Violation | None:
-    """The square inequalities alone, without requiring A to be an ideal."""
-    _require_subject(S, A)
-    return _violation_of(FuzzyStructureKind.SEMIPRIME, ("semiprime",), S, A)
-
-
-def semiprime_inequalities_hold(S: Semigroup, A: IFSubset) -> bool:
-    return find_semiprime_inequality_violation(S, A) is None
 
 
 def replay_violation(S: Semigroup, A: IFSubset, v: Violation) -> bool:

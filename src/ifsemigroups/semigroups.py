@@ -82,9 +82,6 @@ class Semigroup:
     def __hash__(self) -> int:
         return self._hash
 
-    def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -100,6 +97,14 @@ def validate_cayley(order: int, raw_table: Sequence[Sequence[int]]) -> Semigroup
     return Semigroup(order, tuple(rows))
 
 
+def _check_element(x, name: str, order: int) -> None:
+    """Refuse ``x`` unless it is an int, and not a ``bool``, in [0, order)."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{name} {x!r} is a {type(x).__name__}, not an int")
+    if not 0 <= x < order:
+        raise ValueError(f"{name} {x} outside carrier [0, {order})")
+
+
 @dataclass(frozen=True)
 class ElementSubset:
     """A crisp subset of the carrier, tagged with the carrier size."""
@@ -110,13 +115,7 @@ class ElementSubset:
     def __post_init__(self):
         _int(self.carrier_order, "carrier order")
         for m in self.members:
-            if isinstance(m, bool) or not isinstance(m, int):
-                raise ValueError(f"member {m!r} is a {type(m).__name__}, not an int")
-            if not 0 <= m < self.carrier_order:
-                raise ValueError(f"member {m} outside carrier [0, {self.carrier_order})")
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
+            _check_element(m, "member", self.carrier_order)
 
 
 def full_subset(S: Semigroup) -> ElementSubset:
@@ -165,28 +164,23 @@ def is_crisp_structure(kind: str, S: Semigroup, A: ElementSubset) -> bool:
     return is_crisp_structure("subsemigroup", S, A) and inside(ASAA.members)
 
 
-def _check_generator(S: Semigroup, g: int) -> None:
-    if not 0 <= g < S.order:
-        raise ValueError(f"generator {g} outside carrier [0, {S.order})")
-
-
 def principal_left_ideal(S: Semigroup, g: int) -> ElementSubset:
     """Smallest left ideal containing g: {g} union Sg."""
-    _check_generator(S, g)
+    _check_element(g, "generator", S.order)
     T = S.table
     return ElementSubset(S.order, frozenset({g} | {T[x][g] for x in S.elements()}))
 
 
 def principal_right_ideal(S: Semigroup, g: int) -> ElementSubset:
     """Smallest right ideal containing g: {g} union gS."""
-    _check_generator(S, g)
+    _check_element(g, "generator", S.order)
     T = S.table
     return ElementSubset(S.order, frozenset({g} | {T[g][x] for x in S.elements()}))
 
 
 def principal_two_sided_ideal(S: Semigroup, g: int) -> ElementSubset:
     """Smallest two-sided ideal containing g: {g} union Sg union gS union SgS."""
-    _check_generator(S, g)
+    _check_element(g, "generator", S.order)
     T = S.table
     members = {g}
     for x in S.elements():
@@ -225,14 +219,18 @@ def _powers(S: Semigroup, a: int) -> list[int]:
 def regularity_gap(S: Semigroup, kind: str) -> int | None:
     """First element a with no witness for the regularity equation of kind
     (regular: a = axa; intra_regular: a = x a^2 y; left_regular: a = x a^2;
-    right_regular: a = a^2 x), or None when every element has one."""
+    right_regular: a = a^2 x), or None when every element has one. Any
+    other kind, hashable or not, is a ``ValueError``."""
     T, els = S.table, range(S.order)
-    witnessed = {
+    witnesses = {
         "regular": lambda a, a2: any(T[T[a][x]][a] == a for x in els),
         "intra_regular": lambda a, a2: any(T[T[x][a2]][y] == a for x in els for y in els),
         "left_regular": lambda a, a2: any(T[x][a2] == a for x in els),
         "right_regular": lambda a, a2: any(T[a2][x] == a for x in els),
-    }[kind]
+    }
+    if not isinstance(kind, str) or kind not in witnesses:
+        raise ValueError(f"unknown regularity kind {kind!r}")
+    witnessed = witnesses[kind]
     return next((a for a in els if not witnessed(a, T[a][a])), None)
 
 

@@ -10,7 +10,6 @@ from ifsemigroups import (
     ElementSubset,
     FuzzyStructureKind as K,
     IFSubset,
-    build_factorizations,
     characteristic_pair,
     check,
     classify,
@@ -23,27 +22,6 @@ from ifsemigroups import (
 )
 
 from conftest import small_semigroups, subjects
-
-
-class TestFactorizationIndex:
-    def test_null_semigroup(self, null2):
-        idx = build_factorizations(null2)
-        assert len(idx.pairs_for[0]) == 4
-        assert len(idx.pairs_for[1]) == 0
-
-    def test_left_zero(self, leftzero2):
-        idx = build_factorizations(leftzero2)
-        assert set(idx.pairs_for[0]) == {(0, 0), (0, 1)}
-        assert set(idx.pairs_for[1]) == {(1, 0), (1, 1)}
-
-    def test_group_rows_are_balanced(self, mod2):
-        idx = build_factorizations(mod2)
-        assert all(len(p) == 2 for p in idx.pairs_for)
-
-    def test_total_pair_count(self):
-        for S in enumerate_semigroups(3):
-            idx = build_factorizations(S)
-            assert sum(len(p) for p in idx.pairs_for) == 9
 
 
 class TestProduct:

@@ -1,6 +1,7 @@
 """The gates of the public checks, and the lemma that lets the pair theorems
 test every pair of semiprime passers without an empty-meet gate."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from ifsemigroups import (
     PreconditionNotMet,
     SampleSpec,
     TransformParams,
+    break_property,
     builtin_library,
     characteristic_pair,
     check,
@@ -29,11 +31,13 @@ from ifsemigroups import (
     check_semiprime_intersection,
     check_transform_equivalence,
     enumerate_semigroups,
+    find_violation,
     intersect,
     is_nonempty,
     library_entry,
     principal_two_sided_ideal,
 )
+from ifsemigroups.semigroups import regularity_gap
 
 from conftest import grades
 
@@ -138,3 +142,23 @@ def test_equivalence_check_refuses_a_kind_that_is_not_a_structure_kind(kind):
     in a ValueError rather than failing on the kind's missing ``value``."""
     with pytest.raises(ValueError, match="unknown kind"):
         check_transform_equivalence(kind, CYCLIC2, CONSTANT, P)
+
+
+# (public function, call, kind): each names an unknown kind, hashable or not, in a ValueError
+UNKNOWN_KINDS = [
+    ("find_violation", lambda kind: find_violation(kind, CYCLIC2, CONSTANT), ["ideal"]),
+    ("check", lambda kind: check(kind, CYCLIC2, CONSTANT), ["ideal"]),
+    ("break_property", lambda kind: break_property(CYCLIC2, CONSTANT, kind), ["ideal"]),
+    ("check_product_inclusions",
+     lambda kind: check_product_inclusions(CYCLIC2, CONSTANT, CONSTANT, P, kind),
+     ["bi_ideal_pair"]),
+    ("regularity_gap", lambda kind: regularity_gap(CYCLIC2, kind), "bogus"),
+    ("regularity_gap", lambda kind: regularity_gap(CYCLIC2, kind), ["regular"]),
+]
+
+
+@pytest.mark.parametrize("name, call, kind", UNKNOWN_KINDS,
+                         ids=[f"{name}-{kind!r}" for name, _, kind in UNKNOWN_KINDS])
+def test_an_unknown_kind_is_a_value_error_naming_it(name, call, kind):
+    with pytest.raises(ValueError, match=rf"unknown .*kind {re.escape(repr(kind))}"):
+        call(kind)

@@ -13,7 +13,6 @@ from ifsemigroups import (
     SumConstraintViolation,
     as_grade,
     characteristic_pair,
-    complement,
     format_ifs,
     ifs_eq,
     ifs_leq,
@@ -21,7 +20,6 @@ from ifsemigroups import (
     is_constant,
     is_nonempty,
     parse_ifs,
-    union,
     validate_ifs,
 )
 
@@ -102,20 +100,9 @@ class TestOrderingAndEquality:
 
 
 class TestLatticeOps:
-    def test_complement_swaps(self):
-        A = IFSubset(1, (F(3, 10),), (F(2, 5),))
-        C = complement(A)
-        assert C.mu == (F(2, 5),) and C.nu == (F(3, 10),)
-
-    def test_double_complement(self, worked_subject):
-        assert ifs_eq(complement(complement(worked_subject)), worked_subject)
-
     def test_intersect_with_full_is_identity(self, worked_subject):
         full = IFSubset(3, (F(1),) * 3, (F(0),) * 3)
         assert ifs_eq(intersect(worked_subject, full), worked_subject)
-
-    def test_union_idempotent(self, worked_subject):
-        assert ifs_eq(union(worked_subject, worked_subject), worked_subject)
 
     def test_pointwise_min_max(self):
         A = IFSubset(1, (F(3, 10),), (F(2, 5),))
@@ -162,17 +149,11 @@ class TestShapePredicates:
 @given(subjects(order=3, nonempty=False), subjects(order=3, nonempty=False))
 def test_lattice_laws(A, B):
     assert ifs_eq(intersect(A, B), intersect(B, A))
-    assert ifs_eq(union(A, B), union(B, A))
     assert ifs_eq(intersect(A, A), A)
-    assert ifs_eq(union(A, A), A)
-    # De Morgan through the component swap
-    assert ifs_eq(complement(intersect(A, B)), union(complement(A), complement(B)))
-    assert ifs_eq(complement(complement(A)), A)
     # containment is antisymmetric and consistent with the lattice
     if ifs_leq(A, B) and ifs_leq(B, A):
         assert ifs_eq(A, B)
     assert ifs_leq(intersect(A, B), A)
-    assert ifs_leq(A, union(A, B))
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,16 +161,15 @@ def test_lattice_laws(A, B):
        subjects(order=3, nonempty=False))
 def test_lattice_associativity_and_transitivity(A, B, C):
     assert ifs_eq(intersect(intersect(A, B), C), intersect(A, intersect(B, C)))
-    assert ifs_eq(union(union(A, B), C), union(A, union(B, C)))
     if ifs_leq(A, B) and ifs_leq(B, C):
         assert ifs_leq(A, C)
 
 
 @settings(max_examples=60, deadline=None)
-@given(subjects(nonempty=False))
-def test_every_operation_preserves_the_sum_bound(A):
-    for out in (complement(A), intersect(A, complement(A)), union(A, complement(A))):
-        assert all(m + v <= 1 for m, v in zip(out.mu, out.nu))
+@given(subjects(order=3, nonempty=False), subjects(order=3, nonempty=False))
+def test_every_operation_preserves_the_sum_bound(A, B):
+    out = intersect(A, B)
+    assert all(m + v <= 1 for m, v in zip(out.mu, out.nu))
 
 
 class TestFileFormat:

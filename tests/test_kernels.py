@@ -18,7 +18,6 @@ found again from an equal table built afresh.
 """
 
 import math
-import pickle
 import random
 from fractions import Fraction as F
 
@@ -32,7 +31,6 @@ from ifsemigroups import (
     SampleSpec,
     Semigroup,
     TransformParams,
-    build_factorizations,
     builtin_library,
     composition,
     enumerate_semigroups,
@@ -45,6 +43,7 @@ from ifsemigroups import (
     run_suite,
     validate_cayley,
 )
+from ifsemigroups.composition import _product_kernel
 from ifsemigroups.ifs import _meet, _trusted
 
 from conftest import grades
@@ -206,16 +205,8 @@ def test_one_product_kernel_per_table_found_by_value():
     for S in EVERY_TABLE:
         fresh = validate_cayley(S.order, [list(row) for row in S.table])
         assert fresh is not S and fresh == S
-        assert build_factorizations(fresh).product is build_factorizations(S).product
+        assert _product_kernel(fresh) is _product_kernel(S)
     assert _meet(3) is _meet(3)
-
-
-def test_factorization_index_pickles_without_its_kernel():
-    for S in EVERY_TABLE[:9]:
-        index = build_factorizations(S)
-        copy = pickle.loads(pickle.dumps(index))
-        assert copy == index and hash(copy) == hash(index) and repr(copy) == repr(index)
-        assert not hasattr(copy, "product") and copy.pairs_for == index.pairs_for
 
 
 def test_certificate_replay_builds_no_product_kernel(monkeypatch):

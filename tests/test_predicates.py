@@ -19,13 +19,11 @@ from ifsemigroups import (
     characteristic_pair,
     check,
     enumerate_semigroups,
-    find_semiprime_inequality_violation,
     find_violation,
     is_crisp_structure,
     profile,
     replay_violation,
     sample_ifs,
-    semiprime_inequalities_hold,
     Violation,
 )
 
@@ -143,17 +141,6 @@ class TestViolationReporting:
         import dataclasses
         forged = dataclasses.replace(v, lhs=F(1, 2))
         assert not replay_violation(mod2, A, forged)
-
-    def test_semiprime_inequalities_standalone(self, monogenic2):
-        # mu jumps from the generator to its square: inequality-only check fails
-        A = IFSubset(2, (F(0), F(1)), (F(1), F(0)))
-        v = find_semiprime_inequality_violation(monogenic2, A)
-        assert v is not None and v.points == (0,)
-        assert not semiprime_inequalities_hold(monogenic2, A)
-        # but a constant passes
-        assert semiprime_inequalities_hold(
-            monogenic2, IFSubset(2, (F(1, 2), F(1, 2)), (F(0), F(0)))
-        )
 
 
 @st.composite
@@ -275,9 +262,6 @@ def test_deduplicated_scans_match_naive_scan():
                 if v is None:
                     assert break_property(S, A, kind) == naive_mutant(S, A, kind)
                     mutants += 1
-            v = find_semiprime_inequality_violation(S, A)
-            got = v and (v.stage, v.component, v.points, v.site, v.lhs, v.rhs)
-            assert got == firsts["semiprime"]
     assert violations > 0 and mutants > 0
 
 
