@@ -39,7 +39,6 @@ from .harness import (
     check_semiprime_fixedpoint,
     check_semiprime_intersection,
     check_transform_equivalence,
-    grid_grade_pairs,
     replay_certificate,
     run_suite,
     sample_ifs,

@@ -34,7 +34,7 @@ import math
 import random
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 from .composition import if_product
 from .errors import HypothesisNotMet, NotAGroup, PreconditionNotMet
@@ -74,8 +74,6 @@ K = FuzzyStructureKind
 
 EQUIV_THEOREMS = {f"equiv_{kind.value}": kind for kind in KIND_ORDER}
 
-ALPHA_STRATEGIES = ("zero", "max", "midpoint", "grid")
-
 # positions of the profile flags the theorems read, in KIND_ORDER
 _BI, _ONE_TWO, _LEFT, _RIGHT, _SEMIPRIME = (
     KIND_ORDER.index(kind)
@@ -87,33 +85,21 @@ _SUBJECT_CHUNK = 512
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Deterministic sampling plan for subjects and transform parameters."""
+    """Deterministic sampling plan for subjects and transform parameters.
+    Every subject is magnified at each beta of ``beta_grid`` and at the
+    shifts of ``alpha_samples``, the one ``alpha_strategy``: both constants."""
+
+    beta_grid: ClassVar[tuple[Fraction, ...]] = (
+        Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE)
+    alpha_strategy: ClassVar[str] = "grid"
 
     grade_grid_step: Fraction = Fraction(1, 4)
-    beta_grid: tuple[Fraction, ...] = (
-        Fraction(1, 4),
-        Fraction(1, 2),
-        Fraction(3, 4),
-        Fraction(1),
-    )
-    alpha_strategy: str = "grid"
     random_count: int = 0
     seed: int = 0
     max_pair_subjects: int = 16
 
     def __post_init__(self):
         object.__setattr__(self, "grade_grid_step", Fraction(1, _grid_k(self.grade_grid_step)))
-        object.__setattr__(self, "beta_grid",
-                           tuple(Fraction(_exact(b, "beta")) for b in self.beta_grid))
-        if not self.beta_grid:
-            raise ValueError("beta grid is empty: no magnified variant would be built")
-        for b in self.beta_grid:
-            if not 0 < b <= 1:
-                raise ValueError(f"beta {b} outside (0, 1]")
-        if self.alpha_strategy not in ALPHA_STRATEGIES:
-            raise ValueError(
-                f"alpha strategy {self.alpha_strategy!r} not in {ALPHA_STRATEGIES}"
-            )
         for name in ("random_count", "max_pair_subjects", "seed"):
             if type(getattr(self, name)) is not int:  # a bool is refused too
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -139,14 +125,6 @@ def _grid_k(step) -> int:
 def _grid(k: int) -> tuple[tuple[int, int], ...]:
     """The numerators (i, j) of the grid points (i/k, j/k), for a step of 1/k."""
     return tuple((i, j) for i in range(k + 1) for j in range(k + 1 - i))
-
-
-def grid_grade_pairs(step: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
-    """All (mu, nu) grid points with mu + nu <= 1, in lexicographic order, for a
-    step ``SampleSpec`` takes; more than ``MAX_SUBJECTS_PER_ORDER`` are refused unbuilt."""
-    if ((k := _grid_k(step)) + 1) * (k + 2) // 2 > MAX_SUBJECTS_PER_ORDER:
-        raise ValueError(f"grid step {step} gives more than {MAX_SUBJECTS_PER_ORDER} points")
-    return tuple((Fraction(i, k), Fraction(j, k)) for i, j in _grid(k))
 
 
 def subject_count(carrier_order: int, spec: SampleSpec) -> int:
@@ -211,22 +189,18 @@ def sample_ifs(carrier_order: int, spec: SampleSpec) -> Iterator[IFSubset]:
         yield _random_subject(carrier_order, rng)
 
 
-def _shifts(bound: Fraction, strategy: str) -> tuple[Fraction, ...]:
-    """The sampled shifts in [0, bound]: zero, boundary, midpoint."""
-    if strategy == "zero":
-        return (ZERO,)
-    if strategy == "max":
-        return (bound,)
-    if strategy == "midpoint":
-        return (bound / 2,)
-    if strategy == "grid":
-        return (ZERO,) if bound == 0 else (ZERO, bound / 2, bound)
-    raise ValueError(f"alpha strategy {strategy!r} not in {ALPHA_STRATEGIES}")
+def _shifts(bound: Fraction) -> tuple[Fraction, ...]:
+    """The sampled shifts in [0, bound]: zero, midpoint and boundary, or zero
+    alone when the bound is zero."""
+    return (ZERO,) if bound == 0 else (ZERO, bound / 2, bound)
 
 
 def alpha_samples(A: IFSubset, beta: Fraction, strategy: str = "grid") -> tuple[Fraction, ...]:
-    """Shifts sampled for a subject at a given scaling: zero, boundary, midpoint."""
-    return _shifts(max_alpha(A, beta), strategy)
+    """Shifts sampled for a subject at a given scaling: ``_shifts`` of its
+    ``max_alpha``. ``strategy`` must be ``SampleSpec.alpha_strategy``."""
+    if strategy != SampleSpec.alpha_strategy:
+        raise ValueError(f"alpha strategy {strategy!r} not in ('grid',)")
+    return _shifts(max_alpha(A, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +583,9 @@ class _Operands:
         under two keys get equal tuples."""
         found = self._params.get((low, den))
         if found is None:
-            spec = self.spec
             found = self._params[low, den] = tuple(
-                TransformParams(beta, alpha) for beta in spec.beta_grid
-                for alpha in _shifts(Fraction(beta.numerator * low, beta.denominator * den),
-                                     spec.alpha_strategy)
+                TransformParams(beta, alpha) for beta in SampleSpec.beta_grid
+                for alpha in _shifts(Fraction(beta.numerator * low, beta.denominator * den))
             )
         return found
 

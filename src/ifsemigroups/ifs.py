@@ -98,7 +98,7 @@ def _exact(value, name: str):
 
 @dataclass(frozen=True)
 class IFSubset:
-    """Paired grade maps over the carrier {0..carrier_order-1}."""
+    """Paired grade maps over the carrier {0..carrier_order-1}, kept as tuples."""
 
     carrier_order: int
     mu: tuple[Fraction, ...]
@@ -106,6 +106,8 @@ class IFSubset:
 
     def __post_init__(self):
         n = _int(self.carrier_order, "carrier order")
+        object.__setattr__(self, "mu", tuple(self.mu))
+        object.__setattr__(self, "nu", tuple(self.nu))
         if len(self.mu) != n or len(self.nu) != n:
             raise CarrierMismatch(
                 f"grade maps have {len(self.mu)}/{len(self.nu)} points, carrier has {n}"

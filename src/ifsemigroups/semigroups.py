@@ -51,7 +51,7 @@ def _table_violation(order: int, table) -> None:
         if len(row) != order:
             raise ParseError(f"row {x} has {len(row)} entries, expected {order}")
         for y in range(order):
-            v = row[y]
+            v = _int(row[y], f"table[{x}][{y}]")
             if not 0 <= v < order:
                 raise OutOfRangeEntry(x, y, v, order)
     for x in range(order):
@@ -66,7 +66,8 @@ def _table_violation(order: int, table) -> None:
 class Semigroup:
     """A finite carrier {0..n-1} with an associativity-checked Cayley table,
     equal by value. Its hash, not a field, is computed once, at construction:
-    every kernel call looks the table up in a cache keyed by it."""
+    every kernel call looks the table up in a cache keyed by it. Rows given
+    as lists are kept as tuples."""
 
     order: int
     table: tuple[tuple[int, ...], ...]
@@ -74,6 +75,7 @@ class Semigroup:
     def __post_init__(self):
         if _int(self.order, "order") < 1:
             raise ParseError("order must be positive")
+        object.__setattr__(self, "table", tuple(map(tuple, self.table)))
         if len(self.table) != self.order:
             raise ParseError(f"expected {self.order} rows, got {len(self.table)}")
         _table_violation(self.order, self.table)
@@ -88,13 +90,10 @@ class Semigroup:
 
 def validate_cayley(order: int, raw_table: Sequence[Sequence[int]]) -> Semigroup:
     """Build a Semigroup from untrusted rows, raising a precise error on failure."""
-    rows = []
-    for x, row in enumerate(raw_table):
-        for y, v in enumerate(row):
-            if not (isinstance(v, numbers.Rational) and v.denominator == 1):
-                raise ParseError(f"table[{x}][{y}] = {v!r} is not an integer")
-        rows.append(tuple(map(int, row)))
-    return Semigroup(order, tuple(rows))
+    # an integral Rational (Fraction(1), say) is its int; Semigroup refuses the rest
+    return Semigroup(order, [[int(v) if isinstance(v, numbers.Rational) and v.denominator == 1
+                              and not isinstance(v, bool) else v for v in row]
+                             for row in raw_table])
 
 
 def _check_element(x, name: str, order: int) -> None:
@@ -107,13 +106,15 @@ def _check_element(x, name: str, order: int) -> None:
 
 @dataclass(frozen=True)
 class ElementSubset:
-    """A crisp subset of the carrier, tagged with the carrier size."""
+    """A crisp subset of the carrier, tagged with the carrier size; its
+    members are kept as a frozenset."""
 
     carrier_order: int
     members: frozenset[int]
 
     def __post_init__(self):
         _int(self.carrier_order, "carrier order")
+        object.__setattr__(self, "members", frozenset(self.members))
         for m in self.members:
             _check_element(m, "member", self.carrier_order)
 

@@ -4,8 +4,6 @@
 sweeping or sampling (|grid pairs|^n - |nu values|^n + random_count, without
 building the grid) and refuse any order above ``MAX_SUBJECTS_PER_ORDER``;
 the one-table checks draw their subjects from ``sample_ifs``.
-``grid_grade_pairs`` takes the steps a ``SampleSpec`` takes, and refuses a
-grid of more than ``MAX_SUBJECTS_PER_ORDER`` points before building it.
 """
 
 import re
@@ -18,7 +16,6 @@ from ifsemigroups import (
     ParseError,
     SampleSpec,
     check_characterization,
-    grid_grade_pairs,
     library_entry,
     run_suite,
     sample_ifs,
@@ -85,14 +82,5 @@ def test_direct_sampling_is_refused_before_the_grid_is_built():
     (F(3, 2), ValueError, "grid step 3/2 must divide 1 exactly"),
 ], ids=["two_thirds", "float", "zero", "three_halves"])
 def test_grid_pairs_refuse_the_steps_a_spec_refuses(step, error, message):
-    for build in (grid_grade_pairs, lambda s: SampleSpec(grade_grid_step=s)):
-        with pytest.raises(error, match=f"^{re.escape(message)}"):
-            build(step)
-
-
-def test_grid_pairs_refuse_a_grid_over_the_cap_before_building_it():
-    # the 1/1500 grid has (1501 * 1502) / 2 = 1 127 251 points
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=f"more than {MAX_SUBJECTS_PER_ORDER} points"):
-        grid_grade_pairs(F(1, 1500))
-    assert time.perf_counter() - start < 1
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        SampleSpec(grade_grid_step=step)

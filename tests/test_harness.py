@@ -74,10 +74,16 @@ class TestSampleIfs:
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             SampleSpec(grade_grid_step=F(1, 3) * 2)
-        with pytest.raises(ValueError):
-            SampleSpec(alpha_strategy="extremes")
-        with pytest.raises(ValueError):
-            SampleSpec(beta_grid=(F(0),))
+
+    @pytest.mark.parametrize("field, value", [
+        ("beta_grid", (F(1, 2),)), ("alpha_strategy", "max"),
+    ])
+    def test_constant_sampling_fields_are_not_settable(self, field, value):
+        # the beta grid and the alpha rule are constants of the plan
+        with pytest.raises(TypeError, match=field):
+            SampleSpec(**{field: value})
+        assert [f.name for f in dataclasses.fields(SampleSpec)] == [
+            "grade_grid_step", "random_count", "seed", "max_pair_subjects"]
 
     @pytest.mark.parametrize("name, value", [
         ("max_pair_subjects", 2.5), ("max_pair_subjects", F(3)), ("max_pair_subjects", True),
@@ -100,15 +106,8 @@ class TestSampleIfs:
             with pytest.raises(ValueError, match=f"carrier order {order} must be at least 1"):
                 next(sample_ifs(order, SampleSpec(random_count=1)))
 
-    def test_empty_beta_grid_rejected(self):
-        # with no beta there is no magnified variant: every transform theorem
-        # would verify vacuously and the converse witness would have none
-        with pytest.raises(ValueError, match="beta grid is empty"):
-            SampleSpec(beta_grid=())
-
     @pytest.mark.parametrize("field, value, name", [
         ("grade_grid_step", 0.5, "grid step"),
-        ("beta_grid", (F(1, 2), 0.1), "beta"),
     ])
     def test_float_spec_fields_refused(self, field, value, name):
         # Fraction(0.1) would silently sample beta = 3602879701896397/2**55
@@ -116,24 +115,17 @@ class TestSampleIfs:
             SampleSpec(**{field: value})
 
     def test_spec_coerces_numeric_fields(self):
-        spec = SampleSpec(grade_grid_step=1, beta_grid=(1,))
-        assert spec.grade_grid_step == F(1)
-        assert spec.beta_grid == (F(1),)
+        assert SampleSpec(grade_grid_step=1).grade_grid_step == F(1)
 
 
 class TestAlphaSamples:
     def test_grid_strategy(self, worked_subject):
         got = alpha_samples(worked_subject, F(1, 5), "grid")
-        assert got == (F(0), F(1, 40), F(1, 20))
+        assert got == alpha_samples(worked_subject, F(1, 5)) == (F(0), F(1, 40), F(1, 20))
 
     def test_grid_collapses_when_nu_vanishes(self):
         A = IFSubset(2, (F(1), F(0)), (F(0), F(1)))
         assert alpha_samples(A, F(1, 2), "grid") == (F(0),)
-
-    def test_point_strategies(self, worked_subject):
-        assert alpha_samples(worked_subject, F(1, 5), "zero") == (F(0),)
-        assert alpha_samples(worked_subject, F(1, 5), "max") == (F(1, 20),)
-        assert alpha_samples(worked_subject, F(1, 5), "midpoint") == (F(1, 40),)
 
 
 class TestTransformEquivalence:

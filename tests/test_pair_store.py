@@ -31,6 +31,7 @@ from ifsemigroups import (
     run_suite,
     sample_ifs,
 )
+import ifsemigroups
 from ifsemigroups import harness
 from ifsemigroups.transforms import TransformParams, magnify, max_alpha
 
@@ -63,10 +64,8 @@ class _FreshOperands:
     def params(self, A, B):
         return [
             TransformParams(beta, alpha)
-            for beta in self.spec.beta_grid
-            for alpha in harness._shifts(
-                min(max_alpha(A, beta), max_alpha(B, beta)), self.spec.alpha_strategy
-            )
+            for beta in SampleSpec.beta_grid
+            for alpha in harness._shifts(min(max_alpha(A, beta), max_alpha(B, beta)))
         ]
 
     def variants(self, A, params_list):
@@ -102,23 +101,22 @@ _UNREDUCED = magnify(IFSubset(2, (F(1, 2), F(1, 2)), (F(1, 2), F(1, 4))),
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.tuples(_operands(), _operands()), st.sampled_from(harness.ALPHA_STRATEGIES))
+@given(st.tuples(_operands(), _operands()))
 # 1/16 over 128 against 1/8 over 8
-@example((_UNREDUCED, IFSubset(2, (F(1, 2), F(0)), (F(1, 8), F(1, 2)))), "grid")
+@example((_UNREDUCED, IFSubset(2, (F(1, 2), F(0)), (F(1, 8), F(1, 2)))))
 # equal least non-memberships: 1/16 over 128 and over 16, 1/3 over 6 and over 3
-@example((_UNREDUCED, IFSubset(2, (F(1, 2), F(0)), (F(1, 16), F(1, 2)))), "grid")
+@example((_UNREDUCED, IFSubset(2, (F(1, 2), F(0)), (F(1, 16), F(1, 2)))))
 @example((IFSubset(2, (F(1, 2), F(0)), (F(1, 3), F(1, 2))),
-          IFSubset(2, (F(1, 3), F(1, 3)), (F(1, 3), F(2, 3)))), "grid")
+          IFSubset(2, (F(1, 3), F(1, 3)), (F(1, 3), F(2, 3)))))
 # a least non-membership of zero
 @example((IFSubset(2, (F(1, 2), F(1)), (F(1, 2), F(0))),
-          IFSubset(2, (F(1, 4), F(1, 4)), (F(1, 4), F(1, 4)))), "grid")
-def test_pair_params_match_max_alpha_reference(pair, strategy):
+          IFSubset(2, (F(1, 4), F(1, 4)), (F(1, 4), F(1, 4)))))
+def test_pair_params_match_max_alpha_reference(pair):
     """A pair's parameters, picked on the views, are those of the smaller
     ``max_alpha`` of its subjects, in either order."""
-    spec = SampleSpec(alpha_strategy=strategy)
     A, B = pair
-    want = tuple(_FreshOperands(spec).params(A, B))
-    store = harness._Operands(spec)
+    want = tuple(_FreshOperands().params(A, B))
+    store = harness._Operands()
     assert store.params(A, B) == want
     assert store.params(B, A) == want
 
@@ -145,8 +143,8 @@ def _reversing_magnify(patch):
 @pytest.mark.parametrize("orders, spec, sabotage", [
     ([1, 2, 3], SampleSpec(grade_grid_step=F(1, 2), max_pair_subjects=4,
                            random_count=8, seed=7), None),
-    ([1, 2, 3], SampleSpec(grade_grid_step=F(1, 2), max_pair_subjects=3,
-                           alpha_strategy="midpoint"), _reversing_magnify),
+    ([1, 2, 3], SampleSpec(grade_grid_step=F(1, 2), max_pair_subjects=3),
+     _reversing_magnify),
 ], ids=["correct", "reversed-magnify"])
 def test_store_matches_store_free_reference(orders, spec, sabotage):
     def reports(*patches):
@@ -204,19 +202,14 @@ def test_each_table_decides_each_pair_law_once():
     assert len(fresh_laws) > len(laws)
 
 
-# the default sampling plan, and each other alpha strategy on the 1/2 grid,
-# where the library's order-4 tables sweep 1296 grid subjects, not 50625
-SWEEP_SPECS = [SampleSpec(random_count=16, seed=3, alpha_strategy="grid")] + [
-    SampleSpec(grade_grid_step=F(1, 2), random_count=16, seed=3, alpha_strategy=strategy)
-    for strategy in harness.ALPHA_STRATEGIES if strategy != "grid"
-]
+# the default sampling plan with seeded random subjects
+SWEEP_SPECS = [SampleSpec(random_count=16, seed=3)]
 
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=lambda s: s.alpha_strategy)
 def test_sweep_magnifies_each_subject_once_per_sampled_params(monkeypatch, spec):
     """The sweep's variants, with their parameters from the shared store,
     are the ``alpha_samples`` of each swept subject, each magnified once."""
-    strategy = spec.alpha_strategy
     calls, sweeping = [], []
     true_sweep = harness._sweep
 
@@ -238,11 +231,24 @@ def test_sweep_magnifies_each_subject_once_per_sampled_params(monkeypatch, spec)
     expected = (
         (A, TransformParams(b, a))
         for n in orders for A in sample_ifs(n, spec)
-        for b in spec.beta_grid for a in harness.alpha_samples(A, b, strategy)
+        for b in spec.beta_grid for a in harness.alpha_samples(A, b, spec.alpha_strategy)
     )
     assert swept
     for got, want in itertools.zip_longest(swept, expected):
         assert got == want
+
+
+def test_the_names_perfbench_reads_give_the_sampled_params():
+    """``perfbench/layers.py`` builds each subject's variants from the
+    package root's ``SampleSpec.beta_grid`` and ``alpha_samples(A, beta,
+    spec.alpha_strategy)``; those are the parameters the run's store samples."""
+    spec = ifsemigroups.SampleSpec(random_count=16, seed=3)
+    store = harness._Operands(spec)
+    for n in (1, 2, 3):
+        for A in ifsemigroups.sample_ifs(n, spec):
+            got = tuple(ifsemigroups.TransformParams(beta, alpha) for beta in spec.beta_grid
+                        for alpha in ifsemigroups.alpha_samples(A, beta, spec.alpha_strategy))
+            assert got == store.sampled(min(A.view[2]), A.view[0])
 
 
 def test_non_regular_witness_satisfying_the_product_law_is_reported(monkeypatch):

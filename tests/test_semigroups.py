@@ -86,7 +86,7 @@ class TestValidateCayley:
         assert (exc.value.x, exc.value.y, exc.value.value) == (0, 1, 2)
 
     def test_non_integer_entries_are_refused_not_truncated(self):
-        for bad, text in ((1.7, "1.7"), (Fraction(1, 2), "Fraction(1, 2)")):
+        for bad, text in ((1.7, "1.7"), (Fraction(1, 2), "Fraction(1, 2)"), (True, "True")):
             with pytest.raises(ParseError, match=rf"table\[0\]\[1\] = {re.escape(text)}"):
                 validate_cayley(2, [[0, bad], [1, 0]])
         assert validate_cayley(2, [[0, Fraction(1)], [1, 0]]).table == ((0, 1), (1, 0))
@@ -451,6 +451,27 @@ def test_an_order_that_is_not_an_int_is_refused_by_value(taker, value):
         _ORDER_TAKERS[taker](value)
     message = str(exc.value)
     assert "\n" not in message and repr(value) in message and "not an int" in message
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, Fraction(1), "1"], ids=repr)
+def test_a_table_entry_that_is_not_an_int_is_refused_by_position(entry):
+    """Z2's table with one entry replaced. A bool table would format as
+    ``True False``, which ``parse_cayley`` refuses; the others would fail as
+    a bare TypeError when associativity indexes a row with them."""
+    with pytest.raises(ParseError, match=rf"^table\[1\]\[0\] = {re.escape(repr(entry))} is a"):
+        Semigroup(2, ((0, 1), (entry, 0)))
+    with pytest.raises(ParseError, match=r"^table\[0\]\[0\] = True is a bool"):
+        Semigroup(2, ((True, False), (False, True)))
+
+
+@pytest.mark.parametrize("given, kept", [
+    (lambda: Semigroup(1, [[0]]), lambda: Semigroup(1, ((0,),))),
+    (lambda: ElementSubset(3, {0}), lambda: ElementSubset(3, frozenset({0}))),
+    (lambda: IFSubset(2, [1, 0], [0, 1]), lambda: IFSubset(2, (1, 0), (0, 1))),
+], ids=["Semigroup", "ElementSubset", "IFSubset"])
+def test_a_value_given_as_lists_or_a_set_equals_its_tuple_twin(given, kept):
+    X, Y = given(), kept()
+    assert X == Y and hash(X) == hash(Y) and repr(X) == repr(Y)
 
 
 @pytest.mark.parametrize("member", [1.5, 1.0, True, "1", None], ids=repr)

@@ -128,12 +128,11 @@ def test_float_parameters_are_refused(worked_subject, name, call):
     ("alpha", lambda A: translate(A, "1/8")),
     ("beta", lambda A: multiply(A, "1/2")),
     ("beta", lambda A: max_alpha(A, "1/2")),
-    ("beta", lambda A: SampleSpec(beta_grid=("1/2",))),
     ("grid step", lambda A: SampleSpec(grade_grid_step="1/4")),
     (r"mu\[1\]", lambda A: IFSubset(2, (F(1, 2), Decimal("0.25")), (0, 0))),
 ], ids=["TransformParams-str", "TransformParams-None", "TransformParams-Decimal",
         "TransformParams-str-alpha", "translate-str", "multiply-str", "max_alpha-str",
-        "SampleSpec-str-beta", "SampleSpec-str-step", "IFSubset-Decimal"])
+        "SampleSpec-str-step", "IFSubset-Decimal"])
 def test_inexact_parameters_are_refused(worked_subject, name, call):
     """Only an int or a Fraction is exact. Anything else is refused by name,
     as a non-exact grade is, instead of failing with a TypeError in a range
@@ -151,9 +150,8 @@ def test_inexact_parameters_are_refused(worked_subject, name, call):
     ("beta", lambda A: multiply(A, True)),
     ("beta", lambda A: max_alpha(A, True)),
     ("grid step", lambda A: SampleSpec(grade_grid_step=True)),
-    ("beta", lambda A: SampleSpec(beta_grid=(F(1, 2), True))),
 ], ids=["IFSubset-mu", "IFSubset-nu", "TransformParams-beta", "TransformParams-alpha",
-        "translate", "multiply", "max_alpha", "SampleSpec-step", "SampleSpec-beta"])
+        "translate", "multiply", "max_alpha", "SampleSpec-step"])
 def test_bool_parameters_are_refused(worked_subject, name, call):
     """A bool is an int to Python but no grade: a grade map holding ``True``
     formats as ``0 True False``, which ``parse_ifs`` cannot read back, and a
