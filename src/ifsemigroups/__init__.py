@@ -12,15 +12,11 @@ from .errors import (
     AssociativityViolation,
     BetaOutOfRange,
     CarrierMismatch,
-    EmptyFuzzySubset,
     EmptySubset,
     GradeOutOfRange,
     HypothesisNotMet,
     IfsgError,
-    NotAGroup,
     OrderTooLarge,
-    OrderTooSmall,
-    OutOfRangeEntry,
     ParseError,
     PreconditionNotMet,
     SumConstraintViolation,
@@ -81,7 +77,6 @@ from .semigroups import (
     principal_left_ideal,
     principal_right_ideal,
     principal_two_sided_ideal,
-    validate_cayley,
 )
 from .transforms import TransformParams, magnify, max_alpha, multiply, translate
 

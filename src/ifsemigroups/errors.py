@@ -14,7 +14,8 @@ class IfsgError(Exception):
 
 
 class ParseError(IfsgError):
-    """Malformed Cayley-table or grade-map text."""
+    """Malformed input: a value of the wrong type, an order or carrier size
+    below 1, or a malformed Cayley table or grade map."""
 
 
 class OrderTooLarge(IfsgError):
@@ -24,29 +25,6 @@ class OrderTooLarge(IfsgError):
         super().__init__(f"order {order} not enumerable (cap is {cap})")
         self.order = order
         self.cap = cap
-
-
-class OrderTooSmall(OrderTooLarge):
-    """Requested enumeration order below 1: no semigroup has an empty
-    carrier. A subclass of ``OrderTooLarge``, so handlers of that error
-    catch every order outside the enumerable range."""
-
-    def __init__(self, order: int):
-        IfsgError.__init__(
-            self, f"order {order} is below 1: a semigroup has at least one element"
-        )
-        self.order = order
-        self.cap = None
-
-
-class OutOfRangeEntry(IfsgError):
-    """Cayley table entry outside the carrier."""
-
-    def __init__(self, x: int, y: int, value: int, order: int):
-        super().__init__(f"table[{x}][{y}] = {value} outside carrier [0, {order})")
-        self.x = x
-        self.y = y
-        self.value = value
 
 
 class AssociativityViolation(IfsgError):
@@ -62,11 +40,8 @@ class CarrierMismatch(IfsgError):
 
 
 class EmptySubset(IfsgError):
-    """A crisp subset that must be non-empty is empty."""
-
-
-class EmptyFuzzySubset(IfsgError):
-    """A fuzzy subject whose membership map is identically zero."""
+    """A subset that must be non-empty is empty: a crisp subset without
+    members, or a fuzzy subject whose membership map is identically zero."""
 
 
 class GradeOutOfRange(IfsgError):
@@ -104,13 +79,11 @@ class AlphaOutOfRange(IfsgError):
         self.bound = bound
 
 
-class NotAGroup(IfsgError):
-    """Semigroup lacks an identity or inverses where a group is required."""
-
-
 class PreconditionNotMet(IfsgError):
-    """Subject fails the structural precondition of a check."""
+    """A subject fails the structural precondition of a theorem check (a
+    bi-ideal, a semiprime ideal, ...)."""
 
 
 class HypothesisNotMet(IfsgError):
-    """Semigroup or subjects fail the hypothesis of a theorem check."""
+    """The semigroup lacks a flag of a theorem check's hypothesis (a group,
+    regular, archimedean, ...)."""

@@ -17,7 +17,8 @@ or a ``_PairTheorem``, whose law is tested on pairs of subjects, plainly and
 magnified. The suite and the public checks run the same entry, and read its
 gates from it: where the semigroup lacks the entry's flags (``_holds``) or a
 subject fails its profile position, the suite tallies a skip and the public
-check raises the entry's ``refusal``.
+check raises by what failed, ``HypothesisNotMet`` for the semigroup and
+``PreconditionNotMet`` for a subject.
 
 Reports are a pure function of the arguments, and every certificate and
 witness replays before it is reported. The suite shares work but never
@@ -37,7 +38,7 @@ from fractions import Fraction
 from typing import Callable, ClassVar, Iterator, Sequence
 
 from .composition import if_product
-from .errors import HypothesisNotMet, NotAGroup, PreconditionNotMet
+from .errors import HypothesisNotMet, PreconditionNotMet
 from .ifs import (
     IFSubset,
     ONE,
@@ -57,7 +58,7 @@ from .semigroups import (
     Classification,
     ElementSubset,
     Semigroup,
-    _int,
+    _size,
     builtin_library,
     classify,
     enumerate_semigroups,
@@ -174,8 +175,7 @@ def sample_ifs(carrier_order: int, spec: SampleSpec) -> Iterator[IFSubset]:
     read. An order with more than ``MAX_SUBJECTS_PER_ORDER`` subjects is
     refused before the grid is built.
     """
-    if _int(carrier_order, "carrier order") < 1:
-        raise ValueError(f"carrier order {carrier_order} must be at least 1")
+    _size(carrier_order, "carrier order")
     _refuse_costly(carrier_order, spec)
     k = _grid_k(spec.grade_grid_step)
     for combo in itertools.product(_grid(k), repeat=carrier_order):
@@ -377,7 +377,6 @@ class _Theorem:
     test: Callable
     flags: tuple[str, ...] = ()  # the Classification flags the semigroup needs
     positions: tuple[int, ...] = ()  # the profile position, if any, the subject must pass
-    refusal: type = PreconditionNotMet  # raised by the public check at a gate
     converse: Callable | None = None  # see _finish_task
 
     def failure(self, label, T, A, beta, alpha, v, w) -> Certificate | None:
@@ -419,16 +418,18 @@ def _holds(th: _Theorem | _PairTheorem, cls: Classification) -> bool:
 
 
 def _gate(th: _Theorem | _PairTheorem, S: Semigroup, *subjects: IFSubset) -> None:
-    """Raise the entry's refusal where the suite would tally a skip: the
-    semigroup lacks its flags, or a subject fails its profile position (a
+    """Raise where the suite would tally a skip, by what failed:
+    ``HypothesisNotMet`` when the semigroup lacks the entry's flags,
+    ``PreconditionNotMet`` when a subject fails its profile position (a
     pair's first subject the first position, its second the last)."""
     if not _holds(th, classify(S)):
-        raise th.refusal(f"semigroup does not meet the hypothesis of {th.tid}")
+        raise HypothesisNotMet(f"semigroup does not meet the hypothesis of {th.tid}")
     for X in subjects:
         _require_subject(S, X)
     for X, pos in zip(subjects, th.positions * 2):
         if not check(KIND_ORDER[pos], S, X):
-            raise th.refusal(f"subject fails the {KIND_ORDER[pos].value} precondition of {th.tid}")
+            raise PreconditionNotMet(
+                f"subject fails the {KIND_ORDER[pos].value} precondition of {th.tid}")
 
 
 def _check_single(tid: str, S: Semigroup, A: IFSubset, params: TransformParams,
@@ -647,7 +648,6 @@ class _PairTheorem:
     law: Callable
     plain: dict | None
     magnified: dict
-    refusal: type = PreconditionNotMet  # raised by the public check at a gate
     converse: Callable | None = None  # see _finish_task
 
     def pairs(self, passers: list) -> Iterator[tuple[IFSubset, IFSubset]]:
@@ -724,7 +724,7 @@ _INCLUSION_FAILURE = {"detail": "magnified intersection escapes a magnified prod
 _ENTRIES = (
     *(_Theorem(tid, _equiv_test(pos, kind.value))
       for pos, (tid, kind) in enumerate(EQUIV_THEOREMS.items())),
-    _Theorem("group_constant", _group_constant_test, ("is_group",), refusal=NotAGroup),
+    _Theorem("group_constant", _group_constant_test, ("is_group",)),
     _PairTheorem("semiprime_intersection", (), (_SEMIPRIME,), _semiprime_meet,
                  {"detail": "plain intersection is not semiprime"},
                  {"detail": "magnified intersection is not semiprime"}),
@@ -734,10 +734,9 @@ _ENTRIES = (
     _characterization("right_regular", K.RIGHT_IDEAL, principal_right_ideal),
     _Theorem("archimedean_constant", _archimedean_constant_test, ("archimedean",), (_SEMIPRIME,)),
     _PairTheorem("product_bi_ideal", ("regular", "intra_regular"), (_BI,),
-                 _meet_inside_products, None, _INCLUSION_FAILURE, HypothesisNotMet),
+                 _meet_inside_products, None, _INCLUSION_FAILURE),
     _PairTheorem("product_one_two_ideal", ("regular", "intra_regular", "left_regular"),
-                 (_ONE_TWO,), _meet_inside_products, None, _INCLUSION_FAILURE,
-                 HypothesisNotMet),
+                 (_ONE_TWO,), _meet_inside_products, None, _INCLUSION_FAILURE),
     _PairTheorem("regular_product", ("regular",), (_RIGHT, _LEFT), _product_is_meet,
                  {"kind": "fuzzy",
                   "detail": "product differs from intersection on a regular semigroup"},

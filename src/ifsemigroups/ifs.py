@@ -46,7 +46,7 @@ from .errors import (
     ParseError,
     SumConstraintViolation,
 )
-from .semigroups import ElementSubset, _int
+from .semigroups import ElementSubset, _int, _items, _size
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -58,16 +58,15 @@ _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def as_grade(value, point="grade") -> Fraction:
-    """Coerce a string/int/Fraction to an exact grade in [0, 1].
+    """Coerce a string, int or Fraction to an exact grade in [0, 1].
 
     Strings may be 'p/q' rationals or decimal literals; decimals parse
-    exactly (0.25 -> 1/4). Floats are rejected: their binary values are
-    usually not the decimal the caller meant.
+    exactly (0.25 -> 1/4). Any other value is held to ``_exact``'s rule,
+    named by its point (a name such as ``"beta"``, or an element): a float,
+    a bool or None is refused.
     """
-    if isinstance(value, float):
-        raise ParseError(
-            f"refusing float {value!r}: pass a string or Fraction for an exact grade"
-        )
+    if not isinstance(value, str):
+        value = _exact(value, point if isinstance(point, str) else f"grade at {point}")
     try:
         exponent = _EXPONENT.search(value) if isinstance(value, str) else None
         if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
@@ -105,9 +104,9 @@ class IFSubset:
     nu: tuple[Fraction, ...]
 
     def __post_init__(self):
-        n = _int(self.carrier_order, "carrier order")
-        object.__setattr__(self, "mu", tuple(self.mu))
-        object.__setattr__(self, "nu", tuple(self.nu))
+        n = _size(self.carrier_order, "carrier order")
+        object.__setattr__(self, "mu", tuple(_items(self.mu, "mu")))
+        object.__setattr__(self, "nu", tuple(_items(self.nu, "nu")))
         if len(self.mu) != n or len(self.nu) != n:
             raise CarrierMismatch(
                 f"grade maps have {len(self.mu)}/{len(self.nu)} points, carrier has {n}"
@@ -233,7 +232,7 @@ def _generated(n: int, lines, mu, nu) -> Callable:
     alone (n, points of ``range(n)``, the factorization pairs of a
     validated ``Semigroup``): no grade and no outside string enters the
     source. ``dataclasses`` generates its methods the same way."""
-    unpack = [f"{''.join(f'{t}{x}, ' for x in range(n))}= {t}" for t in "abcd"] if n else []
+    unpack = [f"{''.join(f'{t}{x}, ' for x in range(n))}= {t}" for t in "abcd"]
     body = [*unpack, *lines, f"return den, ({''.join(e + ', ' for e in mu)}), "
                              f"({''.join(e + ', ' for e in nu)})"]
     namespace: dict = {}

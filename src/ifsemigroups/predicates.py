@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import and_
 
-from .errors import CarrierMismatch, EmptyFuzzySubset
+from .errors import CarrierMismatch, EmptySubset
 from .ifs import IFSubset, is_nonempty
 from .semigroups import Semigroup
 
@@ -184,7 +184,7 @@ def _require_subject(S: Semigroup, A: IFSubset) -> None:
     if A.carrier_order != S.order:
         raise CarrierMismatch("subject carrier does not match semigroup order")
     if not is_nonempty(A):
-        raise EmptyFuzzySubset("subject has identically zero membership")
+        raise EmptySubset("subject has identically zero membership")
 
 
 # kind -> its stages, in the order they are scanned

@@ -8,18 +8,15 @@ concern. Tables are validated for associativity on construction, so a
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import (
     AssociativityViolation,
     CarrierMismatch,
     EmptySubset,
     OrderTooLarge,
-    OrderTooSmall,
-    OutOfRangeEntry,
     ParseError,
 )
 
@@ -44,6 +41,22 @@ def _int(value, name: str) -> int:
     raise ParseError(f"{name} = {value!r} is a {type(value).__name__}, not an int")
 
 
+def _size(value, name: str) -> int:
+    """``value`` when it is an int of at least 1, the one rule for orders
+    and carrier sizes; anything else is refused by name."""
+    if _int(value, name) < 1:
+        raise ParseError(f"{name} {value} is below 1: a semigroup has at least one element")
+    return value
+
+
+def _items(value, name: str) -> Iterator:
+    """An iterator over ``value``; a value that is not iterable is refused by name."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ParseError(f"{name} = {value!r} is not iterable") from None
+
+
 def _table_violation(order: int, table) -> None:
     """Raise on the first out-of-range entry or non-associative triple."""
     for x in range(order):
@@ -53,7 +66,7 @@ def _table_violation(order: int, table) -> None:
         for y in range(order):
             v = _int(row[y], f"table[{x}][{y}]")
             if not 0 <= v < order:
-                raise OutOfRangeEntry(x, y, v, order)
+                raise ParseError(f"table[{x}][{y}] = {v} outside carrier [0, {order})")
     for x in range(order):
         for y in range(order):
             xy = table[x][y]
@@ -73,9 +86,9 @@ class Semigroup:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if _int(self.order, "order") < 1:
-            raise ParseError("order must be positive")
-        object.__setattr__(self, "table", tuple(map(tuple, self.table)))
+        _size(self.order, "order")
+        rows = enumerate(_items(self.table, "table"))
+        object.__setattr__(self, "table", tuple(tuple(_items(r, f"table[{x}]")) for x, r in rows))
         if len(self.table) != self.order:
             raise ParseError(f"expected {self.order} rows, got {len(self.table)}")
         _table_violation(self.order, self.table)
@@ -86,14 +99,6 @@ class Semigroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-
-def validate_cayley(order: int, raw_table: Sequence[Sequence[int]]) -> Semigroup:
-    """Build a Semigroup from untrusted rows, raising a precise error on failure."""
-    # an integral Rational (Fraction(1), say) is its int; Semigroup refuses the rest
-    return Semigroup(order, [[int(v) if isinstance(v, numbers.Rational) and v.denominator == 1
-                              and not isinstance(v, bool) else v for v in row]
-                             for row in raw_table])
 
 
 def _check_element(x, name: str, order: int) -> None:
@@ -113,8 +118,8 @@ class ElementSubset:
     members: frozenset[int]
 
     def __post_init__(self):
-        _int(self.carrier_order, "carrier order")
-        object.__setattr__(self, "members", frozenset(self.members))
+        _size(self.carrier_order, "carrier order")
+        object.__setattr__(self, "members", frozenset(_items(self.members, "members")))
         for m in self.members:
             _check_element(m, "member", self.carrier_order)
 
@@ -285,9 +290,7 @@ def enumerate_semigroups(order: int) -> Iterator[Semigroup]:
     the same way. Each table is built once per process, so every cache
     keyed by a table finds it by identity.
     """
-    if _int(order, "order") < 1:
-        raise OrderTooSmall(order)
-    if order > ENUMERATION_CAP:
+    if _size(order, "order") > ENUMERATION_CAP:
         raise OrderTooLarge(order, ENUMERATION_CAP)
     yield from _enumerated(order)
 
@@ -392,8 +395,7 @@ def parse_cayley(text: str) -> Semigroup:
         order = int(lines[0])
     except ValueError:
         raise ParseError(f"first data line must be the order, got {lines[0]!r}") from None
-    if order < 1:
-        raise ParseError(f"order must be positive, got {order}")
+    _size(order, "order")
     if len(lines) != order + 1:
         raise ParseError(f"expected {order} table rows, got {len(lines) - 1}")
     rows = []
@@ -402,7 +404,7 @@ def parse_cayley(text: str) -> Semigroup:
             rows.append([int(tok) for tok in line.split()])
         except ValueError:
             raise ParseError(f"non-integer table entry in row {line!r}") from None
-    return validate_cayley(order, rows)
+    return Semigroup(order, rows)
 
 
 def format_cayley(S: Semigroup) -> str:

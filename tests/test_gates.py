@@ -1,5 +1,6 @@
-"""The gates of the public checks, and the lemma that lets the pair theorems
-test every pair of semiprime passers without an empty-meet gate."""
+"""The gates of the public checks, the lemma that lets the pair theorems
+test every pair of semiprime passers without an empty-meet gate, and a
+public call that raises each error class the library defines."""
 
 import re
 from fractions import Fraction as F
@@ -14,10 +15,11 @@ from ifsemigroups import (
     FuzzyStructureKind as K,
     HypothesisNotMet,
     IFSubset,
-    NotAGroup,
     PreconditionNotMet,
     SampleSpec,
+    Semigroup,
     TransformParams,
+    as_grade,
     break_property,
     builtin_library,
     characteristic_pair,
@@ -35,8 +37,10 @@ from ifsemigroups import (
     intersect,
     is_nonempty,
     library_entry,
+    magnify,
     principal_two_sided_ideal,
 )
+from ifsemigroups import errors
 from ifsemigroups.semigroups import regularity_gap
 
 from conftest import grades
@@ -85,12 +89,14 @@ THREE_POINTS = IFSubset(3, (F(1, 2),) * 3, (F(0),) * 3)
 P = TransformParams(F(1), F(0))
 COSTLY = SampleSpec(grade_grid_step=F(1, 100))
 
-# (public check, gate, call, the error it raises today)
+# (public check, gate, call, the error it raises). What failed decides the
+# error: a semigroup gate raises HypothesisNotMet, a subject (operand) gate
+# PreconditionNotMet, whichever check finds it
 REFUSALS = [
     ("check_transform_equivalence", "carrier",
      lambda: check_transform_equivalence(K.IDEAL, CYCLIC2, THREE_POINTS, P), CarrierMismatch),
     ("check_group_constant", "semigroup",
-     lambda: check_group_constant(LEFTZERO2, CONSTANT, P), NotAGroup),
+     lambda: check_group_constant(LEFTZERO2, CONSTANT, P), HypothesisNotMet),
     ("check_group_constant", "carrier",
      lambda: check_group_constant(CYCLIC2, THREE_POINTS, P), CarrierMismatch),
     ("check_semiprime_fixedpoint", "operand",
@@ -98,7 +104,7 @@ REFUSALS = [
     ("check_semiprime_fixedpoint", "carrier",
      lambda: check_semiprime_fixedpoint(CYCLIC2, THREE_POINTS, P), CarrierMismatch),
     ("check_archimedean_constant", "semigroup",
-     lambda: check_archimedean_constant(SEMILATTICE2, CONSTANT, P), PreconditionNotMet),
+     lambda: check_archimedean_constant(SEMILATTICE2, CONSTANT, P), HypothesisNotMet),
     ("check_archimedean_constant", "operand",
      lambda: check_archimedean_constant(NULL2, NOT_SEMIPRIME, P), PreconditionNotMet),
     ("check_archimedean_constant", "carrier",
@@ -114,7 +120,7 @@ REFUSALS = [
      HypothesisNotMet),
     ("check_product_inclusions", "operand",
      lambda: check_product_inclusions(CYCLIC2, CONSTANT, CHI0, P, "bi_ideal_pair"),
-     HypothesisNotMet),
+     PreconditionNotMet),
     ("check_product_inclusions", "kind",
      lambda: check_product_inclusions(LEFTZERO2, CONSTANT, CONSTANT, P, "bogus"), ValueError),
     ("check_product_inclusions", "carrier",
@@ -162,3 +168,31 @@ UNKNOWN_KINDS = [
 def test_an_unknown_kind_is_a_value_error_naming_it(name, call, kind):
     with pytest.raises(ValueError, match=rf"unknown .*kind {re.escape(repr(kind))}"):
         call(kind)
+
+
+# each error class of ifsemigroups.errors but the base IfsgError, and a public call raising it
+RAISERS = {
+    errors.ParseError: lambda: Semigroup(0, ()),
+    errors.OrderTooLarge: lambda: list(enumerate_semigroups(4)),
+    errors.AssociativityViolation: lambda: Semigroup(2, ((1, 1), (0, 0))),
+    errors.CarrierMismatch: lambda: check(K.IDEAL, CYCLIC2, THREE_POINTS),
+    errors.EmptySubset: lambda: check(K.IDEAL, CYCLIC2, IFSubset(2, (0, 0), (1, 1))),
+    errors.GradeOutOfRange: lambda: as_grade("3/2"),
+    errors.SumConstraintViolation: lambda: IFSubset(1, (F(1),), (F(1, 2),)),
+    errors.BetaOutOfRange: lambda: TransformParams(F(2), F(0)),
+    errors.AlphaOutOfRange: lambda: magnify(CONSTANT, TransformParams(F(1), F(1, 2))),
+    errors.PreconditionNotMet: lambda: check_semiprime_fixedpoint(CYCLIC2, CHI0, P),
+    errors.HypothesisNotMet: lambda: check_group_constant(LEFTZERO2, CONSTANT, P),
+}
+
+
+def test_every_error_class_is_raised_by_a_public_call():
+    """No error class outlives its last raise: every class the library
+    defines, the base ``IfsgError`` aside, is raised as itself by a public call."""
+    defined = {c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__}
+    assert set(RAISERS) == defined - {errors.IfsgError}
+    for error, call in RAISERS.items():
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error

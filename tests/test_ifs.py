@@ -46,6 +46,18 @@ class TestGrades:
         with pytest.raises(ParseError):
             as_grade("one half")
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: validate_ifs(1, [True], [False]), "grade at 0 = True is a bool"),
+        (lambda: validate_ifs(1, [F(1, 2)], [None]), "grade at 0 = None is not exact"),
+        (lambda: as_grade(None), "grade = None is not exact"),
+        (lambda: as_grade(False, "beta"), "beta = False is a bool"),
+    ], ids=["bool", "None-in-a-map", "None", "named"])
+    def test_a_grade_neither_text_nor_exact_is_refused_by_point(self, call, message):
+        """As ``IFSubset`` refuses it: a bool was taken as 0 or 1, and None
+        raised a bare TypeError."""
+        with pytest.raises(ParseError, match=f"^{message}: pass an int or Fraction$"):
+            call()
+
     def test_exponent_is_bounded_before_expansion(self):
         # Fraction would build 10**|e| first; int()'s 4300-digit limit is the bound
         assert as_grade("1e-2") == F(1, 100)

@@ -10,8 +10,8 @@ computed here on Fractions; operands over different carriers raise
 ``CarrierMismatch`` from all four.
 
 ``intersect`` and ``if_product`` run code generated once per carrier order
-and once per table. They are also checked at order 0 (the meet), at
-orders 5 and 6 on cyclic, left-zero and null tables (the null table's
+and once per table. They are also checked at orders 5 and 6 on cyclic,
+left-zero and null tables (the null table's
 nonzero elements have no factorization), and on every enumerated table of
 order <= 3 and every library table; and one table's product kernel is
 found again from an equal table built afresh.
@@ -41,7 +41,6 @@ from ifsemigroups import (
     magnify,
     replay_certificate,
     run_suite,
-    validate_cayley,
 )
 from ifsemigroups.composition import _product_kernel
 from ifsemigroups.ifs import _meet, _trusted
@@ -131,7 +130,7 @@ def _hand_built(n):
             for f in (lambda x, y: (x + y) % n, lambda x, y: x, lambda x, y: 0)]
 
 
-WIDE = {0: [None], **TABLES, 5: _hand_built(5), 6: _hand_built(6)}
+WIDE = {**TABLES, 5: _hand_built(5), 6: _hand_built(6)}
 EVERY_TABLE = [S for n in (1, 2, 3) for S in enumerate_semigroups(n)] + [
     entry.semigroup for entry in builtin_library()]
 
@@ -142,25 +141,22 @@ def _grades(view):
 
 
 def _assert_kernels_match(S, A, B):
-    """``intersect`` and, over a table, ``if_product`` against Fractions."""
+    """``intersect`` and ``if_product`` against Fractions."""
     (mu_a, nu_a), (mu_b, nu_b) = _grades(A.view), _grades(B.view)
     den = math.lcm(A.view[0], B.view[0])
     I = intersect(A, B)
     assert I.view[0] == den and I.carrier_order == A.carrier_order
     assert (I.mu, I.nu) == (tuple(map(min, mu_a, mu_b)), tuple(map(max, nu_a, nu_b)))
-    if S is not None:
-        P = if_product(S, A, B)
-        assert P.view[0] == den and P.carrier_order == S.order
-        n = S.order
-        assert (P.mu, P.nu) == _reference_product(
-            S, IFSubset(n, mu_a, nu_a), IFSubset(n, mu_b, nu_b))
+    P = if_product(S, A, B)
+    assert P.view[0] == den and P.carrier_order == S.order
+    n = S.order
+    assert (P.mu, P.nu) == _reference_product(S, IFSubset(n, mu_a, nu_a), IFSubset(n, mu_b, nu_b))
 
 
 @st.composite
 def wide_operand_pairs(draw):
-    """(S, A, B): orders 0 to 6, A and B over one denominator or two; S is
-    None at order 0, where only the meet applies."""
-    n = draw(st.integers(0, 6))
+    """(S, A, B): orders 1 to 6, A and B over one denominator or two."""
+    n = draw(st.integers(1, 6))
     S = draw(st.sampled_from(WIDE[n]))
     da = draw(st.integers(1, 12))
     db = da if draw(st.booleans()) else draw(st.integers(1, 12).filter(lambda d: d != da))
@@ -169,7 +165,7 @@ def wide_operand_pairs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(wide_operand_pairs())
-def test_generated_kernels_match_the_fraction_reference_at_orders_0_to_6(case):
+def test_generated_kernels_match_the_fraction_reference_at_orders_1_to_6(case):
     _assert_kernels_match(*case)
 
 
@@ -191,19 +187,11 @@ def test_generated_kernels_match_the_fraction_reference_on_every_table(S):
         _assert_kernels_match(S, draw(da), draw(db))
 
 
-def test_meet_at_order_zero():
-    for den_a, den_b in ((1, 1), (3, 3), (2, 3)):
-        I = intersect(_trusted(0, view=(den_a, (), ())), _trusted(0, view=(den_b, (), ())))
-        assert I.view == (math.lcm(den_a, den_b), (), ()) and I.carrier_order == 0
-    E = IFSubset(0, (), ())
-    assert intersect(E, E) == E and intersect(E, E).view == (1, (), ())
-
-
 def test_one_product_kernel_per_table_found_by_value():
     """An equal table built afresh finds the same kernel; a carrier order
     has one meet."""
     for S in EVERY_TABLE:
-        fresh = validate_cayley(S.order, [list(row) for row in S.table])
+        fresh = Semigroup(S.order, [list(row) for row in S.table])
         assert fresh is not S and fresh == S
         assert _product_kernel(fresh) is _product_kernel(S)
     assert _meet(3) is _meet(3)

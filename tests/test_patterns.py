@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from ifsemigroups import (
     IFSubset,
-    NotAGroup,
+    HypothesisNotMet,
     PreconditionNotMet,
     SampleSpec,
     THEOREM_IDS,
@@ -285,7 +285,7 @@ def test_every_single_subject_theorem_matches_its_single_case_check(monkeypatch)
                            for alpha in harness.alpha_samples(A, beta)]:
                 try:
                     rep = check_one(S, A, params, label)
-                except (NotAGroup, PreconditionNotMet):
+                except (HypothesisNotMet, PreconditionNotMet):
                     break  # a gate: it refuses A whatever the parameters
                 if rep.outcome == "counterexample":
                     return rep.certificate

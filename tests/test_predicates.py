@@ -10,7 +10,7 @@ from ifsemigroups import (
     Semigroup,
     CarrierMismatch,
     ElementSubset,
-    EmptyFuzzySubset,
+    EmptySubset,
     FuzzyStructureKind as K,
     IFSubset,
     SampleSpec,
@@ -70,7 +70,7 @@ class TestExamples:
 class TestPreconditions:
     def test_empty_subject_rejected(self, mod2):
         dead = IFSubset(2, (F(0), F(0)), (F(1), F(1)))
-        with pytest.raises(EmptyFuzzySubset):
+        with pytest.raises(EmptySubset):
             check(K.SUBSEMIGROUP, mod2, dead)
 
     def test_carrier_mismatch(self, mod2):

@@ -17,8 +17,6 @@ from ifsemigroups import (
     CarrierMismatch,
     IFSubset,
     OrderTooLarge,
-    OrderTooSmall,
-    OutOfRangeEntry,
     ParseError,
     Semigroup,
     builtin_library,
@@ -34,7 +32,6 @@ from ifsemigroups import (
     principal_two_sided_ideal,
     run_suite,
     sample_ifs,
-    validate_cayley,
 )
 
 from ifsemigroups.composition import _product_kernel
@@ -67,29 +64,29 @@ def oracle_count(n: int) -> int:
 
 
 class TestValidateCayley:
+    """``Semigroup`` validates the rows it is given."""
+
     def test_left_zero_valid(self):
-        S = validate_cayley(2, [[0, 0], [1, 1]])
+        S = Semigroup(2, [[0, 0], [1, 1]])
         assert S.order == 2 and S.table[0][1] == 0
 
     def test_mod2_valid(self):
-        S = validate_cayley(2, [[0, 1], [1, 0]])
+        S = Semigroup(2, [[0, 1], [1, 0]])
         assert S.table[1][1] == 0
 
     def test_non_associative_reports_triple(self):
         with pytest.raises(AssociativityViolation) as exc:
-            validate_cayley(2, [[1, 1], [0, 0]])
+            Semigroup(2, [[1, 1], [0, 0]])
         assert exc.value.triple == (0, 0, 0)
 
     def test_out_of_range_entry(self):
-        with pytest.raises(OutOfRangeEntry) as exc:
-            validate_cayley(2, [[0, 2], [1, 1]])
-        assert (exc.value.x, exc.value.y, exc.value.value) == (0, 1, 2)
+        with pytest.raises(ParseError, match=r"^table\[0\]\[1\] = 2 outside carrier \[0, 2\)$"):
+            Semigroup(2, [[0, 2], [1, 1]])
 
     def test_non_integer_entries_are_refused_not_truncated(self):
         for bad, text in ((1.7, "1.7"), (Fraction(1, 2), "Fraction(1, 2)"), (True, "True")):
             with pytest.raises(ParseError, match=rf"table\[0\]\[1\] = {re.escape(text)}"):
-                validate_cayley(2, [[0, bad], [1, 0]])
-        assert validate_cayley(2, [[0, Fraction(1)], [1, 0]]).table == ((0, 1), (1, 0))
+                Semigroup(2, [[0, bad], [1, 0]])
 
 
 def _copy(S: Semigroup) -> Semigroup:
@@ -318,19 +315,14 @@ class TestEnumeration:
     def test_order_cap(self):
         with pytest.raises(OrderTooLarge):
             list(enumerate_semigroups(4))
-        with pytest.raises(OrderTooLarge):
-            list(enumerate_semigroups(0))
 
     @pytest.mark.parametrize("order", [0, -1])
     def test_order_below_one_names_no_cap(self, order):
-        with pytest.raises(OrderTooSmall) as exc:
+        """An order below 1 is malformed, as a table is: no cap is named."""
+        message = f"^order {order} is below 1: a semigroup has at least one element$"
+        with pytest.raises(ParseError, match=message):
             list(enumerate_semigroups(order))
-        assert str(exc.value) == (
-            f"order {order} is below 1: a semigroup has at least one element"
-        )
-        # an order below 1 is still outside the enumerable range
-        assert isinstance(exc.value, OrderTooLarge)
-        with pytest.raises(OrderTooSmall):
+        with pytest.raises(ParseError, match=message):
             run_suite([order, 1])
 
 
@@ -435,7 +427,7 @@ def test_every_generated_table_is_associative(S: Semigroup):
 
 
 _ORDER_TAKERS = {
-    "Semigroup": lambda n: validate_cayley(n, [[0]]),
+    "Semigroup": lambda n: Semigroup(n, [[0]]),
     "enumerate_semigroups": lambda n: list(enumerate_semigroups(n)),
     "run_suite": lambda n: run_suite([n], SampleSpec(grade_grid_step=Fraction(1))),
     "sample_ifs": lambda n: list(sample_ifs(n, SampleSpec())),
@@ -451,6 +443,20 @@ def test_an_order_that_is_not_an_int_is_refused_by_value(taker, value):
         _ORDER_TAKERS[taker](value)
     message = str(exc.value)
     assert "\n" not in message and repr(value) in message and "not an int" in message
+
+
+@pytest.mark.parametrize("value", [0, -2])
+@pytest.mark.parametrize("taker", _ORDER_TAKERS)
+def test_an_order_below_one_is_refused_with_one_message(taker, value):
+    """Every order and carrier size is held to one rule, with one message:
+    ``IFSubset`` and ``ElementSubset`` accepted an empty carrier too."""
+    with pytest.raises(ParseError, match=rf"^(carrier )?order {value} is below 1: "
+                                         "a semigroup has at least one element$"):
+        _ORDER_TAKERS[taker](value)
+    with pytest.raises(ParseError, match="is below 1"):
+        IFSubset(value, (), ())
+    with pytest.raises(ParseError, match="is below 1"):
+        ElementSubset(value, ())
 
 
 @pytest.mark.parametrize("entry", [True, 1.0, Fraction(1), "1"], ids=repr)
@@ -474,6 +480,19 @@ def test_a_value_given_as_lists_or_a_set_equals_its_tuple_twin(given, kept):
     assert X == Y and hash(X) == hash(Y) and repr(X) == repr(Y)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: Semigroup(1, 0), "table"),
+    (lambda: Semigroup(1, [0]), r"table\[0\]"),
+    (lambda: IFSubset(1, 1, 0), "mu"),
+    (lambda: IFSubset(1, (1,), 0), "nu"),
+    (lambda: ElementSubset(2, 0), "members"),
+], ids=["table", "row", "mu", "nu", "members"])
+def test_a_value_that_is_not_iterable_is_refused_by_name(build, name):
+    """As a malformed entry is, not as a bare TypeError from ``tuple`` or ``frozenset``."""
+    with pytest.raises(ParseError, match=rf"^{name} = \d is not iterable$"):
+        build()
+
+
 @pytest.mark.parametrize("member", [1.5, 1.0, True, "1", None], ids=repr)
 def test_an_element_subset_member_that_is_not_an_int_is_refused(member):
     with pytest.raises(ValueError) as exc:
@@ -484,7 +503,7 @@ def test_an_element_subset_member_that_is_not_an_int_is_refused(member):
 
 @pytest.mark.parametrize("order, table, message", [
     (2, ((0, 0), (0,)), "row 1 has 1 entries, expected 2"),
-    (0, (), "order must be positive"),
+    (0, (), "^order 0 is below 1: a semigroup has at least one element$"),
     (2, ((0, 0),), "expected 2 rows, got 1"),
 ], ids=["short-row", "order-0", "too-few-rows"])
 def test_malformed_table_refused(order, table, message):
