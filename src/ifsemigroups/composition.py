@@ -30,7 +30,7 @@ from collections.abc import Callable
 from functools import lru_cache
 
 from .errors import CarrierMismatch
-from .ifs import IFSubset, _common_views, _generated, _trusted
+from .ifs import IFSubset, _common_views, _generated, _trusted, _unpacked, _view
 from .semigroups import Semigroup
 
 
@@ -46,7 +46,8 @@ def _product(pairs_for) -> Callable:
             lines.append(f"{best} = {picks[0] if picks else empty}")
             for pick in picks[1:]:
                 lines += [f"g = {pick}", f"if {best} {op} g: {best} = g"]
-    return _generated(n, lines, [f"m{x}" for x in range(n)], [f"n{x}" for x in range(n)])
+    return _generated("den, a, b, c, d", [*_unpacked(n, "abcd"), *lines, _view(
+        [f"m{x}" for x in range(n)], [f"n{x}" for x in range(n)])])
 
 
 @lru_cache(maxsize=1024)

@@ -195,6 +195,10 @@ def _shifts(bound: Fraction) -> tuple[Fraction, ...]:
     return (ZERO,) if bound == 0 else (ZERO, bound / 2, bound)
 
 
+# each beta's (beta, 0), the first parameters of every sampled tuple
+_UNSHIFTED = tuple(TransformParams(beta, ZERO) for beta in SampleSpec.beta_grid)
+
+
 def alpha_samples(A: IFSubset, beta: Fraction, strategy: str = "grid") -> tuple[Fraction, ...]:
     """Shifts sampled for a subject at a given scaling: ``_shifts`` of its
     ``max_alpha``. ``strategy`` must be ``SampleSpec.alpha_strategy``."""
@@ -581,12 +585,13 @@ class _Operands:
         non-membership ``low / den``: a subject's variants, or a pair's.
         Keyed by the view's raw ints, so ``Fraction``s are made only on a
         miss, each beta's bound beta * low / den in one step; equal values
-        under two keys get equal tuples."""
+        under two keys get equal tuples, and each (beta, 0) is the one
+        ``_UNSHIFTED`` holds."""
         found = self._params.get((low, den))
         if found is None:
             found = self._params[low, den] = tuple(
-                TransformParams(beta, alpha) for beta in SampleSpec.beta_grid
-                for alpha in _shifts(Fraction(beta.numerator * low, beta.denominator * den))
+                TransformParams(p.beta, alpha) if alpha else p for p in _UNSHIFTED
+                for alpha in _shifts(Fraction(p.beta.numerator * low, p.beta.denominator * den))
             )
         return found
 

@@ -23,8 +23,10 @@ read of ``mu`` or ``nu``.
 for equal subjects and is read without making Fractions. Neither is a
 field: equality, hashing, ``repr``, ``fields()`` and ``replace()`` ignore them.
 
-The meet and ``composition.if_product``, the pair laws' hot kernels, run
-straight-line code that ``_generated`` writes: the meet's once per carrier
+The meet, ``composition.if_product`` and the affine kernel of
+``transforms`` (``magnify``, ``translate``, ``multiply``), the hot kernels
+of the pair laws and of the sweep, run straight-line code that
+``_generated`` writes: the meet's and the affine kernel's once per carrier
 order, the product's once per table.
 """
 
@@ -223,28 +225,39 @@ def ifs_eq(A: IFSubset, B: IFSubset) -> bool:
     return mu_a == mu_b and nu_a == nu_b
 
 
-def _generated(n: int, lines, mu, nu) -> Callable:
-    """``kernel(den, a, b, c, d)``: unpack the int tuples mu_A, mu_B, nu_A
-    and nu_B (n ints each) into the locals a0.., b0.., c0.. and d0.., run
-    ``lines``, one statement each, and return the view (den, (*mu), (*nu))
-    of the expressions ``mu`` and ``nu``. Its callers, ``_meet`` and
-    ``composition._product``, write these from fixed identifiers and ints
+def _generated(args: str, lines) -> Callable:
+    """``kernel(<args>)`` running ``lines``, one statement each; a line
+    indented further continues the block its predecessor opens. Its
+    callers, ``_meet``, ``composition._product`` and
+    ``transforms._affine``, write the lines from fixed identifiers and ints
     alone (n, points of ``range(n)``, the factorization pairs of a
     validated ``Semigroup``): no grade and no outside string enters the
-    source. ``dataclasses`` generates its methods the same way."""
-    unpack = [f"{''.join(f'{t}{x}, ' for x in range(n))}= {t}" for t in "abcd"]
-    body = [*unpack, *lines, f"return den, ({''.join(e + ', ' for e in mu)}), "
-                             f"({''.join(e + ', ' for e in nu)})"]
+    source. ``_unpacked`` and ``_view`` write the statements they share.
+    ``dataclasses`` generates its methods the same way."""
     namespace: dict = {}
-    exec("def kernel(den, a, b, c, d):\n" + "".join(f"    {s}\n" for s in body), namespace)
+    exec(f"def kernel({args}):\n" + "".join(f"    {s}\n" for s in lines), namespace)
     return namespace["kernel"]
+
+
+def _unpacked(n: int, tuples: str) -> list[str]:
+    """For each letter t of ``tuples``, the statement unpacking the int tuple
+    t (n ints) into the locals t0 .. t{n-1}."""
+    return [f"{''.join(f'{t}{x}, ' for x in range(n))}= {t}" for t in tuples]
+
+
+def _view(mu, nu) -> str:
+    """The statement returning the view (den, (*mu), (*nu)) of the expressions
+    ``mu`` and ``nu``."""
+    return f"return den, ({''.join(e + ', ' for e in mu)}), ({''.join(e + ', ' for e in nu)})"
 
 
 @cache
 def _meet(n: int) -> Callable:
-    """The meet's kernel for carrier order n, built on its first call."""
-    return _generated(n, [], [f"a{x} if a{x} < b{x} else b{x}" for x in range(n)],
-                      [f"c{x} if c{x} > d{x} else d{x}" for x in range(n)])
+    """The meet's kernel ``kernel(den, a, b, c, d)`` of the views (den, a, c)
+    and (den, b, d) for carrier order n, built on its first call."""
+    return _generated("den, a, b, c, d", [
+        *_unpacked(n, "abcd"), _view([f"a{x} if a{x} < b{x} else b{x}" for x in range(n)],
+                                     [f"c{x} if c{x} > d{x} else d{x}" for x in range(n)])])
 
 
 def intersect(A: IFSubset, B: IFSubset) -> IFSubset:

@@ -118,10 +118,13 @@ class ElementSubset:
     members: frozenset[int]
 
     def __post_init__(self):
-        _size(self.carrier_order, "carrier order")
-        object.__setattr__(self, "members", frozenset(_items(self.members, "members")))
-        for m in self.members:
-            _check_element(m, "member", self.carrier_order)
+        n = _size(self.carrier_order, "carrier order")
+        # each member is checked before hashing, so an unhashable one is
+        # refused as any other non-int is
+        members = tuple(_items(self.members, "members"))
+        for m in members:
+            _check_element(m, "member", n)
+        object.__setattr__(self, "members", frozenset(members))
 
 
 def full_subset(S: Semigroup) -> ElementSubset:

@@ -35,15 +35,23 @@ With alpha = 0 the nu numerators p*k cannot be negative, so the kernel
 skips the sign test; with beta = 1/q as well (p = 1) the numerators are
 the subject's own, and the result's view (q*den, mu ints, nu ints) shares
 the subject's int tuples instead of making new ones.
+
+The kernel is straight-line code, written once per carrier order by
+``_affine`` through ``ifs._generated``: its source holds only fixed
+identifiers and ints (the points of ``range(n)``), never a grade or a
+parameter. The build grows with n: 0.2 ms at order 3, 0.8 ms at 32 and
+30 ms at 1000 (2-core Xeon VM, Python 3.11.7).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .errors import AlphaOutOfRange, BetaOutOfRange
-from .ifs import IFSubset, ONE, _exact, _trusted
+from .ifs import IFSubset, ONE, _exact, _generated, _trusted, _unpacked, _view
 
 
 def _triple(beta: Fraction, alpha: Fraction) -> tuple[int, int, int]:
@@ -83,29 +91,42 @@ def max_alpha(A: IFSubset, beta: Fraction) -> Fraction:
     return Fraction(beta.numerator * min(nu), beta.denominator * den)
 
 
-def _kernel(A: IFSubset, ps: int, qs: int, rq: int) -> IFSubset | None:
-    """(beta * mu + alpha, beta * nu - alpha) from the ints ``_triple(beta,
+@cache
+def _affine(n: int) -> Callable:
+    """The affine kernel ``kernel(view, ints)`` for carrier order n, built
+    on its first call: the view of (beta * mu + alpha, beta * nu - alpha)
+    for a subject's view (den, a, c) and ints = ``_triple(beta, alpha)``,
+    or None when alpha > beta * min(nu)."""
+    points = range(n)
+    return _generated("view, ints", [
+        "den, a, c = view",
+        "ps, qs, rq = ints",
+        "if not rq and ps == 1:",
+        "    return qs * den, a, c",
+        *_unpacked(n, "ac"),
+        "shift = rq * den",
+        "den *= qs",
+        "if not rq:",
+        f"    {_view([f'ps * a{x}' for x in points], [f'ps * c{x}' for x in points])}",
+        *[f"v{x} = ps * c{x} - shift" for x in points],
+        f"if {' or '.join(f'v{x} < 0' for x in points)}:",
+        "    return None",
+        # with 0 <= alpha <= beta * min(nu) and beta <= 1, nu stays
+        # non-negative and mu + nu = beta * (mu + nu) <= 1 pointwise
+        _view([f"ps * a{x} + shift" for x in points], [f"v{x}" for x in points])])
+
+
+def _kernel(A: IFSubset, ints: tuple[int, int, int]) -> IFSubset | None:
+    """(beta * mu + alpha, beta * nu - alpha) from ints = ``_triple(beta,
     alpha)`` for 0 <= beta <= 1 and alpha >= 0, or None when
     alpha > beta * min(nu)."""
-    den, mu, nu = A.view
-    out_den = qs * den
-    if not rq:
-        if ps != 1:
-            mu, nu = tuple([ps * k for k in mu]), tuple([ps * k for k in nu])
-        return _trusted(A.carrier_order, view=(out_den, mu, nu))
-    shift = rq * den
-    nu_out = [ps * k - shift for k in nu]
-    if min(nu_out, default=0) < 0:
-        return None
-    # with 0 <= alpha <= beta * min(nu) and beta <= 1, nu stays non-negative
-    # and mu + nu = beta * (mu + nu) <= 1 pointwise
-    return _trusted(A.carrier_order,
-                    view=(out_den, tuple([ps * k + shift for k in mu]), tuple(nu_out)))
+    view = _affine(A.carrier_order)(A.view, ints)
+    return None if view is None else _trusted(A.carrier_order, view=view)
 
 
 def translate(A: IFSubset, alpha: Fraction) -> IFSubset:
     """Shift membership up and non-membership down by alpha."""
-    out = _kernel(A, *_triple(ONE, alpha)) if _exact(alpha, "alpha").numerator >= 0 else None
+    out = _kernel(A, _triple(ONE, alpha)) if _exact(alpha, "alpha").numerator >= 0 else None
     if out is None:
         raise AlphaOutOfRange(alpha, min(A.nu))
     return out
@@ -115,12 +136,12 @@ def multiply(A: IFSubset, beta: Fraction) -> IFSubset:
     """Scale both grade maps by beta."""
     if not 0 <= _exact(beta, "beta").numerator <= beta.denominator:
         raise BetaOutOfRange(beta, "[0, 1]")
-    return _kernel(A, *_triple(beta, 0))
+    return _kernel(A, _triple(beta, 0))
 
 
 def magnify(A: IFSubset, params: TransformParams) -> IFSubset:
     """Scale by beta, then shift membership up and non-membership down by alpha."""
-    out = _kernel(A, *params._ints)
+    out = _kernel(A, params._ints)
     if out is None:
         raise AlphaOutOfRange(params.alpha, max_alpha(A, params.beta))
     return out

@@ -30,6 +30,7 @@ from ifsemigroups import (
     check_semiprime_intersection,
     check_transform_equivalence,
     find_violation,
+    harness,
     library_entry,
     magnify,
     replay_certificate,
@@ -37,6 +38,7 @@ from ifsemigroups import (
     sample_ifs,
 )
 from ifsemigroups.harness import alpha_samples
+from ifsemigroups.transforms import _triple
 
 
 class TestSampleIfs:
@@ -439,3 +441,32 @@ def test_counts_out_of_range_rejected(field, value, message):
 def test_unknown_alpha_strategy_is_refused_by_alpha_samples(worked_subject):
     with pytest.raises(ValueError, match="alpha strategy 'bogus' not in"):
         alpha_samples(worked_subject, F(1, 2), "bogus")
+
+
+# the sampling plans of the benchmark's three workloads, written out here
+WORKLOAD_SPECS = {
+    "sweep": SampleSpec(random_count=256, seed=10),
+    "pairs": SampleSpec(grade_grid_step=F(1, 2), max_pair_subjects=8, random_count=64, seed=10),
+    "cli_library": SampleSpec(grade_grid_step=F(1, 3), random_count=256, seed=10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_SPECS))
+def test_sampled_parameters_carry_their_own_kernel_ints(name):
+    """``_ints`` is not compared, and by Lemma 2 a wrong triple that keeps
+    the order of each component would pass every report: each sampled
+    params carries ``_triple(beta, alpha)``, and each beta's (beta, 0) is
+    one object under every key."""
+    spec = WORKLOAD_SPECS[name]
+    operands, unshifted = harness._Operands(spec), {}
+    for n in (1, 2, 3):
+        for A in sample_ifs(n, spec):
+            den, _, nu = A.view
+            params = operands.sampled(min(nu), den)
+            assert params == tuple(TransformParams(beta, alpha) for beta in SampleSpec.beta_grid
+                                   for alpha in alpha_samples(A, beta))
+            for p in params:
+                assert p._ints == _triple(p.beta, p.alpha)
+                if p.alpha == 0:
+                    assert unshifted.setdefault(p.beta, p) is p
+    assert list(unshifted) == list(SampleSpec.beta_grid)

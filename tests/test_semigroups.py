@@ -493,10 +493,11 @@ def test_a_value_that_is_not_iterable_is_refused_by_name(build, name):
         build()
 
 
-@pytest.mark.parametrize("member", [1.5, 1.0, True, "1", None], ids=repr)
+@pytest.mark.parametrize("member", [1.5, 1.0, True, "1", None, [1], {1}], ids=repr)
 def test_an_element_subset_member_that_is_not_an_int_is_refused(member):
+    """An unhashable member too: each is checked before the frozenset is built."""
     with pytest.raises(ValueError) as exc:
-        ElementSubset(2, frozenset({0, member}))
+        ElementSubset(2, [0, member])
     message = str(exc.value)
     assert "\n" not in message and repr(member) in message and "not an int" in message
 

@@ -19,7 +19,7 @@ from ifsemigroups import (
     multiply,
     translate,
 )
-from ifsemigroups import harness, predicates
+from ifsemigroups import harness, predicates, transforms
 
 from conftest import grades, subjects
 
@@ -289,3 +289,71 @@ def test_zero_shift_by_a_unit_fraction_shares_the_subject_ints(A, q):
     assert out.view[0] == q * den
     assert out.view[1] is mu and out.view[2] is nu
     assert (out.mu, out.nu) == _reference(A, F(1, q), F(0))
+
+
+# the affine kernel is generated once per carrier order, so each order gets
+# every branch: (1/q, 0), (p/q, 0) with p > 1, a shift inside, at and just
+# above the bound, and translate and multiply, against the Fraction formula
+
+
+@st.composite
+def _order_case(draw, n):
+    """(A, beta = p/q with p > 1, t in (0, 1)): A over a drawn denominator;
+    with ``low`` = 1 its least non-membership is positive, so a shift at the
+    bound is non-zero and takes the sign test."""
+    den, low = draw(st.integers(1, 12)), draw(st.integers(0, 1))
+    mu = [draw(st.integers(0, den - low)) for _ in range(n)]
+    nu = [draw(st.integers(low, den - m)) for m in mu]
+    A = IFSubset(n, tuple(F(k, den) for k in mu), tuple(F(k, den) for k in nu))
+    beta = draw(st.fractions(min_value=F(2, 12), max_value=1, max_denominator=12)
+                .filter(lambda b: b.numerator > 1))
+    return A, beta, draw(st.fractions(min_value=0, max_value=1, max_denominator=12)
+                         .filter(lambda t: 0 < t < 1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_generated_affine_kernel_matches_the_fraction_formula_at_orders_1_to_6(n, data):
+    A, beta, t = data.draw(_order_case(n))
+    den, mu, nu = A.view
+    q = data.draw(st.integers(1, 12))
+    out = magnify(A, TransformParams(F(1, q), F(0)))
+    assert out.view[1] is mu and out.view[2] is nu
+    assert (out.mu, out.nu) == _reference(A, F(1, q), F(0))
+    out = magnify(A, TransformParams(beta, F(0)))
+    assert (out.mu, out.nu) == _reference(A, beta, F(0))
+    bound = max_alpha(A, beta)
+    for alpha in (t * bound, bound):
+        out = magnify(A, TransformParams(beta, alpha))
+        assert (out.mu, out.nu) == _reference(A, beta, alpha)
+    assert min(out.view[2]) == 0
+    if bound < 1:
+        above = bound + (1 - bound) * t
+        assert transforms._kernel(A, transforms._triple(beta, above)) is None
+        with pytest.raises(AlphaOutOfRange) as exc:
+            magnify(A, TransformParams(beta, above))
+        assert exc.value.bound == bound
+    alpha = t * min(A.nu)
+    out = translate(A, alpha)
+    assert (out.mu, out.nu) == _reference(A, F(1), alpha)
+    out = multiply(A, t)
+    assert (out.mu, out.nu) == _reference(A, t, F(0))
+
+
+def test_magnify_translate_and_multiply_run_the_generated_kernel(monkeypatch):
+    orders = []
+
+    def spy(n):
+        orders.append(n)
+        return affine(n)
+
+    affine = transforms._affine
+    monkeypatch.setattr(transforms, "_affine", spy)
+    for n in range(1, 7):
+        A = IFSubset(n, (F(1, 4),) * n, (F(1, 2),) * n)
+        magnify(A, TransformParams(F(1, 2), F(1, 8)))
+        translate(A, F(1, 8))
+        multiply(A, F(3, 4))
+        assert orders == [n] * 3
+        orders.clear()

@@ -96,7 +96,7 @@ def _shift_case(draw):
 def test_affine_transforms_carry_their_view(case):
     A, beta, alpha, where = case
     if where == "above":
-        assert _kernel(A, *_triple(beta, alpha)) is None
+        assert _kernel(A, _triple(beta, alpha)) is None
         if alpha <= 1:
             with pytest.raises(AlphaOutOfRange):
                 magnify(A, TransformParams(beta, alpha))
