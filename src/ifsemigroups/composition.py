@@ -70,4 +70,4 @@ def if_product(S: Semigroup, A: IFSubset, B: IFSubset) -> IFSubset:
         den, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
     # valid by construction: where min(mu_a(u), mu_b(v)) attains mu(x), nu(x)
     # is at most max(nu_a(u), nu_b(v)), so mu(x) + nu(x) <= 1
-    return _trusted(S.order, view=_product_kernel(S)(den, mu_a, mu_b, nu_a, nu_b))
+    return _trusted(S.order, _product_kernel(S)(den, mu_a, mu_b, nu_a, nu_b))

@@ -163,7 +163,7 @@ def _random_subject(n: int, rng: random.Random) -> IFSubset:
             den = math.lcm(*[d * e for _, d, _, e in points])
             mu = tuple([a * (den // d) for a, d, _, _ in points])
             nu = tuple([b * (d - a) * (den // (d * e)) for a, d, b, e in points])
-            return _trusted(n, view=_trusted(n, view=(den, mu, nu)).key)
+            return _trusted(n, _trusted(n, (den, mu, nu)).key)
 
 
 def sample_ifs(carrier_order: int, spec: SampleSpec) -> Iterator[IFSubset]:
@@ -183,7 +183,7 @@ def sample_ifs(carrier_order: int, spec: SampleSpec) -> Iterator[IFSubset]:
         if not any(mu):
             continue
         # grid pairs have i + j <= k
-        yield _trusted(carrier_order, view=(k, mu, tuple([p[1] for p in combo])))
+        yield _trusted(carrier_order, (k, mu, tuple([p[1] for p in combo])))
     rng = random.Random(spec.seed)
     for _ in range(spec.random_count):
         yield _random_subject(carrier_order, rng)
@@ -667,17 +667,20 @@ class _PairTheorem:
         """The first failure of the law on a pair of operands, plain, then
         magnified under each given (beta, alpha), with every verdict read
         through the table's store. Only a failure reads the pair's grades."""
-        def cert(**fields):
-            return Certificate(self.tid, name, ops.S.table, A.mu, A.nu, B.mu, B.nu, **fields)
-        holds, law = ops.holds, self.law
-        if self.plain is not None and not holds(law, A, B):
-            return cert(**self.plain)
+        holds, law, plain = ops.holds, self.law, self.plain
+        if plain is not None and not holds(law, A, B):
+            return self._certificate(ops, A, B, name, **plain)
         variants = ops.operands.variants
         for params, X, Y in zip(params_list, variants(A, params_list),
                                 variants(B, params_list)):
             if not holds(law, X, Y):
-                return cert(beta=params.beta, alpha=params.alpha, **self.magnified)
+                return self._certificate(ops, A, B, name, beta=params.beta,
+                                         alpha=params.alpha, **self.magnified)
         return None
+
+    def _certificate(self, ops: _TableOperands, A: IFSubset, B: IFSubset, name: str,
+                     **fields) -> Certificate:
+        return Certificate(self.tid, name, ops.S.table, A.mu, A.nu, B.mu, B.nu, **fields)
 
 
 def _regular_converse(state: _TaskState, ops: _TableOperands):
@@ -1024,11 +1027,12 @@ def _pairs_report(state: _TaskState, ops: _TableOperands, th: _PairTheorem,
                   checked: int) -> VerificationReport:
     """A pair theorem's core over the pairs of the capped passers the sweep
     gated for it, counted on top of ``checked``."""
-    tid, label, operands = th.tid, state.label, ops.operands
+    tid, label = th.tid, state.label
     skipped = state.total - state.passing(*th.positions)
+    failure, params = th.failure, ops.operands.params
     for A, B in th.pairs(state.passers):
         checked += 1
-        cert = th.failure(ops, A, B, operands.params(A, B), label)
+        cert = failure(ops, A, B, params(A, B), label)
         if cert is not None:
             return _report(tid, label, checked, skipped, cert)
     return _report(tid, label, checked, skipped)

@@ -23,18 +23,20 @@ read of ``mu`` or ``nu``.
 for equal subjects and is read without making Fractions. Neither is a
 field: equality, hashing, ``repr``, ``fields()`` and ``replace()`` ignore them.
 
-The meet, ``composition.if_product`` and the affine kernel of
-``transforms`` (``magnify``, ``translate``, ``multiply``), the hot kernels
-of the pair laws and of the sweep, run straight-line code that
-``_generated`` writes: the meet's and the affine kernel's once per carrier
-order, the product's once per table.
+The meet, the containment test ``ifs_leq``, ``composition.if_product``
+and the affine kernel of ``transforms`` (``magnify``, ``translate``,
+``multiply``), the hot kernels of the pair laws and of the sweep, run
+straight-line code that ``_generated`` writes: the meet's, the
+containment's and the affine kernel's once per carrier order, the
+product's once per table. The pair laws' other step, ``predicates.check``,
+scans joined runs: a kind's consecutive stages that share a scan are one
+pass over their tuples, built per table on the kind's first check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -155,7 +157,7 @@ class IFSubset:
 
 
 # bound once: _trusted runs for every meet, product and magnification
-_new, _set = object.__new__, object.__setattr__
+_new = object.__new__
 
 
 def _trusted(carrier_order: int, view: tuple) -> IFSubset:
@@ -163,10 +165,12 @@ def _trusted(carrier_order: int, view: tuple) -> IFSubset:
     results the library derives from valid subjects in ways that keep them
     valid (meets, products, admissible magnifications) and for grid and
     random subjects valid by construction. It makes its Fractions on first read. Everything
-    else goes through the validating constructor."""
+    else goes through the validating constructor. The two attributes are
+    written to the instance dict, past the frozen ``__setattr__``."""
     A = _new(IFSubset)
-    _set(A, "carrier_order", carrier_order)
-    _set(A, "view", view)
+    d = A.__dict__
+    d["carrier_order"] = carrier_order
+    d["view"] = view
     return A
 
 
@@ -211,7 +215,7 @@ def ifs_leq(A: IFSubset, B: IFSubset) -> bool:
     db, mu_b, nu_b = B.view
     if da != db:
         _, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
-    return all(map(operator.le, mu_a, mu_b)) and all(map(operator.ge, nu_a, nu_b))
+    return _leq(A.carrier_order)(mu_a, mu_b, nu_a, nu_b)
 
 
 def ifs_eq(A: IFSubset, B: IFSubset) -> bool:
@@ -228,7 +232,7 @@ def ifs_eq(A: IFSubset, B: IFSubset) -> bool:
 def _generated(args: str, lines) -> Callable:
     """``kernel(<args>)`` running ``lines``, one statement each; a line
     indented further continues the block its predecessor opens. Its
-    callers, ``_meet``, ``composition._product`` and
+    callers, ``_meet``, ``_leq``, ``composition._product`` and
     ``transforms._affine``, write the lines from fixed identifiers and ints
     alone (n, points of ``range(n)``, the factorization pairs of a
     validated ``Semigroup``): no grade and no outside string enters the
@@ -260,20 +264,30 @@ def _meet(n: int) -> Callable:
                                      [f"c{x} if c{x} > d{x} else d{x}" for x in range(n)])])
 
 
+@cache
+def _leq(n: int) -> Callable:
+    """The containment kernel ``kernel(a, b, c, d)`` of the views (den, a, c)
+    and (den, b, d) for carrier order n, built on its first call: one chain
+    of comparisons, mu before nu, that stops at the first that fails."""
+    return _generated("a, b, c, d", [*_unpacked(n, "abcd"), "return " + " and ".join(
+        [f"a{x} <= b{x}" for x in range(n)] + [f"c{x} >= d{x}" for x in range(n)])])
+
+
 def intersect(A: IFSubset, B: IFSubset) -> IFSubset:
     """Pointwise min on mu, max on nu.
 
     The result is over the operands' denominator when they share one, as
     the pair laws' operands do; only differing denominators are rescaled,
     by ``_common_views``."""
-    if A.carrier_order != B.carrier_order:
+    n = A.carrier_order
+    if n != B.carrier_order:
         _same_carrier(A, B)
     den, mu_a, nu_a = A.view
     db, mu_b, nu_b = B.view
     if den != db:
         den, mu_a, nu_a, mu_b, nu_b = _common_views(A, B)
     # min(a, b) + max(c, d) <= a + c or b + d, so the meet stays valid
-    return _trusted(A.carrier_order, view=_meet(A.carrier_order)(den, mu_a, mu_b, nu_a, nu_b))
+    return _trusted(n, _meet(n)(den, mu_a, mu_b, nu_a, nu_b))
 
 
 def characteristic_pair(carrier_order: int, A: ElementSubset) -> IFSubset:
@@ -286,7 +300,7 @@ def characteristic_pair(carrier_order: int, A: ElementSubset) -> IFSubset:
     n = _int(carrier_order, "carrier order")
     # valid by construction: at each point one grade is 1 and the other 0
     mu = tuple([int(x in A.members) for x in range(n)])
-    return _trusted(n, view=(1, mu, tuple([1 - k for k in mu])))
+    return _trusted(n, (1, mu, tuple([1 - k for k in mu])))
 
 
 def is_nonempty(A: IFSubset) -> bool:

@@ -29,7 +29,12 @@ violation is the lexicographically first one. The scans only compare
 values, so every entry point runs them on the subject's exact integer view
 (``IFSubset.view``); a reported violation's sides are read from its
 Fractions. ``replay_violation`` recomputes a reported violation from the
-formulas above, on the Fractions and without ``_STAGES``.
+formulas above, on the Fractions and without ``_STAGES``. ``check`` and
+``find_violation`` share one scan loop over the kind's runs
+(``_KIND_RUNS``): consecutive stages that share a scan are joined into one
+pass, so semiprime is one ``_scan1`` pass over the left, right and square
+tuples, and bi-ideal one ``_scan2`` pass. A violation names the first of
+the kind's stages that holds its tuple.
 
 Every scan compares mu only with mu and nu only with nu. The sweep's
 decision core rests on that premise (Lemma 1): ``_verdict`` decides what the
@@ -149,14 +154,22 @@ _STAGES = {
 }
 
 
+class _Index(dict):
+    """``_scan_index``'s stage -> {tuple: its first points}, with ``runs``:
+    kind -> its runs (``_runs``), each kind's built on its first scan."""
+
+    __slots__ = ("runs",)
+
+
 @lru_cache(maxsize=1024)
-def _scan_index(S: Semigroup) -> dict[str, dict[tuple, tuple]]:
+def _scan_index(S: Semigroup) -> _Index:
     """stage -> {tuple: its first points}, in lexicographic order of the
     points. Points sharing a tuple impose the same inequality, so scanning
     one per tuple finds the same first violating points. A tuple whose site
     is among its argument points is a tautology and is left out: it cannot
     be the first violating one."""
-    index = {}
+    index = _Index()
+    index.runs = {}
     for stage, (_, k, at) in _STAGES.items():
         first: dict[tuple, tuple] = {}
         for points in itertools.product(range(S.order), repeat=k):
@@ -207,25 +220,68 @@ def _stages_of(kind) -> tuple[str, ...]:
     return _KIND_STAGES[kind]
 
 
+# kind -> its runs (scan, stages): its stages in order, with consecutive
+# stages that share a scan joined into one run
+_KIND_RUNS = {
+    kind: tuple((scan, tuple(run))
+                for scan, run in itertools.groupby(stages, lambda stage: _STAGES[stage][0]))
+    for kind, stages in _KIND_STAGES.items()
+}
+
+
+def _runs(idx: _Index, kind) -> tuple:
+    """The runs of ``kind`` over one table, (scan, tuples, stages) each, kept
+    in ``idx.runs``; an unknown kind is refused. A joined run scans each
+    tuple once, in its first stage's place: a later stage's copy imposes
+    the same inequality, which the earlier scan already passed, so the
+    run's first violating tuple is the one the stages scanned one by one
+    would find first."""
+    _stages_of(kind)
+    runs = []
+    for scan, stages in _KIND_RUNS[kind]:
+        firsts = [idx[stage] for stage in stages]
+        tuples = firsts[0] if len(firsts) == 1 else tuple(
+            dict.fromkeys(itertools.chain.from_iterable(firsts)))
+        runs.append((scan, tuples, stages))
+    runs = idx.runs[kind] = tuple(runs)
+    return runs
+
+
+def _first_violating(kind, S: Semigroup, A: IFSubset):
+    """The one scan loop of ``check`` and ``find_violation``: ((tuple,
+    component), its run's stages) for the first violating tuple, or None.
+    It refuses, in this order, a subject over another carrier, one with
+    zero membership and an unknown kind."""
+    _, mu, nu = A.view
+    if A.carrier_order != S.order or not any(mu):
+        _require_subject(S, A)
+    idx = _scan_index(S)
+    runs = idx.runs.get(kind) if kind.__class__ is FuzzyStructureKind else None
+    for scan, tuples, stages in runs or _runs(idx, kind):
+        hit = scan(tuples, mu, nu)
+        if hit is not None:
+            return hit, stages
+    return None
+
+
 def find_violation(kind: FuzzyStructureKind, S: Semigroup, A: IFSubset) -> Violation | None:
     """First violating tuple of the property, or None if it holds.
 
     Composite kinds scan their parts in definition order: bi and (1,2)
     ideals check the subsemigroup pairs first; ideal checks left before
-    right; semiprime checks ideal-ness before the squares.
+    right; semiprime checks ideal-ness before the squares. The stage named
+    is the first of the kind's stages that holds the violating tuple.
     """
-    _require_subject(S, A)
-    stages = _stages_of(kind)
-    idx, (_, mu, nu) = _scan_index(S), A.view
-    for stage in stages:
-        hit = _STAGES[stage][0](idx[stage], mu, nu)
-        if hit is not None:
-            t, component = hit
-            vals, ints, agg = (A.mu, mu, min) if component == "mu" else (A.nu, nu, max)
-            p = t[0]
-            rhs = vals[agg(t[1:], key=ints.__getitem__)]
-            return Violation(kind, stage, component, idx[stage][t], p, vals[p], rhs)
-    return None
+    found = _first_violating(kind, S, A)
+    if found is None:
+        return None
+    (t, component), stages = found
+    idx = _scan_index(S)
+    stage = next(stage for stage in stages if t in idx[stage])
+    vals, ints, agg = (A.mu, A.view[1], min) if component == "mu" else (A.nu, A.view[2], max)
+    p = t[0]
+    rhs = vals[agg(t[1:], key=ints.__getitem__)]
+    return Violation(kind, stage, component, idx[stage][t], p, vals[p], rhs)
 
 
 def break_property(S: Semigroup, A: IFSubset, kind: FuzzyStructureKind) -> IFSubset | None:
@@ -251,7 +307,7 @@ def break_property(S: Semigroup, A: IFSubset, kind: FuzzyStructureKind) -> IFSub
 
 
 def check(kind: FuzzyStructureKind, S: Semigroup, A: IFSubset) -> bool:
-    return find_violation(kind, S, A) is None
+    return _first_violating(kind, S, A) is None
 
 
 def profile(S: Semigroup, A: IFSubset) -> dict[FuzzyStructureKind, bool]:

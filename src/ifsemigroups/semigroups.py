@@ -136,7 +136,12 @@ def multiply_subsets(S: Semigroup, A: ElementSubset, B: ElementSubset) -> Elemen
     if A.carrier_order != S.order or B.carrier_order != S.order:
         raise CarrierMismatch("subset carrier does not match semigroup order")
     T = S.table
-    return ElementSubset(S.order, frozenset(T[a][b] for a in A.members for b in B.members))
+    # the members are table entries, so in the carrier: built as
+    # ifs._trusted builds a view-only subject, without the constructor's checks
+    AB = object.__new__(ElementSubset)
+    AB.__dict__.update(carrier_order=S.order,
+                       members=frozenset([T[a][b] for a in A.members for b in B.members]))
+    return AB
 
 
 def is_crisp_structure(kind: str, S: Semigroup, A: ElementSubset) -> bool:

@@ -13,8 +13,9 @@ valid subject (nu never goes negative and the pointwise sum stays within
 beta <= 1). Translation and multiplication are the beta = 1 and alpha = 0
 faces of magnify.
 
-All three run one integer kernel, ``_kernel``, on the subject's integer
-view (den, mu ints, nu ints). With beta = p/q, alpha = r/s and a grade
+All three run one integer kernel, ``_affine``'s (``translate`` and
+``multiply`` through ``_kernel``), on the subject's integer view (den, mu
+ints, nu ints). With beta = p/q, alpha = r/s and a grade
 g = k/den, the images are
 
   beta * g + alpha = (p*s*k + r*q*den) / (q*s*den)
@@ -121,7 +122,7 @@ def _kernel(A: IFSubset, ints: tuple[int, int, int]) -> IFSubset | None:
     alpha)`` for 0 <= beta <= 1 and alpha >= 0, or None when
     alpha > beta * min(nu)."""
     view = _affine(A.carrier_order)(A.view, ints)
-    return None if view is None else _trusted(A.carrier_order, view=view)
+    return None if view is None else _trusted(A.carrier_order, view)
 
 
 def translate(A: IFSubset, alpha: Fraction) -> IFSubset:
@@ -140,8 +141,11 @@ def multiply(A: IFSubset, beta: Fraction) -> IFSubset:
 
 
 def magnify(A: IFSubset, params: TransformParams) -> IFSubset:
-    """Scale by beta, then shift membership up and non-membership down by alpha."""
-    out = _kernel(A, params._ints)
-    if out is None:
+    """Scale by beta, then shift membership up and non-membership down by
+    alpha. It runs ``_kernel``'s two steps itself: the sweep and the pair
+    phase call it once per variant."""
+    n = A.carrier_order
+    view = _affine(n)(A.view, params._ints)
+    if view is None:
         raise AlphaOutOfRange(params.alpha, max_alpha(A, params.beta))
-    return out
+    return _trusted(n, view)

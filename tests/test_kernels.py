@@ -9,17 +9,21 @@ each kind reaches its branch, and compare every kernel with grades
 computed here on Fractions; operands over different carriers raise
 ``CarrierMismatch`` from all four.
 
-``intersect`` and ``if_product`` run code generated once per carrier order
-and once per table. They are also checked at orders 5 and 6 on cyclic,
-left-zero and null tables (the null table's
+``intersect`` and ``ifs_leq`` run code generated once per carrier order,
+``if_product`` code generated once per table. They are also checked at
+orders 5 and 6 on cyclic, left-zero and null tables (the null table's
 nonzero elements have no factorization), and on every enumerated table of
-order <= 3 and every library table; and one table's product kernel is
-found again from an equal table built afresh.
+order <= 3 and every library table, over one denominator and over two;
+``ifs_leq`` on the operands of each pair, both ways, and on the meet
+under each operand, so both of its outcomes are reached, and at orders 1
+to 6 it is shown to read every point of both maps. One table's product
+kernel is found again from an equal table built afresh.
 """
 
 import math
 import random
 from fractions import Fraction as F
+from operator import ge, le
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +47,7 @@ from ifsemigroups import (
     run_suite,
 )
 from ifsemigroups.composition import _product_kernel
-from ifsemigroups.ifs import _meet, _trusted
+from ifsemigroups.ifs import _leq, _meet, _trusted
 
 from conftest import grades
 from test_lazy_grades import TABLES, _reference_product, positive
@@ -140,13 +144,20 @@ def _grades(view):
     return tuple(F(i, den) for i in mu), tuple(F(j, den) for j in nu)
 
 
+def _leq_reference(mu_a, nu_a, mu_b, nu_b):
+    return all(map(le, mu_a, mu_b)) and all(map(ge, nu_a, nu_b))
+
+
 def _assert_kernels_match(S, A, B):
-    """``intersect`` and ``if_product`` against Fractions."""
+    """``intersect``, ``ifs_leq`` and ``if_product`` against Fractions."""
     (mu_a, nu_a), (mu_b, nu_b) = _grades(A.view), _grades(B.view)
     den = math.lcm(A.view[0], B.view[0])
     I = intersect(A, B)
     assert I.view[0] == den and I.carrier_order == A.carrier_order
     assert (I.mu, I.nu) == (tuple(map(min, mu_a, mu_b)), tuple(map(max, nu_a, nu_b)))
+    assert ifs_leq(A, B) == _leq_reference(mu_a, nu_a, mu_b, nu_b)
+    assert ifs_leq(B, A) == _leq_reference(mu_b, nu_b, mu_a, nu_a)
+    assert ifs_leq(I, A) and ifs_leq(I, B)
     P = if_product(S, A, B)
     assert P.view[0] == den and P.carrier_order == S.order
     n = S.order
@@ -187,14 +198,32 @@ def test_generated_kernels_match_the_fraction_reference_on_every_table(S):
         _assert_kernels_match(S, draw(da), draw(db))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("scale", [1, 2], ids=["one_denominator", "two_denominators"])
+def test_leq_kernel_reads_every_point_of_both_maps(n, scale):
+    """An operand is contained in itself, and no longer once one of its
+    points' mu rises or nu falls by 1/12, whatever the point. With scale 2
+    the second operand's view is over 24, so ``_common_views`` rescales."""
+    rng = random.Random(n)
+    mu = [rng.randint(1, 10) for _ in range(n)]
+    nu = [rng.randint(1, 11 - m) for m in mu]
+    B = _trusted(n, (12 * scale, tuple(m * scale for m in mu), tuple(v * scale for v in nu)))
+    assert ifs_leq(_trusted(n, (12, tuple(mu), tuple(nu))), B)
+    for x in range(n):
+        for values, step in ((mu, 1), (nu, -1)):
+            values[x] += step
+            assert not ifs_leq(_trusted(n, (12, tuple(mu), tuple(nu))), B)
+            values[x] -= step
+
+
 def test_one_product_kernel_per_table_found_by_value():
     """An equal table built afresh finds the same kernel; a carrier order
-    has one meet."""
+    has one meet and one containment kernel."""
     for S in EVERY_TABLE:
         fresh = Semigroup(S.order, [list(row) for row in S.table])
         assert fresh is not S and fresh == S
         assert _product_kernel(fresh) is _product_kernel(S)
-    assert _meet(3) is _meet(3)
+    assert _meet(3) is _meet(3) and _leq(3) is _leq(3)
 
 
 def test_certificate_replay_builds_no_product_kernel(monkeypatch):

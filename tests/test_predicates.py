@@ -305,6 +305,83 @@ def test_scan_index_holds_no_tautologies():
     assert kept > 0
 
 
+# --- check and find_violation share one scan loop, whose runs join a kind's
+# consecutive stages that share a scan (semiprime: left, right and square
+# tuples in one pass; bi-ideal: subsemigroup and bi-ideal triples in one)
+PARITY_TABLES = [S for n in (1, 2, 3) for S in enumerate_semigroups(n)] + [
+    e.semigroup for e in builtin_library()]
+
+
+def stage_by_stage(kind, S, A):
+    """(stage, component, points) of the first violation, each of the kind's
+    stages scanned on its own in definition order, or None."""
+    from ifsemigroups.predicates import _STAGES, _scan_index
+
+    idx, (_, mu, nu) = _scan_index(S), A.view
+    for stage in NAIVE_KIND_STAGES[kind]:
+        hit = _STAGES[stage][0](idx[stage], mu, nu)
+        if hit is not None:
+            t, component = hit
+            return stage, component, idx[stage][t]
+    return None
+
+
+def test_check_and_find_violation_agree_with_the_stage_by_stage_scan():
+    """On every table of order <= 3 and every library table, at the 1/2
+    grid, ``check`` is ``find_violation(...) is None`` for all seven kinds,
+    and the violation names the stage, component and points the stages
+    scanned one by one give. Violations in a joined run's later stages
+    occur, so the joined runs are what is compared."""
+    spec = SampleSpec(grade_grid_step=F(1, 2))
+    grid = {n: list(sample_ifs(n, spec)) for n in {S.order for S in PARITY_TABLES}}
+    stages = set()
+    for S in PARITY_TABLES:
+        for A in grid[S.order]:
+            for kind in ALL_KINDS:
+                v = find_violation(kind, S, A)
+                assert check(kind, S, A) == (v is None)
+                assert (v and (v.stage, v.component, v.points)) == stage_by_stage(kind, S, A)
+                if v is not None:
+                    stages.add((kind, v.stage))
+    assert {(K.SEMIPRIME, "right_ideal"), (K.SEMIPRIME, "semiprime"),
+            (K.BI_IDEAL, "bi_ideal"), (K.IDEAL, "right_ideal")} <= stages
+
+
+def test_joined_runs_are_built_per_kind_inside_the_scan_index_cache(mod2):
+    """A kind's runs are built on its first scan of a table and kept in that
+    table's scan index, so clearing the index's cache drops them too."""
+    from ifsemigroups.predicates import _scan_index
+
+    A = IFSubset(2, (F(1, 2), F(1, 4)), (F(1, 4), F(1, 2)))
+    _scan_index.cache_clear()
+    assert _scan_index(mod2).runs == {}
+    check(K.SEMIPRIME, mod2, A)
+    find_violation(K.BI_IDEAL, mod2, A)
+    runs = _scan_index(mod2).runs
+    assert set(runs) == {K.SEMIPRIME, K.BI_IDEAL}
+    assert [stages for _, _, stages in runs[K.SEMIPRIME]] == [
+        ("left_ideal", "right_ideal", "semiprime")]
+    _scan_index.cache_clear()
+    assert _scan_index(mod2).runs == {}
+
+
+@pytest.mark.parametrize("scan", [check, find_violation], ids=["check", "find_violation"])
+def test_refusals_keep_their_order(scan, mod2):
+    """Carrier mismatch, then zero membership, then an unknown kind,
+    hashable or not."""
+    wide_and_zero = IFSubset(3, (F(0),) * 3, (F(1),) * 3)
+    zero = IFSubset(2, (F(0),) * 2, (F(1),) * 2)
+    valid = IFSubset(2, (F(1, 2),) * 2, (F(1, 2),) * 2)
+    for kind in ("ideal", ["ideal"], K.IDEAL):
+        with pytest.raises(CarrierMismatch):
+            scan(kind, mod2, wide_and_zero)
+        with pytest.raises(EmptySubset):
+            scan(kind, mod2, zero)
+    for kind in ("ideal", ["ideal"], None, "SEMIPRIME"):
+        with pytest.raises(ValueError, match="unknown kind"):
+            scan(kind, mod2, valid)
+
+
 class TestViolationEdges:
     # on cyclic2, mu = (1/2, 1/4) breaks the left ideal's mu inequality at
     # (1, 0) and nu = (1/4, 1/2) its nu inequality

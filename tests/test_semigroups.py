@@ -159,6 +159,30 @@ class TestMultiplySubsets:
                     big = multiply_subsets(S, ElementSubset(2, a2), ElementSubset(2, b2))
                     assert small.members <= big.members
 
+    def test_products_are_built_unchecked_and_equal_the_checked_ones(self, monkeypatch):
+        """The members of a product are table entries, so it is built
+        without the constructor's checks; on every table of order <= 3 and
+        every library table, each product of two subsets (the empty one
+        too) equals, hashes and prints as the one the constructor builds."""
+        tables = [S for n in (1, 2, 3) for S in enumerate_semigroups(n)] + [
+            e.semigroup for e in builtin_library()]
+        checked = []
+        post_init = ElementSubset.__post_init__
+        monkeypatch.setattr(ElementSubset, "__post_init__",
+                            lambda self: checked.append(self) or post_init(self))
+        for n in sorted({S.order for S in tables}):
+            subsets = [ElementSubset(n, frozenset(c)) for k in range(n + 1)
+                       for c in itertools.combinations(range(n), k)]
+            for S in (S for S in tables if S.order == n):
+                for A, B in itertools.product(subsets, repeat=2):
+                    checked.clear()
+                    AB = multiply_subsets(S, A, B)
+                    assert checked == []
+                    expected = ElementSubset(n, {S.table[a][b] for a in A.members
+                                                 for b in B.members})
+                    assert AB == expected and hash(AB) == hash(expected)
+                    assert repr(AB) == repr(expected)
+
 
 class TestCrispStructure:
     def test_left_ideal_semilattice(self, semilattice2):
